@@ -104,12 +104,16 @@ def _timed_run(**kwargs):
 def test_pool_3x_faster_than_per_attempt_and_byte_identical():
     serial, serial_s, _ = _timed_run(max_workers=1)
 
+    # The auto plan would grid this one-family campaign in-process;
+    # force per-job dispatch so the two process paths are measured.
     per_attempt, per_attempt_s, baseline = _timed_run(
-        max_workers=2, pool=False
+        max_workers=2, pool=False, exec_plan="pool"
     )
     assert not baseline.used_fallback, baseline.fallback_reason
 
-    pooled, pool_s, runner = _timed_run(max_workers=2, pool=True)
+    pooled, pool_s, runner = _timed_run(
+        max_workers=2, pool=True, exec_plan="pool"
+    )
     assert not runner.used_fallback, runner.fallback_reason
     assert {s.mode for s in runner.stats} == {"pool"}
     stats = runner.pool_stats
@@ -169,7 +173,11 @@ def test_pool_batching_amortises_ipc():
     messages), and a second campaign on the same runner reuses the
     warm workers without respawning."""
     runner = batch.SweepRunner(
-        max_workers=2, cache=batch.NullCache(), manifest=False, pool=True
+        max_workers=2,
+        cache=batch.NullCache(),
+        manifest=False,
+        pool=True,
+        exec_plan="pool",
     )
     jobs = _campaign()
     runner.run(jobs)

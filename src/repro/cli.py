@@ -171,32 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="fix the pool's jobs-per-dispatch batch size "
         "(default: adaptive chunking)",
     )
-    vectorize_group = parser.add_mutually_exclusive_group()
-    vectorize_group.add_argument(
-        "--vectorize",
-        dest="vectorize",
-        action="store_true",
-        default=None,
-        help="evaluate sweep cache misses through the batched NumPy "
-        "kernel (the default; bit-identical to the scalar simulator, "
-        "~an order of magnitude faster on full-zoo sweeps)",
-    )
-    vectorize_group.add_argument(
-        "--no-vectorize",
-        dest="vectorize",
-        action="store_false",
-        help="force every evaluation through the scalar simulator "
-        "(the oracle path; also $REPRO_SWEEP_VECTORIZE=0)",
-    )
     parser.add_argument(
         "--exec-plan",
-        choices=("auto", "grid", "pool", "serial"),
+        choices=("auto", "pool", "serial"),
         default=None,
         help="campaign execution planner: 'auto' (the default) grids "
-        "same-family cache misses through the 2-D megabatch kernel and "
-        "keeps small vectorized campaigns in-process, 'grid'/'pool'/"
-        "'serial' force one lane (also $REPRO_SWEEP_PLAN); results are "
-        "bit-identical in every plan",
+        "every machine family's cache misses through the NumPy kernel "
+        "in-process, 'pool'/'serial' force per-job dispatch (also "
+        "$REPRO_SWEEP_PLAN); results are bit-identical in every plan",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -1188,13 +1170,16 @@ def main(argv: list[str] | None = None) -> int:
         audit=False if args.no_audit else None,
         pool=args.pool,
         pool_batch=args.pool_batch,
-        vectorize=args.vectorize,
         exec_plan=args.exec_plan,
         budget=budget,
         retry_quarantined=True if args.retry_quarantined else None,
     )
     batch.clear_last_outcome()
     try:
+        # Resolve the env-backed defaults up front: a malformed
+        # $REPRO_SWEEP_* value fails every command the same way.
+        batch.default_workers()
+        batch.default_exec_plan()
         if args.drain_signal:
             with GracefulDrain():
                 rc = _COMMANDS[args.command](args)

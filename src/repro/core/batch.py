@@ -40,6 +40,7 @@ tests (``tests/test_golden_regression.py``) pin this down.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -61,7 +62,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 if TYPE_CHECKING:  # pragma: no cover - typing-only (campaign imports us)
     from .campaign import CampaignManifest
 
-from ..errors import InvariantViolationError
+from ..errors import ConfigError, InvariantViolationError
 from . import store
 from .accelerator import AcceleratorSpec
 from .budget import CampaignBudget, CampaignOutcome, CircuitBreaker
@@ -94,7 +95,6 @@ __all__ = [
     "default_budget",
     "default_exec_plan",
     "default_pool",
-    "default_vectorize",
     "default_workers",
     "default_cache",
     "default_manifest",
@@ -112,21 +112,13 @@ _CRASH_KINDS = frozenset(
 )
 
 #: Valid campaign execution plans (see :func:`default_exec_plan`).
-_EXEC_PLANS = ("auto", "grid", "pool", "serial")
+_EXEC_PLANS = ("auto", "pool", "serial")
 
 #: Upper bound on (machines x union shapes) lanes evaluated per grid
 #: kernel launch.  Beyond it the machine axis is chunked: each float64
 #: grid column is ``lanes * 8`` bytes and the kernel holds a few dozen
 #: columns live, so 1Mi lanes keeps the transient peak around 300 MB.
 _GRID_LANE_BUDGET = 1 << 20
-
-#: Below this many total unique kernel lanes a leftover sub-campaign
-#: is cheaper serial than pooled: per-job dispatch (pickling, IPC,
-#: worker cache keys) costs milliseconds while the vectorized kernel
-#: clears small batches in microseconds per lane -- the inversion
-#: BENCH_pool.json measured on 64 small jobs (pool 0.145s vs serial
-#: 0.033s).  Only applies when every leftover job takes the kernel.
-_POOL_LANE_THRESHOLD = 50_000
 
 logger = logging.getLogger(__name__)
 
@@ -657,9 +649,7 @@ def simulate_model_cached(
     layer_by_layer: bool = False,
     cache: "ResultCache | NullCache | None" = None,
     fingerprint: str | None = None,
-    vectorize: bool | None = None,
     on_fallback: Callable[[str], None] | None = None,
-    _overlay: "dict[str, LayerResult] | None" = None,
 ) -> ModelResult:
     """``Simulator.simulate_model`` through the content-addressed cache.
 
@@ -668,108 +658,42 @@ def simulate_model_cached(
     occurrence's name, so the output is indistinguishable from an
     uncached run.
 
-    ``vectorize`` (default: :func:`default_vectorize`) routes cache
-    misses through the batched NumPy kernel
-    (:mod:`repro.core.vectorized`), which is bit-identical to the
-    scalar path; anything outside the kernel's coverage registry falls
-    back to the scalar oracle and reports why through ``on_fallback``.
-    Cache-stat accounting (one lookup per unique shape, one put per
-    miss) is the same either way.
-
-    ``_overlay`` is a private campaign-level result overlay (cache key
-    -> :class:`LayerResult`) seeded by ``SweepRunner``'s union prewarm;
-    overlay hits bypass the cache probe entirely (no stat traffic) and
-    are only consulted on the vectorized path.
+    Every unique shape is resolved against the cache first (one lookup
+    per unique shape, one put per miss); the misses are then evaluated
+    as one batch through the kernel's one-machine entry
+    (:func:`repro.core.vectorized.simulate_layers_vectorized`), which
+    is bit-identical to the scalar path.  A machine the kernel declines
+    runs on the scalar simulator, and ``on_fallback(reason)`` hears
+    why.
     """
+    return _simulate_model_cached(
+        simulator,
+        model,
+        layer_by_layer=layer_by_layer,
+        cache=cache,
+        fingerprint=fingerprint,
+        vectorize=True,
+        on_fallback=on_fallback,
+    )
+
+
+def _simulate_model_cached(
+    simulator: Simulator,
+    model: LayerSet,
+    *,
+    layer_by_layer: bool,
+    cache: "ResultCache | NullCache | None",
+    fingerprint: str | None,
+    vectorize: bool,
+    on_fallback: Callable[[str], None] | None = None,
+) -> ModelResult:
+    """:func:`simulate_model_cached` in either runner mode:
+    ``vectorize=False`` evaluates the misses on the scalar simulator
+    only (a :class:`SweepRunner` built with ``vectorize=False``)."""
     if cache is None:
         cache = default_cache()
     if fingerprint is None:
         fingerprint = simulator_fingerprint(simulator)
-    if vectorize is None:
-        vectorize = default_vectorize()
-    if vectorize:
-        return _simulate_model_cached_vectorized(
-            simulator,
-            model,
-            layer_by_layer,
-            cache,
-            fingerprint,
-            on_fallback,
-            _overlay,
-        )
-    result = ModelResult(accelerator=simulator.spec.name, model=model.name)
-    # Inlined hot loop: this runs once per layer of every model of a
-    # campaign, so the per-layer cost is kept to a couple of dict
-    # operations (key memo, local dedup, cache lookup).
-    local: dict[tuple[int, ...], LayerResult] = {}
-    local_get = local.get
-    append = result.layers.append
-    cache_get = cache.get
-    memo_get = _KEY_MEMO.get
-    # Memory-tier fast path: for the concrete ResultCache the common
-    # "already in memory" case is answered by one dict probe instead
-    # of a method call (stats stay exact -- the counters below mirror
-    # ``ResultCache.get``); any other cache object goes through its
-    # ``get`` untouched.
-    memory_get = (
-        cache._memory.get if type(cache) is ResultCache else None
-    )
-    for layer in model.all_layers:
-        shape = layer.shape_key
-        cached = local_get(shape)
-        if cached is None:
-            key = memo_get((fingerprint, shape, layer_by_layer))
-            if key is None:
-                key = layer_cache_key(fingerprint, layer, layer_by_layer)
-            if memory_get is not None and (cached := memory_get(key)) is not None:
-                cache._hits += 1
-                if cache._lru_active:
-                    cache._memory.move_to_end(key)
-            else:
-                cached = cache_get(key)
-            if cached is None:
-                cached = simulator.simulate_layer(
-                    layer, layer_by_layer=layer_by_layer
-                )
-                cache.put(key, cached)
-            elif cached.layer.name != layer.name:
-                cached = _rebind_layer(cached, layer)
-            local[shape] = cached
-        append(cached)
-    return result
-
-
-def _simulate_model_cached_vectorized(
-    simulator: Simulator,
-    model: LayerSet,
-    layer_by_layer: bool,
-    cache,
-    fingerprint: str,
-    on_fallback: Callable[[str], None] | None,
-    overlay: "dict[str, LayerResult] | None" = None,
-) -> ModelResult:
-    """Vectorized twin of the ``simulate_model_cached`` hot loop.
-
-    Pass 1 resolves every unique shape against the cache with exactly
-    the scalar loop's stat accounting; the misses are then evaluated
-    as **one batch** through the NumPy kernel.  A coverage gap or a
-    whole-batch kernel decline (strict audit bailout) re-routes to the
-    scalar oracle -- same results, one ``on_fallback(reason)`` call.
-    """
-    from .vectorized import coverage_gap, simulate_layers_vectorized
-
-    gap = coverage_gap(simulator)
-    if gap is not None:
-        if on_fallback is not None:
-            on_fallback(gap)
-        return simulate_model_cached(
-            simulator,
-            model,
-            layer_by_layer=layer_by_layer,
-            cache=cache,
-            fingerprint=fingerprint,
-            vectorize=False,
-        )
     result = ModelResult(accelerator=simulator.spec.name, model=model.name)
     unique, shapes, occ = _model_structure(model)
     resolved: list[LayerResult | None] = [None] * len(unique)
@@ -777,19 +701,16 @@ def _simulate_model_cached_vectorized(
     missing_keys: list[str] = []
     memo_get = _KEY_MEMO.get
     cache_get = cache.get
+    # Memory-tier fast path: for the concrete ResultCache the common
+    # "already in memory" case is answered by one dict probe instead
+    # of a method call (stats stay exact -- the counters below mirror
+    # ``ResultCache.get``); any other cache object goes through its
+    # ``get`` untouched.
     memory_get = cache._memory.get if type(cache) is ResultCache else None
-    overlay_get = overlay.get if overlay else None
     for i, (layer, shape) in enumerate(zip(unique, shapes)):
         key = memo_get((fingerprint, shape, layer_by_layer))
         if key is None:
             key = layer_cache_key(fingerprint, layer, layer_by_layer)
-        if overlay_get is not None and (cached := overlay_get(key)) is not None:
-            # Prewarm overlay hit: the campaign already resolved this
-            # (machine, shape) pair this run -- no cache traffic.
-            if cached.layer.name != layer.name:
-                cached = _rebind_layer(cached, layer)
-            resolved[i] = cached
-            continue
         if memory_get is not None and (cached := memory_get(key)) is not None:
             cache._hits += 1
             if cache._lru_active:
@@ -804,30 +725,26 @@ def _simulate_model_cached_vectorized(
                 cached = _rebind_layer(cached, layer)
             resolved[i] = cached
     if missing_index:
-        built = simulate_layers_vectorized(
-            simulator,
-            [unique[i] for i in missing_index],
-            layer_by_layer=layer_by_layer,
-        )
-        if built is None:
-            # Whole-batch decline: a strict simulator with an
-            # invariant-dirty lane.  The scalar loop reproduces the
-            # exact raise (and caches whatever completed before it).
-            if on_fallback is not None:
-                on_fallback(
-                    "kernel declined the batch (strict invariant bailout)"
-                )
-            for i, key in zip(missing_index, missing_keys):
-                layer_result = simulator.simulate_layer(
-                    unique[i], layer_by_layer=layer_by_layer
-                )
-                cache.put(key, layer_result)
-                resolved[i] = layer_result
+        layers = [unique[i] for i in missing_index]
+        if vectorize:
+            # Looked up per call, so an instrumented entry is honoured.
+            from . import vectorized
+
+            built = vectorized.simulate_layers_vectorized(
+                simulator,
+                layers,
+                layer_by_layer=layer_by_layer,
+                on_fallback=on_fallback,
+            )
         else:
-            cache_put = cache.put
-            for i, key, layer_result in zip(missing_index, missing_keys, built):
-                cache_put(key, layer_result)
-                resolved[i] = layer_result
+            built = [
+                simulator.simulate_layer(layer, layer_by_layer=layer_by_layer)
+                for layer in layers
+            ]
+        cache_put = cache.put
+        for i, key, layer_result in zip(missing_index, missing_keys, built):
+            cache_put(key, layer_result)
+            resolved[i] = layer_result
     result.layers.extend(map(resolved.__getitem__, occ))
     if resolved:
         # Model-level pre-audit marker: when every unique layer result
@@ -849,19 +766,11 @@ def _simulate_model_cached_vectorized(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SweepJob:
-    """One (machine, model) unit of work in a campaign.
-
-    ``vectorize=None`` defers to the runner executing the job (or, for
-    a bare :func:`_execute_job`, to :func:`default_vectorize`).
-    """
+    """One (machine, model) unit of work in a campaign."""
 
     simulator: Simulator
     model: LayerSet
     layer_by_layer: bool = False
-    #: Per-job override of the batched-kernel fast path.  Not part of
-    #: the campaign content key: the vectorized path is bit-identical,
-    #: so a manifest written with either setting resumes under both.
-    vectorize: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -886,7 +795,7 @@ class PlanDecision:
     """One execution-planner choice for a group of campaign jobs.
 
     ``plan`` is the mechanism the group was routed to (``"grid"``:
-    in-process 2-D megabatch, ``"pool"``/``"spawn"``: process
+    in-process grid kernel, ``"pool"``/``"spawn"``: process
     parallelism, ``"serial"``: in-process per-job loop); ``reason``
     says why in one human-readable clause.  Grid decisions also carry
     the evaluated lane count (machines x union shapes).
@@ -949,16 +858,14 @@ class SweepJobError(RuntimeError):
         self.failure = failure
 
 
-def _execute_job(job: SweepJob) -> ModelResult:
-    """Worker-side job body (must stay module-level for pickling)."""
-    vectorize = getattr(job, "vectorize", None)
-    if vectorize is None:
-        vectorize = default_vectorize()
+def _execute_job(job: SweepJob, vectorize: bool) -> ModelResult:
+    """Worker-side job body in the dispatching runner's mode."""
     if vectorize:
-        from .vectorized import simulate_model_vectorized
-
-        return simulate_model_vectorized(
-            job.simulator, job.model, layer_by_layer=job.layer_by_layer
+        return simulate_model_cached(
+            job.simulator,
+            job.model,
+            layer_by_layer=job.layer_by_layer,
+            cache=NullCache(),
         )
     return job.simulator.simulate_model(
         job.model, layer_by_layer=job.layer_by_layer
@@ -976,7 +883,8 @@ def _traceback_summary(exc: BaseException, limit: int = 4) -> str:
 
 
 def _worker_entry(payload: bytes, conn) -> None:
-    """Worker-process body: run one pickled job, ship the outcome back.
+    """Worker-process body: run one pickled ``(job, vectorize)``
+    attempt, ship the outcome back.
 
     Everything the parent needs to know travels over the pipe: either
     ``("ok", ModelResult)`` or ``("err", type, message, traceback)``.
@@ -984,8 +892,8 @@ def _worker_entry(payload: bytes, conn) -> None:
     interpreter crash) is detected by the parent as an EOF on the pipe.
     """
     try:
-        job = pickle.loads(payload)
-        result = _execute_job(job)
+        job, vectorize = pickle.loads(payload)
+        result = _execute_job(job, vectorize)
         conn.send(("ok", result))
     except BaseException as exc:  # noqa: BLE001 - shipped to the parent
         try:
@@ -1104,26 +1012,19 @@ class SweepRunner:
         )
         if self.pool_batch is not None and self.pool_batch < 1:
             raise ValueError("pool_batch must be >= 1 (or None)")
-        #: Route cache misses through the batched NumPy kernel
-        #: (:mod:`repro.core.vectorized`) -- bit-identical to the
-        #: scalar path by construction, ~an order of magnitude faster
-        #: on full-zoo sweeps.  Jobs may override per-job via
-        #: ``SweepJob.vectorize``; coverage gaps fall back to scalar
-        #: and are recorded in :attr:`vectorized_fallbacks`.
-        self.vectorize = (
-            default_vectorize() if vectorize is None else bool(vectorize)
-        )
-        #: ``(job index, accelerator, model, reason)`` records of jobs
-        #: the kernel structurally declined during the last
-        #: :meth:`run` (serial path; surfaced by
-        #: :meth:`campaign_report`).
-        self.vectorized_fallbacks: list[tuple[int, str, str, str]] = []
-        #: Campaign execution plan: ``"auto"`` lets the planner group
-        #: jobs by machine family and pick the 2-D grid megabatch
-        #: (:mod:`repro.core.grid`) vs pooled vs serial dispatch per
-        #: group; ``"grid"``/``"pool"``/``"serial"`` force one
-        #: mechanism.  All plans are bit-identical -- the planner only
-        #: moves where the same floats are computed.
+        #: Evaluate cache misses through the NumPy kernel
+        #: (:func:`repro.core.grid.evaluate_grid`) -- bit-identical to
+        #: the scalar path by construction, ~an order of magnitude
+        #: faster on full-zoo sweeps.  ``vectorize=False`` runs the
+        #: scalar oracle on every dispatch path: in-process, pooled
+        #: and per-attempt workers alike.
+        self.vectorize = True if vectorize is None else bool(vectorize)
+        #: Campaign execution plan: ``"auto"`` groups jobs by machine
+        #: family and evaluates each group through the grid kernel
+        #: (:mod:`repro.core.grid`), sending machines the kernel
+        #: declines to the scalar simulator; ``"pool"``/``"serial"``
+        #: force per-job dispatch.  All plans are bit-identical -- the
+        #: planner only moves where the same floats are computed.
         self.exec_plan = default_exec_plan() if exec_plan is None else exec_plan
         if self.exec_plan not in _EXEC_PLANS:
             raise ValueError(
@@ -1132,10 +1033,11 @@ class SweepRunner:
             )
         #: :class:`PlanDecision` records of the last :meth:`run`.
         self.plan_decisions: list[PlanDecision] = []
-        #: ``(accelerator, reason)`` records of machines the 2-D grid
-        #: kernel declined during the last :meth:`run`; their jobs were
-        #: re-routed through the per-job path (still exact).
+        #: ``(accelerator, reason)`` records, one per machine the grid
+        #: kernel declined during the last :meth:`run`; that machine's
+        #: evaluations ran on the scalar simulator (still exact).
         self.grid_fallbacks: list[tuple[str, str]] = []
+        self._declined: set[int] = set()
         #: Total (machine x shape) lanes the grid kernel evaluated /
         #: machines it served during the last :meth:`run`.
         self.grid_lanes = 0
@@ -1399,116 +1301,27 @@ class SweepRunner:
         )
         return failure
 
+    def _grid_declined(self, simulator: Simulator, reason: str) -> None:
+        """Record one :attr:`grid_fallbacks` entry per declined machine."""
+        if id(simulator) not in self._declined:
+            self._declined.add(id(simulator))
+            self.grid_fallbacks.append((simulator.spec.name, reason))
+
     # -- serial path ---------------------------------------------------
-    def _prewarm_vectorized(
-        self,
-        jobs: Sequence[SweepJob],
-        fingerprints: dict[int, str],
-    ) -> "dict[str, LayerResult] | None":
-        """Seed a campaign-level result overlay with one union batch per machine.
-
-        Jobs that will take the vectorized path are grouped by
-        ``(simulator, layer_by_layer)``; for each group with more than
-        one job, every group-unique shape is resolved against the cache
-        **once** (same stat accounting as one pass-1 probe) and the
-        misses are evaluated as a single union batch through the NumPy
-        kernel.  The returned overlay (cache key -> ``LayerResult``)
-        short-circuits the per-job pass-1 probes, so an N-model
-        campaign pays one kernel launch per machine instead of N.
-
-        Groups are skipped -- leaving behaviour byte-identical to the
-        un-prewarmed path -- when the machine has a kernel coverage gap
-        (the per-job path reports the structured fallback reason) or
-        when the union batch is declined by a strict simulator (the
-        per-job path reproduces the exact scalar raise).  Single-job
-        groups are skipped too: prewarming them would only duplicate
-        the per-job batch.
-        """
-        from .vectorized import coverage_gap, simulate_layers_vectorized
-
-        groups: dict[tuple[int, bool], tuple[Simulator, list[SweepJob]]] = {}
-        for job in jobs:
-            vec = (
-                self.vectorize
-                if getattr(job, "vectorize", None) is None
-                else job.vectorize
-            )
-            if not vec:
-                continue
-            group_key = (id(job.simulator), job.layer_by_layer)
-            group = groups.get(group_key)
-            if group is None:
-                groups[group_key] = group = (job.simulator, [])
-            group[1].append(job)
-        overlay: dict[str, LayerResult] = {}
-        cache = self.cache
-        cache_get = cache.get
-        memo_get = _KEY_MEMO.get
-        memory_get = cache._memory.get if type(cache) is ResultCache else None
-        for (sim_id, layer_by_layer), (simulator, group_jobs) in groups.items():
-            if len(group_jobs) < 2:
-                continue
-            if coverage_gap(simulator) is not None:
-                continue
-            if sim_id not in fingerprints:
-                fingerprints[sim_id] = simulator_fingerprint(simulator)
-            fingerprint = fingerprints[sim_id]
-            seen: set[tuple[int, ...]] = set()
-            add_seen = seen.add
-            missing_layers: list[ConvLayer] = []
-            missing_keys: list[str] = []
-            hits: list[tuple[str, LayerResult]] = []
-            for job in group_jobs:
-                unique, shapes, _ = _model_structure(job.model)
-                for layer, shape in zip(unique, shapes):
-                    if shape in seen:
-                        continue
-                    add_seen(shape)
-                    key = memo_get((fingerprint, shape, layer_by_layer))
-                    if key is None:
-                        key = layer_cache_key(
-                            fingerprint, layer, layer_by_layer
-                        )
-                    if (
-                        memory_get is not None
-                        and (cached := memory_get(key)) is not None
-                    ):
-                        cache._hits += 1
-                        if cache._lru_active:
-                            cache._memory.move_to_end(key)
-                    else:
-                        cached = cache_get(key)
-                    if cached is None:
-                        missing_layers.append(layer)
-                        missing_keys.append(key)
-                    else:
-                        hits.append((key, cached))
-            if missing_layers:
-                built = simulate_layers_vectorized(
-                    simulator, missing_layers, layer_by_layer=layer_by_layer
-                )
-                if built is None:
-                    # Strict decline: don't seed anything for this
-                    # group -- the per-job path re-probes and falls
-                    # back to the scalar oracle with the exact raise.
-                    continue
-                cache_put = cache.put
-                for key, layer_result in zip(missing_keys, built):
-                    cache_put(key, layer_result)
-                    overlay[key] = layer_result
-            overlay.update(hits)
-        return overlay or None
-
     def _run_serial(
         self,
         jobs: Sequence[SweepJob],
         indexes: Sequence[int] | None = None,
         mode: str = "serial",
         mark: bool = True,
+        vectorize: bool | None = None,
     ) -> list[ModelResult | None]:
+        """In-process per-job loop; ``vectorize`` (default: the
+        runner's mode) picks the kernel or the scalar simulator."""
+        if vectorize is None:
+            vectorize = self.vectorize
         results: list[ModelResult | None] = []
         fingerprints: dict[int, str] = {}
-        overlay = self._prewarm_vectorized(jobs, fingerprints)
         # Resumed replays are exempt from stop checks: they are cheap
         # cache reads that materialise already-earned results.
         check_stop = mode != "resumed"
@@ -1528,48 +1341,21 @@ class SweepRunner:
             abandoned = False
             wall_times: list[float] = []
             backoff_total = 0.0
-            job_vectorize = (
-                self.vectorize
-                if getattr(job, "vectorize", None) is None
-                else job.vectorize
-            )
-            if job_vectorize:
-                recorded: set[str] = set()
-
-                def on_fallback(
-                    reason: str,
-                    *,
-                    _index=index,
-                    _job=job,
-                    _recorded=recorded,
-                ) -> None:
-                    if reason in _recorded:
-                        return  # one record per job, not per attempt
-                    _recorded.add(reason)
-                    self.vectorized_fallbacks.append(
-                        (
-                            _index,
-                            _job.simulator.spec.name,
-                            _job.model.name,
-                            reason,
-                        )
-                    )
-            else:
-                on_fallback = None
             while True:
                 attempts += 1
                 before = (self.cache.stats.hits, self.cache.stats.misses)
                 start = time.perf_counter()
                 try:
-                    result = simulate_model_cached(
+                    result = _simulate_model_cached(
                         job.simulator,
                         job.model,
                         layer_by_layer=job.layer_by_layer,
                         cache=self.cache,
                         fingerprint=fingerprints[sim_id],
-                        vectorize=job_vectorize,
-                        on_fallback=on_fallback,
-                        _overlay=overlay,
+                        vectorize=vectorize,
+                        on_fallback=functools.partial(
+                            self._grid_declined, job.simulator
+                        ),
                     )
                     if self.audit:
                         violations = audit_model_result(
@@ -1665,14 +1451,14 @@ class SweepRunner:
                 raise SweepJobError(failure)
         return results
 
-    # -- execution planner / grid megabatch path -----------------------
+    # -- execution planner / grid path ---------------------------------
     def _dispatch(self, sub: Sequence[SweepJob], todo: Sequence[int]):
         """Route the pending jobs per :attr:`exec_plan`.
 
-        ``serial``/``pool`` force one mechanism; ``auto`` and ``grid``
-        go through the planner (``grid`` additionally grids
-        single-machine families the heuristic would leave alone).
-        Every route computes bit-identical results.
+        ``serial``/``pool`` force per-job dispatch; ``auto`` grids
+        every machine-family group (a scalar-mode runner has no kernel
+        to plan for and dispatches per job).  Every route computes
+        bit-identical results.
         """
         plan = self.exec_plan
         if plan == "serial":
@@ -1685,19 +1471,29 @@ class SweepRunner:
             )
             return self._run_serial(sub, indexes=todo)
         if plan == "pool":
-            return self._dispatch_pool(sub, todo, forced=True)
-        return self._run_planned(sub, todo, forced=plan == "grid")
+            return self._dispatch_pool(
+                sub, todo, reason="forced by exec_plan='pool'"
+            )
+        if not self.vectorize:
+            return self._dispatch_pool(sub, todo)
+        return self._run_planned(sub, todo)
 
     def _dispatch_pool(
         self,
         sub: Sequence[SweepJob],
         todo: Sequence[int],
         *,
-        forced: bool = False,
+        reason: str | None = None,
+        vectorize: bool | None = None,
     ):
-        """The classic dispatch: serial below the parallel threshold,
-        otherwise pool/spawn with structural fallback to serial."""
-        if self.max_workers <= 1 or len(sub) <= 1:
+        """Per-job dispatch: serial with one worker -- or for a lone
+        job, unless a ``reason`` asks for worker processes -- otherwise
+        pool/spawn with structural fallback to serial.  ``vectorize``
+        (default: the runner's mode) travels with every dispatched
+        job."""
+        if vectorize is None:
+            vectorize = self.vectorize
+        if self.max_workers <= 1 or (len(sub) <= 1 and reason is None):
             self.plan_decisions.append(
                 PlanDecision(
                     plan="serial",
@@ -1707,21 +1503,17 @@ class SweepRunner:
                     ),
                 )
             )
-            return self._run_serial(sub, indexes=todo)
+            return self._run_serial(sub, indexes=todo, vectorize=vectorize)
         decision = PlanDecision(
             plan="pool" if self.pool else "spawn",
             jobs=len(sub),
-            reason=(
-                "forced by exec_plan='pool'"
-                if forced
-                else f"{len(sub)} job(s) across "
-                f"{self.max_workers} worker(s)"
-            ),
+            reason=reason
+            or f"{len(sub)} job(s) across {self.max_workers} worker(s)",
         )
         self.plan_decisions.append(decision)
         parallel = self._run_pool if self.pool else self._run_parallel
         try:
-            out = parallel(sub, indexes=todo)
+            out = parallel(sub, indexes=todo, vectorize=vectorize)
             if self.pool and self.pool_stats is not None:
                 self.pool_stats.plan = decision.describe()
             return out
@@ -1743,141 +1535,90 @@ class SweepRunner:
             self.failures = [
                 f for f in self.failures if f.index not in keep
             ]
-            return self._run_serial(sub, indexes=todo)
+            return self._run_serial(sub, indexes=todo, vectorize=vectorize)
 
     def _run_planned(
-        self,
-        sub: Sequence[SweepJob],
-        todo: Sequence[int],
-        *,
-        forced: bool,
+        self, sub: Sequence[SweepJob], todo: Sequence[int]
     ) -> "list[ModelResult | None]":
-        """Plan and execute: grid-eligible family groups in-process via
-        the 2-D megabatch kernel, everything else through the classic
-        serial/pool dispatch."""
-        groups, leftover = self._plan_grid_groups(sub, forced=forced)
+        """Plan and execute: every machine-family group in-process
+        through the grid kernel; jobs of machines the kernel declines
+        run on the scalar simulator through the per-job dispatch --
+        in worker processes whenever there are several workers, so a
+        crashing declined job cannot take the grid results with it."""
+        groups, leftover = self._plan_grid_groups(sub)
         results: list[ModelResult | None] = [None] * len(sub)
-        for key, group in groups:
+        for key, machines in groups.items():
             if self._check_stop():
                 # Remaining jobs stay pending in the manifest,
                 # resumable later -- same contract as the serial loop.
                 return results
             leftover.extend(
-                self._run_grid_group(key, group, sub, todo, results)
+                self._run_grid_group(key, machines, sub, todo, results)
             )
         if leftover and not self._check_stop():
             leftover.sort()
-            lsub = [sub[p] for p in leftover]
-            lidx = [todo[p] for p in leftover]
-            if self._prefer_serial(lsub):
-                self.plan_decisions.append(
-                    PlanDecision(
-                        plan="serial",
-                        jobs=len(lsub),
-                        reason="small vectorized job(s): per-job pool "
-                        "dispatch overhead would dominate the kernel",
-                    )
-                )
-                lout = self._run_serial(lsub, indexes=lidx)
-            else:
-                lout = self._dispatch_pool(lsub, lidx)
+            lout = self._dispatch_pool(
+                [sub[p] for p in leftover],
+                [todo[p] for p in leftover],
+                reason=f"{len(leftover)} declined job(s) isolated across "
+                f"{self.max_workers} worker(s)",
+                vectorize=False,
+            )
             for p, result in zip(leftover, lout):
                 results[p] = result
         return results
 
-    def _prefer_serial(self, jobs: Sequence[SweepJob]) -> bool:
-        """Satellite of the planner: detect the pool/serial inversion.
+    def _plan_grid_groups(self, sub: Sequence[SweepJob]) -> tuple:
+        """Partition jobs into machine-family groups + scalar leftovers.
 
-        ``True`` when every job rides the vectorized kernel and the
-        total unique-lane count is small enough that per-job process
-        dispatch would cost more than the compute itself.  Scalar or
-        coverage-gap jobs never qualify -- their per-job compute is
-        real and parallelism still pays.
-        """
-        if self.max_workers <= 1 or len(jobs) <= 1:
-            return False  # _dispatch_pool already runs these serially
-        from .vectorized import coverage_gap
-
-        gaps: dict[int, bool] = {}
-        lanes = 0
-        for job in jobs:
-            vec = (
-                self.vectorize
-                if getattr(job, "vectorize", None) is None
-                else job.vectorize
-            )
-            if not vec:
-                return False
-            sim_id = id(job.simulator)
-            if sim_id not in gaps:
-                gaps[sim_id] = coverage_gap(job.simulator) is not None
-            if gaps[sim_id]:
-                return False
-            lanes += len(_model_structure(job.model)[0])
-            if lanes > _POOL_LANE_THRESHOLD:
-                return False
-        return True
-
-    def _plan_grid_groups(
-        self, sub: Sequence[SweepJob], *, forced: bool
-    ) -> tuple:
-        """Partition jobs into grid-eligible family groups + leftovers.
-
-        A job is grid-eligible when it takes the vectorized path, its
-        machine passes :func:`repro.core.grid.grid_gap` and every
-        unique layer of its model passes the int64 sieve.  Eligible
-        jobs group by :func:`repro.core.grid.family_key`; under
-        ``auto`` a group must span at least two distinct machines
-        (single-machine model batching is already covered by the 1-D
-        prewarm), under ``forced`` every eligible group grids.
+        Groups map :func:`repro.core.grid.family_key` to ``{machine id:
+        (simulator, [sub positions])}`` in order of first appearance;
+        a group of one machine grids like any other.  A job whose
+        machine fails :func:`repro.core.grid.grid_gap`, or whose model
+        has a layer outside :func:`repro.core.grid.lane_covered`, is
+        left over for the scalar simulator, and its machine gets a
+        :attr:`grid_fallbacks` entry.
         """
         from . import grid as grid_mod
 
         leftover: list[int] = []
         gaps: dict[int, str | None] = {}
-        covered: dict[int, bool] = {}
+        uncovered: dict[int, ConvLayer | None] = {}
         groups: dict[tuple, dict] = {}
         for pos, job in enumerate(sub):
-            vec = (
-                self.vectorize
-                if getattr(job, "vectorize", None) is None
-                else job.vectorize
-            )
-            if not vec:
-                leftover.append(pos)
-                continue
-            sim_id = id(job.simulator)
+            simulator = job.simulator
+            sim_id = id(simulator)
             if sim_id not in gaps:
-                gaps[sim_id] = grid_mod.grid_gap(job.simulator)
-            if gaps[sim_id] is not None:
+                gaps[sim_id] = grid_mod.grid_gap(simulator)
+            reason = gaps[sim_id]
+            if reason is None:
+                model_id = id(job.model)
+                if model_id not in uncovered:
+                    uncovered[model_id] = next(
+                        (
+                            layer
+                            for layer in _model_structure(job.model)[0]
+                            if not grid_mod.lane_covered(layer)
+                        ),
+                        None,
+                    )
+                layer = uncovered[model_id]
+                if layer is not None:
+                    reason = (
+                        f"layer {layer.name!r} is outside the grid's "
+                        "lane coverage"
+                    )
+            if reason is not None:
+                self._grid_declined(simulator, reason)
                 leftover.append(pos)
                 continue
-            model_id = id(job.model)
-            if model_id not in covered:
-                unique, _, _ = _model_structure(job.model)
-                covered[model_id] = all(
-                    grid_mod.lane_covered(layer) for layer in unique
-                )
-            if not covered[model_id]:
-                leftover.append(pos)
-                continue
-            key = grid_mod.family_key(job.simulator, job.layer_by_layer)
-            group = groups.setdefault(key, {"machines": {}, "jobs": []})
-            entry = group["machines"].get(sim_id)
+            key = grid_mod.family_key(simulator, job.layer_by_layer)
+            machines = groups.setdefault(key, {})
+            entry = machines.get(sim_id)
             if entry is None:
-                group["machines"][sim_id] = entry = (job.simulator, [])
+                machines[sim_id] = entry = (simulator, [])
             entry[1].append(pos)
-            group["jobs"].append(pos)
-        kept = []
-        for key, group in groups.items():
-            if not forced and len(group["machines"]) < 2:
-                # One machine: the 1-D prewarm already union-batches
-                # the model axis; the grid only pays off along the
-                # config axis.  Route through the classic dispatch.
-                leftover.extend(group["jobs"])
-                continue
-            kept.append((key, group))
-        return kept, leftover
+        return groups, leftover
 
     def _run_grid_group(
         self,
@@ -1887,25 +1628,22 @@ class SweepRunner:
         todo: Sequence[int],
         results: "list[ModelResult | None]",
     ) -> "list[int]":
-        """Execute one machine-family group through the 2-D grid kernel.
+        """Execute one machine-family group through the grid kernel.
 
         Lowers the union of the group's layer shapes once, evaluates
         the whole (machines x shapes) grid in one kernel launch
         (chunked along the machine axis under :data:`_GRID_LANE_BUDGET`)
-        and stitches per-job results from the shared lanes.  Cache
-        probes/puts mirror the 1-D prewarm; per-job ``JobStats`` carry
-        ``mode="grid"`` with zero cache counts (probes are charged at
-        machine granularity to the runner-level cache stats, exactly
-        like the prewarm).  Returns the sub-positions of jobs whose
-        machine the kernel declined -- they re-route to the classic
-        per-job path, bit-identically.
+        and stitches per-job results from the shared lanes.  Each
+        machine probes the cache once per union shape it needs; per-job
+        ``JobStats`` carry ``mode="grid"`` with zero cache counts (the
+        probes are charged to the runner-level cache stats).  Returns
+        the sub-positions of jobs whose machine the kernel declined --
+        they run on the scalar simulator, bit-identically.
         """
         from . import grid as grid_mod
 
         layer_by_layer = bool(key[1])
-        machines = sorted(
-            group["machines"].values(), key=lambda entry: entry[1][0]
-        )
+        machines = list(group.values())
         t0 = time.perf_counter()
         cache = self.cache
         null_fast = type(cache) is NullCache
@@ -1991,14 +1729,12 @@ class SweepRunner:
                     )
                 except Exception as exc:
                     # Defensive: a kernel fault must never lose jobs --
-                    # the whole chunk re-routes to the per-job path.
+                    # the whole chunk runs on the scalar simulator.
                     reason = f"grid kernel error: {exc!r}"
                     logger.warning("sweep grid chunk declined: %s", reason)
                     for j in chunk:
                         simulator, positions = machines[j]
-                        self.grid_fallbacks.append(
-                            (simulator.spec.name, reason)
-                        )
+                        self._grid_declined(simulator, reason)
                         leftover.extend(positions)
                         resolved[j] = None
                     continue
@@ -2007,9 +1743,7 @@ class SweepRunner:
                     lanes = outcome.by_machine[row]
                     simulator, positions = machines[j]
                     if lanes is None:
-                        self.grid_fallbacks.append(
-                            (simulator.spec.name, outcome.reasons[row])
-                        )
+                        self._grid_declined(simulator, outcome.reasons[row])
                         leftover.extend(positions)
                         resolved[j] = None
                         continue
@@ -2183,6 +1917,7 @@ class SweepRunner:
         self,
         jobs: Sequence[SweepJob],
         indexes: Sequence[int] | None = None,
+        vectorize: bool = True,
     ) -> list[ModelResult | None]:
         indexes = list(range(len(jobs))) if indexes is None else list(indexes)
         # Jobs are pickled lazily, one attempt at a time at launch --
@@ -2278,7 +2013,7 @@ class SweepRunner:
                     if ready_at is None:
                         break
                     pos, attempt, _ = pending.pop(ready_at)
-                    payload = pickle.dumps(jobs[pos])
+                    payload = pickle.dumps((jobs[pos], vectorize))
                     reader, writer = ctx.Pipe(duplex=False)
                     process = ctx.Process(
                         target=_worker_entry,
@@ -2520,7 +2255,8 @@ class SweepRunner:
         self.stats = []
         self.failures = []
         self.resumed_jobs = 0
-        self.vectorized_fallbacks = []
+        self.grid_fallbacks = []
+        self._declined = set()
 
     def __enter__(self) -> "SweepRunner":
         return self
@@ -2532,6 +2268,7 @@ class SweepRunner:
         self,
         jobs: Sequence[SweepJob],
         indexes: Sequence[int] | None = None,
+        vectorize: bool = True,
     ) -> list[ModelResult | None]:
         """Parallel execution over the persistent warm-worker pool.
 
@@ -2677,7 +2414,10 @@ class SweepRunner:
                         # fallback (the ``finally`` below discards the
                         # pool's now-stale in-flight state).
                         if not pool.dispatch(
-                            worker, items, timeout_s=self.timeout_s
+                            worker,
+                            items,
+                            vectorize=vectorize,
+                            timeout_s=self.timeout_s,
                         ):
                             # The idle worker had died; it was respawned
                             # and nothing shipped -- just re-dispatch.
@@ -2851,9 +2591,9 @@ class SweepRunner:
         self.used_fallback = False
         self.fallback_reason = None
         self.resumed_jobs = 0
-        self.vectorized_fallbacks = []
         self.plan_decisions = []
         self.grid_fallbacks = []
+        self._declined = set()
         self.grid_lanes = 0
         self.grid_machines = 0
         self._crash_counts = {}
@@ -3025,11 +2765,6 @@ class SweepRunner:
             lines.append(f"  pool: {self.pool_stats.describe()}")
         for accelerator, reason in self.grid_fallbacks:
             lines.append(f"  grid fallback: {accelerator}: {reason}")
-        for index, accelerator, model_name, reason in self.vectorized_fallbacks:
-            lines.append(
-                f"  vectorized fallback: job #{index} "
-                f"({accelerator} / {model_name}): {reason}"
-            )
         for stat in self.stats:
             status = "FAILED" if stat.failed else "ok"
             lines.append(
@@ -3071,16 +2806,6 @@ class SweepRunner:
             "jobs": [dataclasses.asdict(stat) for stat in self.stats],
             "failures": [
                 dataclasses.asdict(failure) for failure in self.failures
-            ],
-            "vectorized_fallbacks": [
-                {
-                    "index": index,
-                    "accelerator": accelerator,
-                    "model": model_name,
-                    "reason": reason,
-                }
-                for index, accelerator, model_name, reason
-                in self.vectorized_fallbacks
             ],
             "plan": {
                 "exec_plan": self.exec_plan,
@@ -3145,7 +2870,6 @@ class _SweepDefaults:
     audit: bool = True
     pool: bool | None = None
     pool_batch: int | None = None
-    vectorize: bool | None = None
     budget: "CampaignBudget | None" = None
     retry_quarantined: bool = False
     exec_plan: str | None = None
@@ -3183,7 +2907,6 @@ def configure(
     audit: bool | None = None,
     pool: bool | None = None,
     pool_batch: int | None = None,
-    vectorize: bool | None = None,
     budget: "CampaignBudget | None | bool" = None,
     retry_quarantined: bool | None = None,
     exec_plan: str | None = None,
@@ -3224,8 +2947,6 @@ def configure(
         if pool_batch < 1:
             raise ValueError("pool_batch must be >= 1")
         _defaults.pool_batch = pool_batch
-    if vectorize is not None:
-        _defaults.vectorize = vectorize
     if budget is not None:
         _defaults.budget = None if budget is False else budget
     if retry_quarantined is not None:
@@ -3244,13 +2965,20 @@ def default_budget() -> "CampaignBudget | None":
 
 
 def default_workers() -> int:
-    """Worker count: ``configure()`` > ``$REPRO_SWEEP_WORKERS`` > 1."""
+    """Worker count: ``configure()`` > ``$REPRO_SWEEP_WORKERS`` > 1.
+
+    A non-integer env value raises :class:`~repro.errors.ConfigError`.
+    """
     if _defaults.workers is not None:
         return _defaults.workers
+    raw = os.environ.get("REPRO_SWEEP_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("REPRO_SWEEP_WORKERS", "1")))
+        return max(1, int(raw))
     except ValueError:
-        return 1
+        raise ConfigError(
+            f"$REPRO_SWEEP_WORKERS must be an integer worker count, "
+            f"got {raw!r}"
+        ) from None
 
 
 def default_pool() -> bool:
@@ -3262,22 +2990,18 @@ def default_pool() -> bool:
 
 def default_exec_plan() -> str:
     """Execution-plan default: ``configure()`` > ``$REPRO_SWEEP_PLAN``
-    > ``"auto"``.  An unknown env value falls back to ``"auto"`` (env
-    typos must not crash a campaign)."""
+    > ``"auto"``.  An unknown env value raises
+    :class:`~repro.errors.ConfigError`."""
     if _defaults.exec_plan is not None:
         return _defaults.exec_plan
-    plan = os.environ.get("REPRO_SWEEP_PLAN", "auto").strip().lower()
-    return plan if plan in _EXEC_PLANS else "auto"
-
-
-def default_vectorize() -> bool:
-    """Batched-kernel default: ``configure()`` >
-    ``$REPRO_SWEEP_VECTORIZE`` > on.  (When NumPy is unavailable the
-    kernel's coverage registry declines every batch, so leaving this
-    on is always safe.)"""
-    if _defaults.vectorize is not None:
-        return _defaults.vectorize
-    return os.environ.get("REPRO_SWEEP_VECTORIZE", "1") != "0"
+    raw = os.environ.get("REPRO_SWEEP_PLAN", "auto")
+    plan = raw.strip().lower()
+    if plan not in _EXEC_PLANS:
+        raise ConfigError(
+            f"$REPRO_SWEEP_PLAN must be one of {', '.join(_EXEC_PLANS)}, "
+            f"got {raw!r}"
+        )
+    return plan
 
 
 def _close_pool(pool) -> None:

@@ -1,43 +1,37 @@
-"""Two-dimensional (configs x layers) megabatch kernel.
+"""The cost-model kernel: a (machines x layers) grid in one NumPy pass.
 
-PR 6's kernel (:mod:`repro.core.vectorized`) batched the *layer* axis:
-one machine evaluates its whole layer table as (n,) NumPy columns.
-A dense DSE campaign still walks the *config* axis in Python -- every
-machine re-lowers the same shapes and re-enters the kernel.  This
-module batches both axes at once: the union of layer shapes is lowered
-**once** per campaign (the memoized :func:`~.vectorized._shared_lower`
-table), per-machine mapping parameters become ``(m, 1)`` integer
-columns, and NumPy broadcasting evaluates mapping, traffic, timing,
-energy and the invariant audit for the whole ``(configs x layers)``
-grid in one pass.
+The union of layer shapes is lowered **once** (the memoized
+:func:`~.vectorized._shared_lower` table), per-machine mapping
+parameters become ``(m, 1)`` integer columns, and NumPy broadcasting
+evaluates mapping, traffic, timing, energy and the invariant audit for
+the whole ``(machines x layers)`` grid in one pass.  A single machine
+is a one-row grid (:func:`~.vectorized.simulate_layers_vectorized`);
+:func:`bounds_grid` evaluates the DSE lower bounds the same way.
 
-**Bit-identity by construction.**  The mapping and traffic stages are
-*the same code* as the 1-D kernel: :func:`~.vectorized._map_lanes` and
-:func:`~.vectorized._traffic_lanes` run against a shim spec whose
-mapping parameters are ``(m, 1)`` arrays, so every elementwise IEEE
-operation of a grid row is the operation the 1-D kernel would have
-applied for that machine -- broadcasting never changes per-element
-arithmetic.  The timing/energy/audit mirror follows the 1-D source
-expression-for-expression with per-machine scalars turned into
-``(m, 1)`` float columns (same operand values, same association).
-Network-energy lowering calls the registered per-machine lowerers on
-row views, so custom models need no grid-specific port.
+**Bit-identity by construction.**  The mapping and traffic stages
+(:func:`~.vectorized._map_lanes`, :func:`~.vectorized._traffic_lanes`)
+run against a shim spec whose mapping parameters are ``(m, 1)``
+arrays; the timing, energy and audit stages mirror the scalar source
+expression for expression with per-machine scalars as ``(m, 1)`` float
+columns (same operand values, same association).  Broadcasting never
+changes per-element IEEE arithmetic, so every lane equals the scalar
+oracle.  Network-energy lowering calls the registered per-machine
+lowerers on row views, so custom models need no grid-specific port.
 
-**Exactness and fallback.**  The grid runs *unchecked-only*: a machine
-joins a grid only when :func:`~.vectorized._screen_spec` proves its
-whole batch can never overflow any 2**53/2**62 limit -- the same
-screen the 1-D kernel uses to drop its per-lane fences.  Machines that
-fail the screen, have a coverage gap, carry a dead (``inf``-semantics)
-link, or bail out strictly on a dirty audit lane fall back to the
-per-machine 1-D/scalar path; :func:`evaluate_grid` reports the reason
-per machine and the sweep runner surfaces it in ``campaign_report()``.
+**Declined rows.**  A machine joins a grid only when it passes
+:func:`grid_gap` (kernel coverage, live links, a mapping-parameter
+budget), shares the first eligible row's :func:`family_key`, and the
+exactness screen (:func:`~.vectorized._screen_spec`) proves its batch
+can never reach 2**53.  A row that fails, or that bails out strictly
+on a dirty audit lane, comes back as ``None`` with a reason, and its
+machine runs on the scalar simulator.
 
 **Lazy materialization.**  Building five Python objects per lane is
-most of what the 1-D fast path still pays; the grid instead returns
+most of what a lane costs; the grid instead returns
 :class:`_LaneProxy` results -- real :class:`LayerResult` instances
 whose ``__dict__`` holds only (store, row, lane, layer) -- and
-materializes the full field set on first attribute access, outside the
-timed campaign.  Clean lanes carry the pre-audit marker from birth, so
+materializes the full field set on first attribute access.  Clean
+lanes carry the pre-audit marker from birth, so
 ``audit_model_result`` stays O(1) per model.
 """
 
@@ -52,20 +46,17 @@ except ImportError:  # pragma: no cover - gated fallback
     np = None
 
 from .invariants import _PREAUDIT_ATTR, DEFAULT_REL_TOL
+from .layer import ConvLayer
 from .mapping import Mapping
 from .metrics import EnergyBreakdown, LayerResult, NetworkEnergy
 from .simulator import _MIN_BANDWIDTH_GBPS
 from .traffic import TrafficSummary
 from .vectorized import (
-    _CAST_LIMIT,
     _EXACT_INT,
     _NETWORK_LOWERERS,
     _close_lanes,
     _copy_cols,
-    _ensure_builtin_lowerers,
-    _fits_int64,
     _map_lanes,
-    _precheck,
     _screen_spec,
     _shared_cols,
     _shared_lower,
@@ -74,7 +65,6 @@ from .vectorized import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .layer import ConvLayer
     from .simulator import Simulator
 
 __all__ = [
@@ -94,7 +84,7 @@ __all__ = [
 # ----------------------------------------------------------------------
 def _used_links(spec) -> list[str]:
     """The bandwidth fields the kernel actually divides by for this
-    spec (the split/combined selection the 1-D comm stage makes)."""
+    spec (the split/combined selection of the communication stage)."""
     links = [
         "chiplet_write_gbps",
         "pe_write_gbps",
@@ -119,11 +109,11 @@ def _used_links(spec) -> list[str]:
 def grid_gap(simulator: "Simulator") -> str | None:
     """Why this machine cannot join any grid (None = eligible).
 
-    Strictly narrower than 1-D coverage: the grid additionally refuses
-    dead links (their ``inf``-transfer semantics are a per-spec scalar
-    branch the broadcast pass cannot take per row) and mapping
-    parameters large enough that parameter-parameter products could
-    leave the proven-exact range.
+    Beyond kernel coverage (:func:`~.vectorized.coverage_gap`), the
+    grid refuses dead links (their ``inf``-transfer semantics are a
+    per-spec scalar branch the broadcast pass cannot take per row) and
+    mapping parameters large enough that parameter-parameter products
+    could leave the proven-exact range.
     """
     gap = coverage_gap(simulator)
     if gap is not None:
@@ -158,13 +148,63 @@ def family_key(simulator: "Simulator", layer_by_layer: bool = False) -> tuple:
     )
 
 
+#: 2**63: a base dimension at or above it cannot enter an int64 column.
+_INT64_LIMIT = 9223372036854775808
+
+
 def lane_covered(layer) -> bool:
-    """Can this layer enter a grid batch at all?"""
-    return _precheck(layer) and _fits_int64(layer)
+    """Can this layer enter a grid batch at all?
+
+    Exact type only (a subclass may override the derived-dimension
+    properties), and every base dimension must fit int64.
+    """
+    if type(layer) is not ConvLayer:
+        return False
+    d = layer.__dict__
+    return max(
+        d["c"], d["k"], d["r"], d["s"], d["h"], d["w"],
+        d["stride"], d["groups"], d["batch"],
+    ) < _INT64_LIMIT
+
+
+def _admit(simulators, layers, layer_by_layer: bool):
+    """``(kept row indexes, reasons, shared lowering)`` of one grid call.
+
+    A row is declined with a reason when its machine fails
+    :func:`grid_gap`, when its :func:`family_key` differs from the
+    first eligible row's (the kernel takes the dataflow, capabilities
+    and split-link choices from that row), or when the exactness
+    screen cannot prove its batch exact.
+    """
+    reasons: list = [None] * len(simulators)
+    family = None
+    eligible: list[int] = []
+    for j, simulator in enumerate(simulators):
+        reason = grid_gap(simulator)
+        if reason is None:
+            key = family_key(simulator, layer_by_layer)
+            if family is None:
+                family = key
+            elif key != family:
+                reason = "machine family differs from the grid's first row"
+        if reason is None:
+            eligible.append(j)
+        else:
+            reasons[j] = reason
+    if not eligible:
+        return [], reasons, None
+    shared = _shared_lower(layers)
+    kept: list[int] = []
+    for j in eligible:
+        if _screen_spec(simulators[j].spec, shared):
+            kept.append(j)
+        else:
+            reasons[j] = "exactness screen declined the grid batch"
+    return kept, reasons, shared
 
 
 # ----------------------------------------------------------------------
-# Shims: (m, 1) parameter columns behind the 1-D kernel's spec API
+# Shims: (m, 1) parameter columns behind the stages' spec API
 # ----------------------------------------------------------------------
 class _GridParams:
     """``MappingParameters`` lookalike whose fields (including the
@@ -198,9 +238,10 @@ def _float_col(values):
 def _link_seconds(total_bytes, bandwidth_col):
     """Live-link transfer/floor seconds, (m, n).
 
-    Mirrors the live branch of both ``_transfer_lanes`` and
-    ``_floor_lanes`` (identical expressions); grid eligibility already
-    excluded dead links, so the scalar ``inf`` branch cannot apply.
+    Mirrors the live branch of both ``simulator._transfer_time_s`` and
+    ``invariants._transfer_lower_bound_s`` (identical expressions);
+    :func:`grid_gap` already excluded dead links, so the scalar
+    ``inf`` branch cannot apply.
     """
     return np.where(
         total_bytes <= 0, 0.0, total_bytes * 8 / (bandwidth_col * 1e9)
@@ -240,8 +281,8 @@ def _pick(col, j, i):
     """One lane's Python-scalar value from a grid column.
 
     ``.item()`` performs the same int64->int / float64->float
-    conversion ``tolist()`` does in the 1-D assembler, keeping
-    materialized results JSON- and pickle-compatible with scalar ones.
+    conversion ``tolist()`` does, keeping materialized results JSON-
+    and pickle-compatible with scalar ones.
     """
     nd = getattr(col, "ndim", -1)
     if nd == 2:
@@ -523,14 +564,14 @@ class _GridStore:
 # ----------------------------------------------------------------------
 # The grid evaluation
 # ----------------------------------------------------------------------
-def _grid_lower(specs, shared, n, layer_by_layer):
+def _grid_lower(specs, shared, layer_by_layer):
     """Mapping + traffic columns for one (machines x layers) grid.
 
     Broadcasts the shared ``(n,)`` layer columns against per-machine
-    ``(m, 1)`` parameter columns through the verbatim 1-D kernel
+    ``(m, 1)`` parameter columns through the mapping and traffic
     stages; shared setup of :func:`evaluate_grid` and
-    :func:`bounds_grid`.  Callers must have screened every spec with
-    :func:`_screen_spec` (unchecked mode: the lane flag never fires).
+    :func:`bounds_grid`.  Every spec must have passed the exactness
+    screen (:func:`_admit`).
     """
     params = [spec.mapping_parameters() for spec in specs]
 
@@ -552,12 +593,64 @@ def _grid_lower(specs, shared, n, layer_by_layer):
     gspec._params = gp
 
     d = _copy_cols(_shared_cols(shared))
-    flag = np.zeros(n, dtype=bool)  # unchecked mode: never set
-
     with np.errstate(all="ignore"):
-        _map_lanes(gspec, d, flag)
-        _traffic_lanes(gspec, d, flag, layer_by_layer)
+        _map_lanes(gspec, d)
+        _traffic_lanes(gspec, d, layer_by_layer)
     return d
+
+
+def _comm_floors(specs, d):
+    """Global-buffer egress, ingress and DRAM transfer seconds, (m, n).
+
+    On a live link the transfer time *is* the audit's communication
+    floor (``invariants._transfer_lower_bound_s``), so the timing
+    stage, the audit and the DSE time floor share these arrays.
+    """
+    spec = specs[0]
+    if spec.gb_weight_egress_gbps and spec.gb_ifmap_egress_gbps:
+        gb_egress = np.maximum(
+            _link_seconds(
+                d.gw, _float_col([s.gb_weight_egress_gbps for s in specs])
+            ),
+            _link_seconds(
+                d.gi, _float_col([s.gb_ifmap_egress_gbps for s in specs])
+            ),
+        )
+    else:
+        gb_egress = _link_seconds(
+            d.gb_send, _float_col([s.gb_egress_gbps for s in specs])
+        )
+    gb_ingress = _link_seconds(
+        d.out, _float_col([s.gb_ingress_gbps for s in specs])
+    )
+    dram = _link_seconds(
+        d.dread + d.dwrite, _float_col([s.dram_bandwidth_gbps for s in specs])
+    )
+    return gb_egress, gb_ingress, dram
+
+
+def _compute_energies(models, d, pes_active):
+    """MAC, global-buffer and DRAM energy [mJ], (m, n) each (mirror of
+    ``ComputeEnergyModel`` with per-machine coefficients as columns):
+    part of every lane's energy and, summed, the DSE energy floor."""
+    active_pe_cycles = pes_active * d.cycles
+    picojoules = (
+        d.macs * _float_col([ce.mac.energy_per_mac_pj for ce in models])
+        + active_pe_cycles
+        * _float_col([ce.mac.leakage_per_pe_cycle_pj for ce in models])
+    )
+    mac_mj = picojoules * 1e-9
+    gb_reads = d.gb_send + d.dwrite
+    gb_writes = d.out + d.dread
+    gb_mj = (
+        (gb_reads + gb_writes)
+        * _float_col([ce.gb.energy_pj_per_byte for ce in models])
+    ) * 1e-9
+    dram_mj = (
+        ((d.dread + d.dwrite) * 8)
+        * _float_col([ce.dram.energy_pj_per_bit for ce in models])
+    ) * 1e-9
+    return mac_mj, gb_mj, dram_mj
 
 
 class GridOutcome:
@@ -565,8 +658,8 @@ class GridOutcome:
 
     ``by_machine[j]`` is a dict mapping ``layer.shape_key`` to a lazy
     :class:`LayerResult` (aligned with the input simulators), or
-    ``None`` with ``reasons[j]`` naming why that machine must take the
-    per-machine 1-D/scalar path instead.
+    ``None`` with ``reasons[j]`` naming why that machine must run on
+    the scalar simulator instead.
     """
 
     __slots__ = ("by_machine", "reasons", "lanes", "n_layers")
@@ -590,40 +683,25 @@ def evaluate_grid(
 ) -> GridOutcome:
     """Evaluate the full (machines x layers) grid in one NumPy pass.
 
-    Every simulator must share one :func:`family_key` and pass
-    :func:`grid_gap`; every layer must pass :func:`lane_covered`
-    (callers sieve with it).  Results are bit-identical to the 1-D
-    kernel and the scalar oracle; machines the exactness screen or a
-    strict dirty-audit bailout excludes come back as ``None`` rows
-    with a reason string.
+    Every layer must pass :func:`lane_covered` (callers sieve with
+    it).  Results are bit-identical to the scalar oracle.  A machine
+    :func:`_admit` declines, or one whose strict simulator meets a
+    dirty audit lane, comes back as a ``None`` row with a reason.
     """
-    _ensure_builtin_lowerers()
     n = len(layers)
-    by_machine: list = [None] * len(simulators)
-    reasons: list = [None] * len(simulators)
     if n == 0:
-        for j in range(len(simulators)):
-            by_machine[j] = {}
-        return GridOutcome(by_machine, reasons, 0, 0)
-
-    shared = _shared_lower(layers)
-    kept: list[int] = []
-    for j, simulator in enumerate(simulators):
-        if _screen_spec(simulator.spec, shared):
-            kept.append(j)
-        else:
-            reasons[j] = "exactness screen declined the grid batch"
+        return GridOutcome(
+            [{} for _ in simulators], [None] * len(simulators), 0, 0
+        )
+    by_machine: list = [None] * len(simulators)
+    kept, reasons, shared = _admit(simulators, layers, layer_by_layer)
     if not kept:
         return GridOutcome(by_machine, reasons, 0, n)
 
     sims = [simulators[j] for j in kept]
     specs = [s.spec for s in sims]
-    m = len(sims)
-    d = _grid_lower(specs, shared, n, layer_by_layer)
+    d = _grid_lower(specs, shared, layer_by_layer)
 
-    split_gb = bool(
-        specs[0].gb_weight_egress_gbps and specs[0].gb_ifmap_egress_gbps
-    )
     split_chiplet = bool(
         specs[0].chiplet_weight_read_gbps
         and specs[0].chiplet_ifmap_read_gbps
@@ -633,27 +711,13 @@ def evaluate_grid(
     )
 
     with np.errstate(all="ignore"):
-        # --- communication (mirror of _evaluate_batch's comm stage,
+        # --- communication (mirror of Simulator.communication_times,
         # per-spec scalars as (m, 1) columns; live links only)
         chiplets_active = np.maximum(1, d.ch_active)
         pes_active = d.ch_active * d.pe_active_per_chiplet
         pes_active_c = np.maximum(1, pes_active)
-
-        if split_gb:
-            gb_egress_s = np.maximum(
-                _link_seconds(
-                    d.gw,
-                    _float_col([s.gb_weight_egress_gbps for s in specs]),
-                ),
-                _link_seconds(
-                    d.gi,
-                    _float_col([s.gb_ifmap_egress_gbps for s in specs]),
-                ),
-            )
-        else:
-            gb_egress_s = _link_seconds(
-                d.gb_send, _float_col([s.gb_egress_gbps for s in specs])
-            )
+        floors = _comm_floors(specs, d)
+        gb_egress_s, gb_ingress_s, dram_s = floors
 
         chiplet_w = d.cw / chiplets_active
         chiplet_i = d.ci / chiplets_active
@@ -706,10 +770,6 @@ def evaluate_grid(
         pe_write_s = _link_seconds(
             per_pe_out, _float_col([s.pe_write_gbps for s in specs])
         )
-        gb_ingress_col = _float_col([s.gb_ingress_gbps for s in specs])
-        gb_ingress_s = _link_seconds(d.out, gb_ingress_col)
-        dram_col = _float_col([s.dram_bandwidth_gbps for s in specs])
-        dram_s = _link_seconds(d.dread + d.dwrite, dram_col)
 
         waves = d.ef_waves * d.k_waves
         tuning_col = _float_col([
@@ -727,44 +787,20 @@ def evaluate_grid(
         comm = busy + reconfiguration_s
 
         comp = d.cycles * _float_col([s.cycle_time_s for s in specs])
+        # Python's max(0.0, diff) keeps 0.0 when diff is NaN or -0.0;
+        # np.maximum would propagate the NaN.  The select mirrors max.
         diff = comm - comp
         exposed = np.where(diff > 0.0, diff, 0.0)
         exec_s = comp + exposed
 
         # --- energy (per-machine model coefficients as columns)
-        energies_models = [s.compute_energy for s in sims]
-        active_pe_cycles = pes_active * d.cycles
-        picojoules = (
-            d.macs
-            * _float_col([ce.mac.energy_per_mac_pj for ce in energies_models])
-            + active_pe_cycles
-            * _float_col(
-                [ce.mac.leakage_per_pe_cycle_pj for ce in energies_models]
-            )
-        )
-        mac_mj = picojoules * 1e-9
-
+        models = [s.compute_energy for s in sims]
+        mac_mj, gb_mj, dram_mj = _compute_energies(models, d, pes_active)
         operand_reads = 2 * d.macs
         psum_accesses = np.where(d.psum_fanin > 1, 2 * d.psum, d.obytes)
         pe_buffer_mj = (
             (operand_reads + d.pe_receive + psum_accesses)
-            * _float_col(
-                [ce.pe_buffer.energy_pj_per_byte for ce in energies_models]
-            )
-        ) * 1e-9
-
-        gb_reads = d.gb_send + d.dwrite
-        gb_writes = d.out + d.dread
-        gb_mj = (
-            (gb_reads + gb_writes)
-            * _float_col([ce.gb.energy_pj_per_byte for ce in energies_models])
-        ) * 1e-9
-
-        dram_mj = (
-            ((d.dread + d.dwrite) * 8)
-            * _float_col(
-                [ce.dram.energy_pj_per_bit for ce in energies_models]
-            )
+            * _float_col([ce.pe_buffer.energy_pj_per_byte for ce in models])
         ) * 1e-9
 
         eo_rows, oe_rows, heat_rows, laser_rows, elec_rows = [], [], [], [], []
@@ -784,16 +820,15 @@ def evaluate_grid(
         laser_mj = np.vstack(laser_rows)
         electrical_mj = np.vstack(elec_rows)
 
+        # delivered stays exact at any int64 magnitude (sums cannot
+        # wrap below 3 * 2**53) and only feeds integer arithmetic.
         delivered = d.cw + d.ci + d.out
         packet = [sim.packet_latency_s() for sim in sims]
         energies = (
             mac_mj, pe_buffer_mj, gb_mj, dram_mj,
             eo_mj, oe_mj, heating_mj, laser_mj, electrical_mj,
         )
-        dirty = _audit_grid(
-            specs, packet, d, comm, exec_s, energies,
-            split_gb, gb_ingress_col, dram_col,
-        )
+        dirty = _audit_grid(specs, packet, d, comm, exec_s, energies, floors)
 
     store = _GridStore()
     store.cols = {
@@ -827,8 +862,8 @@ def evaluate_grid(
     for jj, sim in enumerate(sims):
         row_dirty = bool(dirty[jj].any())
         if sim.strict and row_dirty:
-            # Mirror the 1-D strict bailout: the per-machine path
-            # reproduces the exact scalar raise and its side effects.
+            # The scalar simulator reproduces the exact raise and its
+            # side effects.
             reasons[kept[jj]] = "strict invariant bailout"
             continue
         spec = sim.spec
@@ -856,21 +891,32 @@ def evaluate_grid(
     return GridOutcome(by_machine, reasons, lanes, n)
 
 
-def _audit_grid(
-    specs, packet, d, comm, exec_s, energies,
-    split_gb, gb_ingress_col, dram_col,
-):
-    """(m, n) form of the 1-D ``_audit_lanes``: dirty iff the scalar
-    audit would report at least one violation for that lane."""
+def _audit_grid(specs, packet, d, comm, exec_s, energies, floors):
+    """Array form of ``audit_layer_result(result, spec)``: an (m, n)
+    mask, dirty iff the scalar audit would report at least one
+    violation for that lane (checked at ``DEFAULT_REL_TOL``)."""
     rel_tol = DEFAULT_REL_TOL
     slack = 1.0 + rel_tol
-    m = len(specs)
 
-    dirty = ~(comm >= 0)
+    # Checks that cannot fire on kernel-built lanes are not evaluated:
+    # comp is cycles * cycle_time_s with positive finite factors (the
+    # INV-OPS-TIME check would compare a value with itself), exposed
+    # is max(0, comm - comp) by construction, every byte column is a
+    # product of non-negative integers, and chiplets/PEs-active are
+    # np.minimum-clamped to the spec.  What remains is every check
+    # whose verdict depends on spec parameters the constructor does
+    # not validate or on mapper allocation bugs this audit exists to
+    # catch.
+    dirty = ~(comm >= 0)  # negative or NaN (a negative tuning delay)
     for j, latency in enumerate(packet):
         if math.isnan(latency) or latency < 0:
             dirty[j, :] = True
 
+    # energy: a negative or NaN component (negative/NaN energy-model
+    # coefficients), then the sum identity.  EnergyBreakdown.total_mj
+    # associates (((mac+pe)+gb)+dram) + ((((eo+oe)+heat)+laser)+elec);
+    # the audit's expectation is the flat left fold.  A NaN total
+    # implies a NaN among the components, already marked dirty.
     mac, pe, gb, dram, eo, oe, heat, laser, elec = energies
     for arr in energies:
         dirty |= ~(arr >= 0)
@@ -882,7 +928,12 @@ def _audit_grid(
         observed_total, expected_total, rel_tol
     )
 
-    # op conservation with the near-bound exact re-judge
+    # op conservation.  capacity = cycles * peak legitimately crosses
+    # 2**53, where the scalar compares the exact integer against
+    # fl(capacity * slack) in one rounding but float math would take
+    # two.  Screen in float with a 1e-9 relative margin, then re-judge
+    # the rare near-bound lanes with exact Python integers -- the
+    # scalar expression itself.
     peaks = [spec.peak_macs_per_cycle for spec in specs]
     peak_col = _float_col([float(peak) for peak in peaks])
     capacity_f = d.cycles.astype(np.float64) * peak_col
@@ -894,24 +945,8 @@ def _audit_grid(
                 dirty[j, i] = True
 
     # communication lower bounds
-    if split_gb:
-        gb_floor = np.maximum(
-            _link_seconds(
-                d.gw, _float_col([s.gb_weight_egress_gbps for s in specs])
-            ),
-            _link_seconds(
-                d.gi, _float_col([s.gb_ifmap_egress_gbps for s in specs])
-            ),
-        )
-    else:
-        gb_floor = _link_seconds(
-            d.gb_send, _float_col([s.gb_egress_gbps for s in specs])
-        )
-    dirty |= comm < gb_floor * (1.0 - rel_tol)
-    dirty |= comm < _link_seconds(d.out, gb_ingress_col) * (1.0 - rel_tol)
-    dirty |= comm < _link_seconds(
-        d.dread + d.dwrite, dram_col
-    ) * (1.0 - rel_tol)
+    for floor in floors:
+        dirty |= comm < floor * (1.0 - rel_tol)
 
     # roofline
     valid = np.isfinite(exec_s) & (exec_s > 0)
@@ -936,90 +971,43 @@ def bounds_grid(
     grid: ``(rows, reasons)`` where ``rows[j]`` is a list of
     ``(time_floor_s, energy_floor_mj)`` tuples aligned with ``layers``,
     or ``None`` with ``reasons[j]`` naming why machine ``j`` must take
-    the per-machine path.
+    the scalar path.
 
-    The eligibility contract matches :func:`evaluate_grid`: all
-    simulators share one :func:`family_key` and pass :func:`grid_gap`
-    (strictly stronger than the bounds path needs -- a machine without
-    a lowerable network model simply falls back, bit-identically);
-    every layer passes :func:`lane_covered`.  Each floor pair is
-    bit-identical to the 1-D :func:`~repro.core.vectorized.bounds_batch`
-    lane and the scalar ``layer_bounds`` derivation: the mapping and
-    traffic columns come from the same verbatim kernel stages, and
-    every per-spec scalar becomes an ``(m, 1)`` column so the
-    elementwise IEEE operations are unchanged.
+    Rows are admitted exactly as in :func:`evaluate_grid` (strictly
+    more than the bounds need -- a machine without a lowerable network
+    model simply takes the scalar path, bit-identically); every layer
+    must pass :func:`lane_covered`.  Each floor pair is bit-identical
+    to the scalar ``layer_bounds`` derivation: the mapping, traffic,
+    transfer-floor and compute-energy columns are the ones
+    :func:`evaluate_grid` builds.
     """
     n = len(layers)
-    rows: list = [None] * len(simulators)
-    reasons: list = [None] * len(simulators)
     if n == 0:
-        return [[] for _ in simulators], reasons
-
-    shared = _shared_lower(layers)
-    kept: list[int] = []
-    for j, simulator in enumerate(simulators):
-        if _screen_spec(simulator.spec, shared):
-            kept.append(j)
-        else:
-            reasons[j] = "exactness screen declined the grid batch"
+        return [[] for _ in simulators], [None] * len(simulators)
+    rows: list = [None] * len(simulators)
+    kept, reasons, shared = _admit(simulators, layers, layer_by_layer)
     if not kept:
         return rows, reasons
 
     sims = [simulators[j] for j in kept]
     specs = [s.spec for s in sims]
-    d = _grid_lower(specs, shared, n, layer_by_layer)
+    d = _grid_lower(specs, shared, layer_by_layer)
 
     with np.errstate(all="ignore"):
-        # --- time floor (mirror of _floor_columns, columns per spec)
+        # --- time floor (mirror of roofline.mapped_time_floor_s)
+        gb_floor, ingress_floor, dram_floor = _comm_floors(specs, d)
         comp_floor = d.cycles * _float_col(
             [spec.cycle_time_s for spec in specs]
-        )
-        if specs[0].gb_weight_egress_gbps and specs[0].gb_ifmap_egress_gbps:
-            gb_floor = np.maximum(
-                _link_seconds(
-                    d.gw,
-                    _float_col([s.gb_weight_egress_gbps for s in specs]),
-                ),
-                _link_seconds(
-                    d.gi,
-                    _float_col([s.gb_ifmap_egress_gbps for s in specs]),
-                ),
-            )
-        else:
-            gb_floor = _link_seconds(
-                d.gb_send, _float_col([s.gb_egress_gbps for s in specs])
-            )
-        ingress_floor = _link_seconds(
-            d.out, _float_col([s.gb_ingress_gbps for s in specs])
-        )
-        dram_floor = _link_seconds(
-            d.dread + d.dwrite,
-            _float_col([s.dram_bandwidth_gbps for s in specs]),
         )
         floor = np.maximum(comp_floor, gb_floor)
         floor = np.maximum(floor, ingress_floor)
         floor = np.maximum(floor, dram_floor)
 
-        # --- energy floor (mirror of bounds_batch's unchecked branch)
-        energies = [sim.compute_energy for sim in sims]
+        # --- energy floor: MAC + global buffer + DRAM
         pes_active = d.ch_active * d.pe_active_per_chiplet
-        active_pe_cycles = pes_active * d.cycles
-        picojoules = (
-            d.macs * _float_col([ce.mac.energy_per_mac_pj for ce in energies])
-            + active_pe_cycles
-            * _float_col([ce.mac.leakage_per_pe_cycle_pj for ce in energies])
+        mac_mj, gb_mj, dram_mj = _compute_energies(
+            [sim.compute_energy for sim in sims], d, pes_active
         )
-        mac_mj = picojoules * 1e-9
-        gb_reads = d.gb_send + d.dwrite
-        gb_writes = d.out + d.dread
-        gb_mj = (
-            (gb_reads + gb_writes)
-            * _float_col([ce.gb.energy_pj_per_byte for ce in energies])
-        ) * 1e-9
-        dram_mj = (
-            ((d.dread + d.dwrite) * 8)
-            * _float_col([ce.dram.energy_pj_per_bit for ce in energies])
-        ) * 1e-9
         energy = (mac_mj + gb_mj) + dram_mj
 
         floors_l = floor.tolist()

@@ -43,7 +43,6 @@ __all__ = [
     "audit_layer_result",
     "audit_model_result",
     "copy_preaudit",
-    "mark_preaudited",
     "raise_on_violations",
     "strict_mode_default",
 ]
@@ -100,8 +99,11 @@ def strict_mode_default() -> bool:
     return value.strip().lower() not in ("", "0", "false", "no")
 
 
-#: Instance-attribute key marking a layer result the vectorized kernel
+#: Instance-attribute key marking a layer result the grid kernel
 #: already audited (verdict: clean) against the spec stored under it.
+#: :func:`audit_model_result` then skips it at the default tolerance
+#: against the *same* spec object; :func:`audit_layer_result` never
+#: consults the marker, so a direct single-layer audit re-verifies.
 #: Stored straight in ``__dict__`` (the ``shape_key`` caching idiom for
 #: frozen dataclasses): hashing a LayerResult for a WeakKeyDictionary
 #: would recursively hash its whole frozen-dataclass tree, which costs
@@ -112,19 +114,6 @@ def strict_mode_default() -> bool:
 #: way, corrupted copies and pool-roundtripped results are re-audited
 #: from scratch.
 _PREAUDIT_ATTR = "_preaudited_spec"
-
-
-def mark_preaudited(results: "Iterable[LayerResult]", spec: "AcceleratorSpec") -> None:
-    """Record that ``results`` were audited clean against ``spec``.
-
-    :func:`audit_model_result` then skips them at the default
-    tolerance against the *same* spec object.  Only callers that have
-    actually evaluated every audit check (the vectorized kernel) may
-    mark; :func:`audit_layer_result` itself never consults the marker,
-    so a direct single-layer audit always re-verifies.
-    """
-    for result in results:
-        result.__dict__[_PREAUDIT_ATTR] = spec
 
 
 def copy_preaudit(source: "LayerResult", target: "LayerResult") -> None:
@@ -529,9 +518,9 @@ def audit_model_result(
     Layer results shared between duplicate layer shapes (the simulator
     caches by shape key) are audited once; the returned list covers
     every unique layer result plus model-level sanity.  Results the
-    vectorized kernel already audited clean against this exact spec at
-    the default tolerance (see :func:`mark_preaudited`) are not
-    re-audited -- the kernel evaluated the same checks in array form.
+    grid kernel already audited clean against this exact spec at the
+    default tolerance (see :data:`_PREAUDIT_ATTR`) are not re-audited
+    -- the kernel evaluated the same checks in array form.
     """
     out: list[InvariantViolation] = []
     check_marker = spec is not None and rel_tol == DEFAULT_REL_TOL

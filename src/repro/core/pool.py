@@ -157,9 +157,11 @@ def _pool_worker_main(
     the parent and shipped as raw bytes so the parent controls -- and
     can catch -- pickling failures):
 
-    * ``("batch", [(task_id, SweepJob), ...])`` -- execute in order,
-      streaming one reply per job: ``("ok", task_id, result, hits,
-      misses, elapsed_s)`` or ``("err", task_id, type, message, tb)``.
+    * ``("batch", [(task_id, SweepJob), ...], vectorize)`` -- execute
+      in order in the dispatching runner's mode (``vectorize=False``:
+      scalar simulator only), streaming one reply per job: ``("ok",
+      task_id, result, hits, misses, elapsed_s)`` or ``("err",
+      task_id, type, message, tb)``.
     * ``("stop",)`` -- exit cleanly.
 
     A worker that dies without replying is seen by the parent as EOF
@@ -174,7 +176,7 @@ def _pool_worker_main(
         except OSError:  # pragma: no cover - platform-specific
             pass
     _install_rlimit_as(rlimit_as_mb)
-    from .batch import ResultCache, simulate_model_cached
+    from .batch import ResultCache, _simulate_model_cached
 
     # The campaign's disk tier (when present) is mounted read-only:
     # workers serve warm hits from shared shards, but only the parent
@@ -194,23 +196,23 @@ def _pool_worker_main(
             break  # undecodable dispatch: die loudly (parent sees EOF)
         if message[0] != "batch":
             break  # ("stop",) or unknown: exit cleanly
-        for task_id, job in message[1]:
+        _, items, vectorize = message
+        for task_id, job in items:
             start = time.perf_counter()
             try:
                 fingerprint = _warm_fingerprint(job.simulator, fingerprints)
                 hits_before = cache._hits
                 misses_before = cache._misses
-                result = simulate_model_cached(
+                # Kernel declines are silent here (bit-identical
+                # results either way); the parent's in-process paths
+                # are where fallback reasons are surfaced.
+                result = _simulate_model_cached(
                     job.simulator,
                     job.model,
                     layer_by_layer=job.layer_by_layer,
                     cache=cache,
                     fingerprint=fingerprint,
-                    # Per-job override or the worker process's own
-                    # default; structural fallbacks are silent here
-                    # (bit-identical results either way -- the serial
-                    # path is where fallback reasons are surfaced).
-                    vectorize=getattr(job, "vectorize", None),
+                    vectorize=vectorize,
                 )
                 result_conn.send(
                     (
@@ -466,9 +468,11 @@ class WorkerPool:
         worker: _PoolWorker,
         items: list,
         *,
+        vectorize: bool,
         timeout_s: float | None = None,
     ) -> bool:
-        """Ship ``[(task_id, job), ...]`` to one idle worker.
+        """Ship ``[(task_id, job), ...]`` to one idle worker, to run in
+        the dispatching runner's mode (``vectorize``).
 
         The batch is pickled *here*, lazily -- a job that cannot be
         pickled raises immediately (the caller treats that as a
@@ -479,7 +483,7 @@ class WorkerPool:
         """
         if not items:
             return True
-        payload = pickle.dumps(("batch", items))
+        payload = pickle.dumps(("batch", items, vectorize))
         try:
             worker.job_conn.send_bytes(payload)
         except (OSError, ValueError):

@@ -26,7 +26,6 @@ __all__ = [
     "machine_ridge",
     "mapped_time_floor_s",
     "time_lower_bound",
-    "time_lower_bounds",
 ]
 
 
@@ -188,42 +187,3 @@ def time_lower_bound(
         gb_bytes=spec.gb_bytes,
     )
     return mapped_time_floor_s(spec, mapping, traffic)
-
-
-def time_lower_bounds(
-    spec: AcceleratorSpec,
-    layers,
-    *,
-    layer_by_layer: bool = False,
-    vectorize: bool | None = None,
-) -> list[float]:
-    """:func:`time_lower_bound` over many layers, batched.
-
-    Routes through the NumPy kernel's :func:`~repro.core.vectorized.
-    time_floors_batch` when enabled (bit-identical by construction);
-    lanes outside kernel coverage -- and the whole batch when the spec
-    is uncovered -- fall back to the scalar helper, so the output is
-    always element-wise equal to ``[time_lower_bound(spec, l) for l in
-    layers]``.  ``vectorize=None`` defers to the campaign default
-    (:func:`repro.core.batch.default_vectorize`).
-    """
-    layers = list(layers)
-    if not layers:
-        return []
-    if vectorize is None:
-        from .batch import default_vectorize
-
-        vectorize = default_vectorize()
-    floors: "list[float | None] | None" = None
-    if vectorize:
-        from .vectorized import time_floors_batch
-
-        floors = time_floors_batch(spec, layers, layer_by_layer=layer_by_layer)
-    if floors is None:
-        floors = [None] * len(layers)
-    return [
-        time_lower_bound(spec, layer, layer_by_layer=layer_by_layer)
-        if floor is None
-        else floor
-        for layer, floor in zip(layers, floors)
-    ]

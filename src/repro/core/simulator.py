@@ -133,9 +133,7 @@ def _warn_zero_bandwidth(
     warning fires **once per (spec, link)** instead of once per layer
     -- a degraded-config sweep hits the same dead link thousands of
     times and the repeated warning formatting is pure overhead.
-    Contextless calls always warn.  Shared by the scalar
-    :func:`_transfer_time_s` and the vectorized kernel so both paths
-    drain the same dedup memo.
+    Contextless calls always warn.
     """
     if link is not None and spec is not None:
         try:

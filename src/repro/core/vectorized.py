@@ -1,57 +1,49 @@
-"""NumPy-batched evaluation kernel, bit-identical to the scalar path.
+"""NumPy cost-model kernel: coverage, shape lowering and the one-machine entry.
 
 The analytical cost model is closed-form arithmetic over layer shapes
 (SCALE-Sim evaluates the same class of model the same way), so a batch
-of (layer, machine) pairs lowers naturally into dense per-layer
-parameter arrays evaluated in one pass of array math.  This module is
-that fast path: :func:`simulate_layers_vectorized` reproduces
-``Simulator.simulate_layer`` for a whole batch of layers, and
-:func:`time_floors_batch` / :func:`bounds_batch` reproduce the
-roofline/DSE lower bounds.
+of layers lowers naturally into dense parameter columns evaluated in
+one pass of array math.  The kernel is :func:`repro.core.grid.
+evaluate_grid` (and :func:`~repro.core.grid.bounds_grid` for the DSE
+floors): machines are rows, layer shapes are columns.  This module
+holds what every row shares:
 
-**The scalar path stays the oracle.**  Every result this kernel emits
-is bit-identical to the scalar simulator -- not merely close.  Three
-rules make that possible:
+* the **coverage registry** (:func:`coverage_gap`), which declares
+  exactly which machine features the kernel understands -- anything
+  else (a subclassed simulator, an unregistered network-energy model,
+  a non-stock energy model) runs on the scalar simulator instead;
+* the memoized **shape lowering** (:func:`_shared_lower`) and the
+  **exactness screen** (:func:`_screen_spec`);
+* the **mapping and traffic stages** (:func:`_map_lanes`,
+  :func:`_traffic_lanes`), NumPy mirrors of :mod:`repro.core.mapping`
+  and :mod:`repro.core.traffic` that broadcast over per-machine
+  ``(m, 1)`` parameter columns;
+* :func:`simulate_layers_vectorized`, the one-machine entry: a
+  one-row grid.
+
+**The scalar path stays the oracle.**  Every result the kernel emits is
+bit-identical to the scalar simulator -- not merely close.  Three rules
+make that possible:
 
 * Every floating-point expression mirrors the scalar source's
   association exactly (``(bits * pj) * 1e-9``, never
   ``bits * (pj * 1e-9)``).  Integer arithmetic is exact in both
   worlds, so association only matters once floats appear.
-* Scalar Python and NumPy agree on int->float conversion (both
-  correctly round any magnitude) and on float ops, but they *disagree*
-  on ``int / int`` true division (Python computes the correctly
-  rounded quotient of the exact integers; NumPy converts first) and
-  NumPy silently wraps int64 products.  Both hazards vanish below
-  2**53, so every integer product is overflow-checked
-  (:func:`_checked_mul`) and any lane whose intermediates could cross
-  2**53 is *flagged* and re-evaluated by the scalar oracle instead of
-  risking a divergent answer.
-* Lane-dependent control flow (zero-bandwidth links, refetch branches,
-  the halo factor) is expressed with masked selects whose branches
-  compute the same expressions the scalar code would -- including the
-  ``inf`` (never ``nan``) semantics of dead links, which share the
-  scalar path's per-(spec, link) warning dedup.
-
-A **coverage registry** (:func:`coverage_gap`) declares exactly which
-machine features the kernel understands; anything else -- a subclassed
-simulator, an unregistered network-energy model, a non-stock energy
-model -- structurally falls back to the scalar path with a reason
-string the sweep runner surfaces in ``campaign_report()``.
-
-The kernel also evaluates the invariant audit
-(:mod:`repro.core.invariants`) in array form with exact verdict
-equivalence, then marks clean results *pre-audited* so
-``audit_model_result`` does not re-pay the scalar audit per layer.
-Dirty lanes are never marked; under a strict simulator the whole batch
-bails out (returns ``None``) so the scalar loop reproduces the exact
-raise and its side effects.
+* Scalar Python and NumPy agree on int->float conversion and on float
+  ops, but they *disagree* on ``int / int`` true division (Python
+  rounds the exact quotient once; NumPy converts first) and NumPy
+  silently wraps int64 products.  Both hazards vanish below 2**53, so
+  the screen proves that no product of a batch can reach 2**53; a
+  machine it cannot prove runs on the scalar simulator.
+* Lane-dependent control flow (refetch branches, the halo factor) is
+  expressed with masked selects whose branches compute the same
+  expressions the scalar code would.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from itertools import repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -66,30 +58,22 @@ from ..energy.dram import DramModel
 from ..energy.mac import MacEnergyModel
 from .accelerator import AcceleratorSpec
 from .dataflow import DataflowKind
-from .invariants import DEFAULT_REL_TOL, mark_preaudited
-from .layer import ACTIVATION_BITS, PSUM_BITS, WEIGHT_BITS, ConvLayer
-from .mapping import Mapping
-from .metrics import EnergyBreakdown, LayerResult, ModelResult, NetworkEnergy
-from .simulator import _MIN_BANDWIDTH_GBPS, Simulator, _warn_zero_bandwidth
-from .traffic import NetworkCapabilities, TrafficSummary
+from .layer import ACTIVATION_BITS, PSUM_BITS, WEIGHT_BITS
+from .simulator import Simulator
+from .traffic import NetworkCapabilities
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .layer import LayerSet
+    from .layer import ConvLayer
+    from .metrics import LayerResult
 
 __all__ = [
     "coverage_gap",
-    "bounds_coverage_gap",
-    "spec_coverage_gap",
     "register_network_lowerer",
     "simulate_layers_vectorized",
-    "simulate_model_vectorized",
-    "time_floors_batch",
-    "bounds_batch",
 ]
 
 #: Above this, int64 -> float64 conversion (and therefore NumPy's
-#: convert-then-divide ``int / int``) stops being exact; lanes whose
-#: integer intermediates reach it fall back to the scalar oracle.
+#: convert-then-divide ``int / int``) stops being exact.
 _EXACT_INT = float(2**53)
 #: Safety margin for float64 -> int64 truncating casts (C cast is
 #: undefined at 2**63; Python ``int()`` is not).
@@ -115,10 +99,9 @@ _BUILTINS_REGISTERED = False
 #: change afterwards, exactly as the scalar ``network_energy`` path
 #: assumes), so the walk over link budgets that produces the static
 #: mW coefficients is pure per machine.  Campaigns re-enter a lowerer
-#: once per (machine, model) job -- or once per grid chunk -- and the
-#: budget walk was dominating the lowering cost.  Keyed weakly on the
-#: model instance: a rebuilt model gets fresh coefficients, a dead one
-#: drops its entry.
+#: once per machine row of every grid launch, and the budget walk was
+#: dominating the lowering cost.  Keyed weakly on the model instance:
+#: a rebuilt model gets fresh coefficients, a dead one drops its entry.
 _LOWER_COEFFS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -226,10 +209,8 @@ _BANDWIDTH_FIELDS = (
 )
 
 
-def spec_coverage_gap(spec) -> str | None:
-    """Why this spec cannot take the vectorized path (None = covered)."""
-    if np is None:
-        return "numpy unavailable"
+def _spec_gap(spec) -> str | None:
+    """Why this spec cannot take the kernel (None = covered)."""
     if type(spec) is not AcceleratorSpec:
         return f"unsupported spec type {type(spec).__name__}"
     if type(spec.capabilities) is not NetworkCapabilities:
@@ -294,7 +275,7 @@ def coverage_gap(simulator) -> str | None:
         return "numpy unavailable"
     if type(simulator) is not Simulator:
         return f"unsupported simulator type {type(simulator).__name__}"
-    gap = spec_coverage_gap(simulator.spec)
+    gap = _spec_gap(simulator.spec)
     if gap is not None:
         return gap
     gap = _compute_energy_gap(simulator.compute_energy)
@@ -309,39 +290,9 @@ def coverage_gap(simulator) -> str | None:
     return None
 
 
-def bounds_coverage_gap(simulator) -> str | None:
-    """Coverage for the DSE lower-bound path (no network model needed)."""
-    if np is None:
-        return "numpy unavailable"
-    gap = spec_coverage_gap(simulator.spec)
-    if gap is not None:
-        return gap
-    return _compute_energy_gap(simulator.compute_energy)
-
-
 # ----------------------------------------------------------------------
-# Exactness helpers
+# Exactness screen and the shared shape lowering
 # ----------------------------------------------------------------------
-def _checked_mul(a, b, flag, limit=_EXACT_INT):
-    """Integer product with an overflow/inexactness lane flag.
-
-    Flags a lane iff the true product reaches ``limit``: the float
-    approximation of exact (< 2**53) factors is the correctly rounded
-    product, and rounding cannot pull a value >= 2**53 below 2**53
-    (2**53 is representable), so the flag test is conservative-exact.
-    Flagged lanes are re-run by the scalar oracle, so a wrapped int64
-    product in them is garbage that is never observed.
-    """
-    flag |= np.multiply(a, b, dtype=np.float64) >= limit
-    return a * b
-
-
-def _unchecked_mul(a, b, flag, limit=None):  # noqa: ARG001 - same shape
-    """Plain product, used when :func:`_screen_exact` proved the whole
-    batch cannot reach any overflow/inexactness limit."""
-    return a * b
-
-
 #: Screen limits carry a relative margin absorbing float rounding: a
 #: bound is a product of < 16 exactly-converted factors, each multiply
 #: correctly rounded, so the computed value is within (1 +/- 1e-14) of
@@ -357,8 +308,7 @@ class _SharedLower:
 
     Holds the raw (n, 9) dimension matrix, the float bound columns the
     exactness screen re-checks per spec, and -- lazily -- the derived
-    shape columns of :func:`_lower_dims`'s unchecked mode (valid only
-    for specs the screen passes).
+    shape columns (:func:`_shared_cols`).
     """
 
     __slots__ = (
@@ -387,7 +337,7 @@ def _shared_from_ints(ints) -> _SharedLower:
     krs = (k * r) * s
     wb = krs * c  # weight bytes (WEIGHT_BITS == 8)
     ib = bhw * c  # ifmap bytes (ACTIVATION_BITS == 8)
-    d_col = ib * krs  # macs / cycles and every _lower_dims product
+    d_col = ib * krs  # macs / cycles and every derived shape product
     shared.wb = wb
     shared.bhw = bhw
     shared.ints_max = float(ints.max())
@@ -406,8 +356,8 @@ def _shared_lower(layers) -> _SharedLower:
     The key is the tuple of shape keys -- the full nine-dimension
     identity of every lane -- so equal tables (the common case across
     a config sweep) hit regardless of layer names or model identity.
-    An :class:`OverflowError` from a dimension too large for int64
-    propagates unmemoized, exactly like the direct lowering.
+    Callers sieve layers with :func:`repro.core.grid.lane_covered`
+    first, so every dimension fits int64.
     """
     key = tuple(layer.shape_key for layer in layers)
     shared = _SHARED_MEMO.get(key)
@@ -423,17 +373,15 @@ def _shared_lower(layers) -> _SharedLower:
 
 
 def _shared_cols(shared: _SharedLower) -> _Cols:
-    """Derived shape columns in unchecked mode, computed once per
-    layer table.  Only valid for specs :func:`_screen_spec` passes --
-    the screen proves no product can reach any overflow limit, so the
-    plain int64 arithmetic here equals the checked mode's output
-    lane-for-lane."""
+    """Derived shape columns, computed once per layer table.  Only
+    valid for specs :func:`_screen_spec` passes -- the screen proves no
+    product can reach any overflow limit, so plain int64 arithmetic is
+    exact here."""
     cols = shared.cols
     if cols is not None:
         return cols
     ints = shared.ints
     d = _Cols()
-    d.checked = False
     d.c = ints[:, 0]
     d.k = ints[:, 1]
     d.r = ints[:, 2]
@@ -464,7 +412,6 @@ def _shared_cols(shared: _SharedLower) -> _Cols:
 _DIM_SLOTS = (
     "c", "k", "r", "s", "h", "w", "stride", "groups", "batch",
     "e", "f", "macs", "wbytes", "ibytes", "obytes", "ocount", "psum_el",
-    "checked",
 )
 
 
@@ -488,13 +435,9 @@ def _screen_spec(spec: AcceleratorSpec, sh: _SharedLower) -> bool:
     factors from {batch, e<=h, f<=w, c_per_group<=c, k, r, s, byte
     widths, spec mapping parameters}, so per-lane worst-case bound
     columns -- computed in float64 with :data:`_SCREEN_MARGIN`
-    absorbing the rounding -- dominate every checked product of that
-    lane.  When every bound maximum sits below its limit the kernel
-    runs with :func:`_unchecked_mul` and skips all fences -- the
-    common case for realistic layers, and a large share of the
-    per-batch array ops.  When the screen fails, the per-lane checked
-    mode runs exactly as before; the screen can only ever *disable*
-    checks it has proven redundant, never change a result.
+    absorbing the rounding -- dominate every product of that lane.
+    When every bound maximum sits below its limit the machine's row is
+    exact; otherwise the machine runs on the scalar simulator.
     """
     if sh.ints_max >= _EXACT_INT:
         return False
@@ -534,11 +477,6 @@ def _screen_spec(spec: AcceleratorSpec, sh: _SharedLower) -> bool:
     return max(wrec, itot) < limit
 
 
-def _screen_exact(spec: AcceleratorSpec, ints) -> bool:
-    """:func:`_screen_spec` over a raw (n, 9) dimension matrix."""
-    return _screen_spec(spec, _shared_from_ints(ints))
-
-
 def _ceil_div(a, b):
     return -(-a // b)
 
@@ -552,59 +490,6 @@ def _close_lanes(observed, expected, rel_tol):
     return np.where(either_inf, observed == expected, agree)
 
 
-def _transfer_lanes(total_bytes, bandwidth_gbps, link, spec):
-    """Vector mirror of ``simulator._transfer_time_s`` for one link.
-
-    The bandwidth is a spec scalar, so the dead-link branch is uniform
-    across lanes: the masked select keeps ``bytes <= 0`` lanes at 0.0
-    and never multiplies 0 by inf (the scalar path's semantics --
-    ``inf`` for a pending transfer, never ``nan``).
-    """
-    if bandwidth_gbps <= _MIN_BANDWIDTH_GBPS:
-        positive = total_bytes > 0
-        if positive.any():
-            first = total_bytes[int(np.argmax(positive))]
-            _warn_zero_bandwidth(first.item(), bandwidth_gbps, link, spec)
-        return np.where(positive, np.inf, 0.0)
-    denominator = bandwidth_gbps * 1e9
-    return np.where(total_bytes <= 0, 0.0, total_bytes * 8 / denominator)
-
-
-def _floor_lanes(total_bytes, bandwidth_gbps):
-    """Vector mirror of ``invariants._transfer_lower_bound_s``."""
-    if bandwidth_gbps <= 0:
-        return np.zeros(total_bytes.shape)
-    return np.where(total_bytes <= 0, 0.0, total_bytes * 8 / (bandwidth_gbps * 1e9))
-
-
-def _precheck(layer) -> bool:
-    """Can this layer be lowered at all?  Exact type only (subclasses
-    may override the derived-dimension properties); the dimension
-    magnitude check happens vectorized inside :func:`_lower_dims`.
-    """
-    return type(layer) is ConvLayer
-
-
-def _fits_int64(layer) -> bool:
-    """Slow-path sieve when a base dimension cannot even enter int64."""
-    d = layer.__dict__
-    limit = 9223372036854775808  # 2**63
-    return (
-        d["c"] < limit
-        and d["k"] < limit
-        and d["r"] < limit
-        and d["s"] < limit
-        and d["h"] < limit
-        and d["w"] < limit
-        and d["stride"] < limit
-        and d["groups"] < limit
-        and d["batch"] < limit
-    )
-
-
-# ----------------------------------------------------------------------
-# Lowering: layers -> dimension columns
-# ----------------------------------------------------------------------
 class _Cols:
     """Attribute bag for the batch's column arrays."""
 
@@ -619,75 +504,19 @@ class _Cols:
         # traffic
         "gw", "gi", "pw", "pi", "cw", "ci", "out", "psum", "dread", "dwrite",
         "gb_send", "pe_receive",
-        # bookkeeping
-        "flag", "checked",
     )
 
 
 _DIM_GET = attrgetter("c", "k", "r", "s", "h", "w", "stride", "groups", "batch")
 
 
-def _lower_dims(layers: Sequence[ConvLayer], flag, spec) -> _Cols:
-    """Base dims as int64 columns plus the derived shape quantities.
-
-    The derived columns mirror the ``ConvLayer`` property formulas
-    exactly; every multiplication is overflow-checked -- unless
-    :func:`_screen_spec` proves the whole batch safe -- so a layer
-    whose MAC count crosses 2**53 flags its lane instead of wrapping.
-    The screened (unchecked) columns come from the per-layer-table
-    memo (:func:`_shared_lower`), so N machines sweeping the same
-    model lower it once.
-    """
-    shared = _shared_lower(layers)
-    if _screen_spec(spec, shared):
-        return _copy_cols(_shared_cols(shared))
-    d = _Cols()
-    ints = shared.ints
-    d.checked = True
-    # A base dim at or above 2**53 would make derived formulas
-    # inexact before any product: flag the lane wholesale.
-    flag |= (ints >= 9007199254740992).any(axis=1)
-    d.c = ints[:, 0]
-    d.k = ints[:, 1]
-    d.r = ints[:, 2]
-    d.s = ints[:, 3]
-    d.h = ints[:, 4]
-    d.w = ints[:, 5]
-    d.stride = ints[:, 6]
-    d.groups = ints[:, 7]
-    d.batch = ints[:, 8]
-    d.e = (d.h - d.r) // d.stride + 1
-    d.f = (d.w - d.s) // d.stride + 1
-    c_per_group = d.c // d.groups
-    mul = _checked_mul
-    ef = mul(mul(d.batch, d.e, flag), d.f, flag)
-    d.macs = mul(
-        mul(mul(ef, d.k, flag), d.r, flag),
-        mul(d.s, c_per_group, flag),
-        flag,
-    )
-    weight_count = mul(
-        mul(d.k, d.r, flag), mul(d.s, c_per_group, flag), flag
-    )
-    d.wbytes = mul(weight_count, WEIGHT_BITS, flag) // 8
-    ifmap_count = mul(
-        mul(d.batch, d.h, flag), mul(d.w, d.c, flag), flag
-    )
-    d.ibytes = mul(ifmap_count, ACTIVATION_BITS, flag) // 8
-    d.ocount = mul(ef, d.k, flag)
-    d.obytes = mul(d.ocount, ACTIVATION_BITS, flag) // 8
-    d.psum_el = PSUM_BITS // 8
-    return d
-
-
 # ----------------------------------------------------------------------
 # Mapping (vector mirrors of repro.core.mapping's three mappers)
 # ----------------------------------------------------------------------
-def _map_lanes(spec: AcceleratorSpec, d: _Cols, flag) -> None:
+def _map_lanes(spec, d: _Cols) -> None:
     p = spec.mapping_parameters()
-    mul = _checked_mul if d.checked else _unchecked_mul
     c_per_group = d.c // d.groups
-    ef_total = mul(mul(d.batch, d.e, flag), d.f, flag)
+    ef_total = (d.batch * d.e) * d.f
 
     if spec.dataflow is DataflowKind.SPACX_OS:
         ef_parallel = p.ef_group * p.n_pe_groups
@@ -699,37 +528,31 @@ def _map_lanes(spec: AcceleratorSpec, d: _Cols, flag) -> None:
             _ceil_div(d.k, k_parallel0),
         )
         k1_intra = np.maximum(1, k1_intra)
-        k_parallel = mul(k_parallel0, k1_intra, flag)
+        k_parallel = k_parallel0 * k1_intra
         d.ef_waves = _ceil_div(ef_total, ef_parallel)
         d.k_waves = _ceil_div(d.k, k_parallel)
         k_active = np.minimum(d.k, k_parallel)
-        cycles_per_wave = mul(
-            mul(d.r, d.s, flag), _ceil_div(c_per_group, p.mac_vector_width), flag
+        cycles_per_wave = (d.r * d.s) * _ceil_div(
+            c_per_group, p.mac_vector_width
         )
-        d.cycles = mul(mul(d.ef_waves, d.k_waves, flag), cycles_per_wave, flag)
+        d.cycles = (d.ef_waves * d.k_waves) * cycles_per_wave
         d.ch_active = np.minimum(
             p.chiplets,
-            mul(
-                mul(chiplets_per_group_used, k1_intra, flag),
-                np.minimum(
-                    p.n_chiplet_groups,
-                    _ceil_div(k_active, mul(p.k_group, k1_intra, flag)),
-                ),
-                flag,
+            (chiplets_per_group_used * k1_intra)
+            * np.minimum(
+                p.n_chiplet_groups,
+                _ceil_div(k_active, p.k_group * k1_intra),
             ),
         )
         d.pe_active_per_chiplet = np.minimum(
             p.pes_per_chiplet,
-            mul(
-                np.minimum(p.k_group, k_active),
-                np.minimum(p.n_pe_groups, _ceil_div(ef_active, p.ef_group)),
-                flag,
-            ),
+            np.minimum(p.k_group, k_active)
+            * np.minimum(p.n_pe_groups, _ceil_div(ef_active, p.ef_group)),
         )
         w_sharers = chiplets_per_group_used
         d.w_sharers = np.maximum(1, w_sharers)
         d.i_sharers = np.maximum(1, np.minimum(p.k_group, k_active))
-        slice_bytes = mul(mul(d.r, d.s, flag), c_per_group, flag)
+        slice_bytes = (d.r * d.s) * c_per_group
         d.c_chunks = np.maximum(1, _ceil_div(slice_bytes, p.pe_buffer_bytes // 2))
         d.w_refetch = 1
         d.i_refetch = np.maximum(1, _ceil_div(d.k_waves, d.groups))
@@ -753,13 +576,9 @@ def _map_lanes(spec: AcceleratorSpec, d: _Cols, flag) -> None:
         c_slices_per_pe = _ceil_div(c_slices, pes_for_c)
         d.ef_waves = _ceil_div(ef_total, pes_for_ef)
         d.k_waves = _ceil_div(k_per_chiplet, pes_for_k)
-        d.cycles = mul(
-            mul(mul(mul(d.k_waves, d.ef_waves, flag), d.r, flag), d.s, flag),
-            c_slices_per_pe,
-            flag,
-        )
+        d.cycles = (((d.k_waves * d.ef_waves) * d.r) * d.s) * c_slices_per_pe
         weight_bytes_per_pe = _ceil_div(
-            mul(mul(mul(k_per_chiplet, d.r, flag), d.s, flag), c_per_group, flag),
+            ((k_per_chiplet * d.r) * d.s) * c_per_group,
             d.pe_active_per_chiplet,
         )
         d.w_refetch = np.where(
@@ -767,9 +586,7 @@ def _map_lanes(spec: AcceleratorSpec, d: _Cols, flag) -> None:
             1,
             _ceil_div(weight_bytes_per_pe, p.pe_buffer_bytes),
         )
-        ifmap_bytes_per_pe = mul(
-            mul(d.h, d.w, flag), _ceil_div(d.c, pes_for_c), flag
-        )
+        ifmap_bytes_per_pe = (d.h * d.w) * _ceil_div(d.c, pes_for_c)
         d.i_refetch = np.where(
             ifmap_bytes_per_pe <= p.pe_buffer_bytes,
             1,
@@ -793,13 +610,11 @@ def _map_lanes(spec: AcceleratorSpec, d: _Cols, flag) -> None:
     pes_used = np.minimum(total_pes, ef_active * k_spread)
     d.ch_active = np.minimum(p.chiplets, _ceil_div(pes_used, p.pes_per_chiplet))
     d.pe_active_per_chiplet = np.minimum(p.pes_per_chiplet, pes_used)
-    cycles_per_wave = mul(
-        mul(d.r, d.s, flag), _ceil_div(c_per_group, p.mac_vector_width), flag
-    )
-    d.cycles = mul(mul(d.ef_waves, d.k_waves, flag), cycles_per_wave, flag)
+    cycles_per_wave = (d.r * d.s) * _ceil_div(c_per_group, p.mac_vector_width)
+    d.cycles = (d.ef_waves * d.k_waves) * cycles_per_wave
     d.w_sharers = np.maximum(1, ef_active)
     d.i_sharers = 1
-    slice_bytes = mul(mul(d.r, d.s, flag), c_per_group, flag)
+    slice_bytes = (d.r * d.s) * c_per_group
     d.c_chunks = np.maximum(1, _ceil_div(slice_bytes, p.pe_buffer_bytes // 2))
     d.w_refetch = d.ef_waves
     d.i_refetch = 1
@@ -812,19 +627,16 @@ def _map_lanes(spec: AcceleratorSpec, d: _Cols, flag) -> None:
 # ----------------------------------------------------------------------
 # Traffic (vector mirror of repro.core.traffic.derive_traffic)
 # ----------------------------------------------------------------------
-def _traffic_lanes(
-    spec: AcceleratorSpec, d: _Cols, flag, layer_by_layer: bool
-) -> None:
-    mul = _checked_mul if d.checked else _unchecked_mul
+def _traffic_lanes(spec, d: _Cols, layer_by_layer: bool) -> None:
     caps = spec.capabilities
 
-    weight_transmissions = mul(d.wbytes, d.w_refetch, flag)
-    weight_receives = mul(weight_transmissions, d.w_sharers, flag)
+    weight_transmissions = d.wbytes * d.w_refetch
+    weight_receives = weight_transmissions * d.w_sharers
     d.gw = weight_transmissions if caps.weight_broadcast else weight_receives
 
     if spec.dataflow is DataflowKind.WEIGHT_STATIONARY:
-        ifmap_transmissions = mul(d.ibytes, d.i_refetch, flag)
-        ifmap_receives = mul(ifmap_transmissions, d.i_sharers, flag)
+        ifmap_transmissions = d.ibytes * d.i_refetch
+        ifmap_receives = ifmap_transmissions * d.i_sharers
         d.gi = ifmap_transmissions if caps.ifmap_broadcast else ifmap_receives
     elif spec.dataflow is DataflowKind.SPACX_OS:
         if caps.ifmap_reuse_multicast:
@@ -843,44 +655,32 @@ def _traffic_lanes(
             )
             duplication = np.where(d.r <= 1, 1.0, duplication)
             per_sweep_f = d.ibytes.astype(np.float64) * duplication
-            if d.checked:
-                flag |= per_sweep_f >= _CAST_LIMIT
             per_sweep = per_sweep_f.astype(np.int64)
-        ifmap_transmissions = mul(per_sweep, d.i_refetch, flag)
-        ifmap_receives = mul(ifmap_transmissions, d.i_sharers, flag)
+        ifmap_transmissions = per_sweep * d.i_refetch
+        ifmap_receives = ifmap_transmissions * d.i_sharers
         d.gi = ifmap_transmissions
     else:
         # OS(e/f): _ifmap_stream_bytes
         fresh_cols = np.minimum(d.s, d.stride)
-        per_position = mul(mul(d.r, fresh_cols, flag), d.c, flag)
-        row_starts = mul(
-            mul(mul(d.e, d.r, flag), np.maximum(0, d.s - fresh_cols), flag),
-            d.c,
-            flag,
-        )
-        total = mul(
-            d.batch,
-            mul(mul(d.e, d.f, flag), per_position, flag) + row_starts,
-            flag,
-        )
+        per_position = (d.r * fresh_cols) * d.c
+        row_starts = ((d.e * d.r) * np.maximum(0, d.s - fresh_cols)) * d.c
+        total = d.batch * ((d.e * d.f) * per_position + row_starts)
         per_sweep = np.maximum(total, d.ibytes)
-        ifmap_transmissions = mul(per_sweep, d.i_refetch, flag)
-        ifmap_receives = mul(ifmap_transmissions, d.i_sharers, flag)
+        ifmap_transmissions = per_sweep * d.i_refetch
+        ifmap_receives = ifmap_transmissions * d.i_sharers
         d.gi = ifmap_receives
 
     d.pw = weight_receives
     d.pi = ifmap_receives
-    d.cw = mul(weight_transmissions, d.w_fanout, flag)
-    d.ci = mul(ifmap_transmissions, d.i_fanout, flag)
+    d.cw = weight_transmissions * d.w_fanout
+    d.ci = ifmap_transmissions * d.i_fanout
     d.out = d.obytes
-    psum_traffic = mul(
-        mul(d.ocount, np.maximum(0, d.psum_fanin - 1), flag), d.psum_el, flag
-    )
+    psum_traffic = (d.ocount * np.maximum(0, d.psum_fanin - 1)) * d.psum_el
     d.psum = np.where(d.psum_fanin > 1, psum_traffic, 0)
 
     gb_half = spec.gb_bytes // 2
     ifmap_fits_gb = d.ibytes <= gb_half
-    spill = mul(d.ibytes, np.where(ifmap_fits_gb, 1, d.i_refetch), flag)
+    spill = d.ibytes * np.where(ifmap_fits_gb, 1, d.i_refetch)
     if layer_by_layer:
         d.dread = d.wbytes + spill
         d.dwrite = d.obytes
@@ -891,641 +691,51 @@ def _traffic_lanes(
     d.gb_send = d.gw + d.gi
     d.pe_receive = d.pw + d.pi
 
-    if not d.checked:
-        return
-    # Exactness fence.  int -> float64 conversion and int * float
-    # products agree between Python and NumPy at every magnitude, so
-    # most columns need no guard.  Two operations do not:
-    # ``int / int`` (Python divides the exact integers in one
-    # rounding; NumPy converts both first -- equal only below 2**53),
-    # and the ``* 8`` inside a transfer time (exact in Python, silent
-    # int64 wrap in NumPy from 2**60).  Flag every lane whose
-    # division numerators or transfer volumes cross those lines.
-    for column in (
-        d.cw, d.ci, d.pw, d.pi, d.out, d.psum, d.out + d.psum,
-    ):
-        flag |= column >= _EXACT_INT
-    for column in (d.gw, d.gi, d.gb_send, d.dread + d.dwrite):
-        flag |= column >= float(2**60)
-
 
 # ----------------------------------------------------------------------
-# The full simulate path
+# The one-machine entry
 # ----------------------------------------------------------------------
-def _evaluate_batch(simulator: Simulator, layers, layer_by_layer: bool):
-    """Evaluate covered layers; returns ``(results, flag)``.
-
-    ``results`` is ``None`` on a strict-mode bailout, else a list
-    aligned with ``layers`` whose flagged lanes hold ``None``.
-    """
-    spec = simulator.spec
-    ce = simulator.compute_energy
-    n = len(layers)
-    flag = np.zeros(n, dtype=bool)
-
-    d = _lower_dims(layers, flag, spec)
-    _map_lanes(spec, d, flag)
-    _traffic_lanes(spec, d, flag, layer_by_layer)
-
-    # --- communication times (mirror of Simulator.communication_times)
-    chiplets_active = np.maximum(1, d.ch_active)
-    # pes_active <= total_pes < 2**53 by the spec coverage gate, so it
-    # is always an exact division denominator.
-    pes_active = d.ch_active * d.pe_active_per_chiplet
-    pes_active_c = np.maximum(1, pes_active)
-
-    if spec.gb_weight_egress_gbps and spec.gb_ifmap_egress_gbps:
-        gb_egress_s = np.maximum(
-            _transfer_lanes(
-                d.gw, spec.gb_weight_egress_gbps, "gb_weight_egress", spec
-            ),
-            _transfer_lanes(
-                d.gi, spec.gb_ifmap_egress_gbps, "gb_ifmap_egress", spec
-            ),
-        )
-    else:
-        gb_egress_s = _transfer_lanes(
-            d.gb_send, spec.gb_egress_gbps, "gb_egress", spec
-        )
-
-    chiplet_w = d.cw / chiplets_active
-    chiplet_i = d.ci / chiplets_active
-    if spec.chiplet_weight_read_gbps and spec.chiplet_ifmap_read_gbps:
-        chiplet_read_s = np.maximum(
-            _transfer_lanes(
-                chiplet_w, spec.chiplet_weight_read_gbps, "chiplet_weight_read", spec
-            ),
-            _transfer_lanes(
-                chiplet_i, spec.chiplet_ifmap_read_gbps, "chiplet_ifmap_read", spec
-            ),
-        )
-    else:
-        chiplet_read_s = _transfer_lanes(
-            chiplet_w + chiplet_i, spec.chiplet_read_gbps, "chiplet_read", spec
-        )
-
-    if d.pe_forwarding:
-        pes_per_chiplet = np.maximum(1, d.pe_active_per_chiplet)
-        pe_w = chiplet_w / pes_per_chiplet
-        pe_i = chiplet_i / pes_per_chiplet
-    else:
-        pe_w = d.pw / pes_active_c
-        pe_i = d.pi / pes_active_c
-    if spec.pe_weight_read_gbps and spec.pe_ifmap_read_gbps:
-        pe_read_s = np.maximum(
-            _transfer_lanes(
-                pe_w, spec.pe_weight_read_gbps, "pe_weight_read", spec
-            ),
-            _transfer_lanes(
-                pe_i, spec.pe_ifmap_read_gbps, "pe_ifmap_read", spec
-            ),
-        )
-    else:
-        pe_read_s = _transfer_lanes(
-            pe_w + pe_i, spec.pe_read_gbps, "pe_read", spec
-        )
-
-    per_chiplet_out = (d.out + d.psum) / chiplets_active
-    chiplet_write_s = _transfer_lanes(
-        per_chiplet_out, spec.chiplet_write_gbps, "chiplet_write", spec
-    )
-    per_pe_out = d.out / pes_active_c
-    pe_write_s = _transfer_lanes(
-        per_pe_out, spec.pe_write_gbps, "pe_write", spec
-    )
-    gb_ingress_s = _transfer_lanes(
-        d.out, spec.gb_ingress_gbps, "gb_ingress", spec
-    )
-    dram_s = _transfer_lanes(
-        d.dread + d.dwrite, spec.dram_bandwidth_gbps, "dram", spec
-    )
-
-    mul = _checked_mul if d.checked else _unchecked_mul
-    waves = mul(d.ef_waves, d.k_waves, flag)
-    tuning = (
-        spec.package_latency.tuning_delay_s + spec.chiplet_latency.tuning_delay_s
-    )
-    reconfiguration_s = waves * tuning
-
-    busy = np.maximum(gb_egress_s, gb_ingress_s)
-    busy = np.maximum(busy, chiplet_read_s)
-    busy = np.maximum(busy, chiplet_write_s)
-    busy = np.maximum(busy, pe_read_s)
-    busy = np.maximum(busy, pe_write_s)
-    busy = np.maximum(busy, dram_s)
-    comm = busy + reconfiguration_s
-
-    comp = d.cycles * spec.cycle_time_s
-    # Python's max(0.0, diff) keeps 0.0 when diff is NaN or -0.0;
-    # np.maximum would propagate the NaN.  The select mirrors max.
-    diff = comm - comp
-    exposed = np.where(diff > 0.0, diff, 0.0)
-    exec_s = comp + exposed
-
-    # --- energy (mirror of ComputeEnergyModel + the network lowerer)
-    active_pe_cycles = mul(pes_active, d.cycles, flag, limit=_CAST_LIMIT)
-    picojoules = (
-        d.macs * ce.mac.energy_per_mac_pj
-        + active_pe_cycles * ce.mac.leakage_per_pe_cycle_pj
-    )
-    mac_mj = picojoules * 1e-9
-
-    pe_pj = ce.pe_buffer.energy_pj_per_byte
-    operand_reads = 2 * d.macs
-    psum_accesses = np.where(d.psum_fanin > 1, 2 * d.psum, d.obytes)
-    pe_buffer_mj = (
-        (operand_reads + d.pe_receive + psum_accesses) * pe_pj
-    ) * 1e-9
-
-    gb_pj = ce.gb.energy_pj_per_byte
-    gb_reads = d.gb_send + d.dwrite
-    gb_writes = d.out + d.dread
-    gb_mj = ((gb_reads + gb_writes) * gb_pj) * 1e-9
-
-    dram_mj = (((d.dread + d.dwrite) * 8) * ce.dram.energy_pj_per_bit) * 1e-9
-
-    lowerer = _NETWORK_LOWERERS[type(simulator.network_energy)]
-    eo_mj, oe_mj, heating_mj, laser_mj, electrical_mj = lowerer(
-        simulator.network_energy, d, exec_s
-    )
-
-    # delivered stays exact at any int64 magnitude (sums cannot wrap
-    # below 3 * 2**53) and only ever feeds further integer arithmetic.
-    delivered = d.cw + d.ci + d.out
-    packet_latency = simulator.packet_latency_s()
-
-    # --- invariant audit, in array form with exact verdict parity
-    dirty = _audit_lanes(
-        spec, d, comp, comm, exposed, exec_s, packet_latency,
-        (mac_mj, pe_buffer_mj, gb_mj, dram_mj,
-         eo_mj, oe_mj, heating_mj, laser_mj, electrical_mj),
-        delivered,
-    )
-    if simulator.strict and bool((dirty & ~flag).any()):
-        return None, flag
-
-    results = _assemble(
-        spec, layers, d, flag,
-        comp, comm, exposed, packet_latency, delivered,
-        (mac_mj, pe_buffer_mj, gb_mj, dram_mj,
-         eo_mj, oe_mj, heating_mj, laser_mj, electrical_mj),
-    )
-    clean = [
-        r
-        for r, is_dirty in zip(results, dirty.tolist())
-        if r is not None and not is_dirty
-    ]
-    if clean:
-        mark_preaudited(clean, spec)
-    return results, flag
-
-
-def _audit_lanes(
-    spec, d, comp, comm, exposed, exec_s, packet_latency, energies, delivered
-):
-    """Array form of ``audit_layer_result(result, spec)``: dirty mask.
-
-    Check-for-check mirror of :mod:`repro.core.invariants` at
-    ``DEFAULT_REL_TOL``; a lane is dirty iff the scalar audit would
-    report at least one violation.  (The INV-OPS-TIME check is omitted
-    because ``comp`` *is* ``cycles * cycle_time_s`` here by
-    construction -- the scalar comparison of a value with itself.)
-    """
-    rel_tol = DEFAULT_REL_TOL
-    slack = 1.0 + rel_tol
-
-    # Checks that cannot fire on kernel-built lanes are not evaluated:
-    # comp is cycles * cycle_time_s with positive finite factors,
-    # exposed is max(0, comm - comp) by construction (so the sign,
-    # NaN, and identity checks on them are comparisons of a value with
-    # itself), every byte column is a product of non-negative integers
-    # on unflagged lanes, and chiplets/PEs-active are np.minimum-
-    # clamped to the spec.  What remains is every check whose verdict
-    # depends on spec parameters the constructor does not validate or
-    # on mapper allocation bugs this audit exists to catch.
-    dirty = ~(comm >= 0)  # negative or NaN (a negative tuning delay)
-    if math.isnan(packet_latency) or packet_latency < 0:
-        dirty[:] = True
-
-    # energy: a negative or NaN component (negative/NaN energy-model
-    # coefficients, 0 * inf on a stalled layer), then the sum identity
-    mac, pe, gb, dram, eo, oe, heat, laser, elec = energies
-    for arr in energies:
-        dirty |= ~(arr >= 0)
-    # EnergyBreakdown.total_mj associates (((mac+pe)+gb)+dram) +
-    # ((((eo+oe)+heat)+laser)+elec); the audit's expectation is the
-    # flat left fold.  Mirror both and compare like _close does.  A
-    # NaN total implies a NaN (or +/-inf pair) among the components,
-    # which the sign check above already marked dirty.
-    observed_total = (((mac + pe) + gb) + dram) + (
-        (((eo + oe) + heat) + laser) + elec
-    )
-    expected_total = mac + pe + gb + dram + eo + oe + heat + laser + elec
-    dirty |= ~np.isnan(expected_total) & ~_close_lanes(
-        observed_total, expected_total, rel_tol
-    )
-
-    # op conservation.  capacity = cycles * peak legitimately crosses
-    # 2**53, where the scalar compares the exact integer against
-    # fl(capacity * slack) in one rounding but float math would take
-    # two.  Screen in float with a 1e-9 relative margin (conversion
-    # error is ~1e-16), then re-judge the rare near-bound lanes with
-    # exact Python integers -- the scalar expression itself.
-    capacity_f = d.cycles.astype(np.float64) * float(spec.peak_macs_per_cycle)
-    macs_f = d.macs.astype(np.float64)
-    near = macs_f > capacity_f * (slack * (1.0 - 1e-9))
-    if bool(near.any()):
-        peak = spec.peak_macs_per_cycle
-        for i in np.nonzero(near)[0].tolist():
-            if int(d.macs[i]) > int(d.cycles[i]) * peak * slack:
-                dirty[i] = True
-
-    # communication lower bounds
-    if spec.gb_weight_egress_gbps and spec.gb_ifmap_egress_gbps:
-        gb_floor = np.maximum(
-            _floor_lanes(d.gw, spec.gb_weight_egress_gbps),
-            _floor_lanes(d.gi, spec.gb_ifmap_egress_gbps),
-        )
-    else:
-        gb_floor = _floor_lanes(d.gb_send, spec.gb_egress_gbps)
-    dirty |= comm < gb_floor * (1.0 - rel_tol)
-    dirty |= comm < _floor_lanes(d.out, spec.gb_ingress_gbps) * (1.0 - rel_tol)
-    dirty |= comm < _floor_lanes(
-        d.dread + d.dwrite, spec.dram_bandwidth_gbps
-    ) * (1.0 - rel_tol)
-
-    # roofline
-    valid = np.isfinite(exec_s) & (exec_s > 0)
-    achieved = d.macs / np.where(valid, exec_s, 1.0)
-    peak_macs_per_s = spec.peak_macs_per_cycle * spec.frequency_ghz * 1e9
-    dirty |= valid & (achieved > peak_macs_per_s * slack)
-    return dirty
-
-
-def _column(value):
-    """Column -> per-lane iterable (constants repeat lazily)."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return repeat(value)
-
-
-def _assemble(
-    spec, layers, d, flag, comp, comm, exposed, packet_latency, delivered,
-    energies,
-):
-    """Build LayerResult objects from the columns (flagged lanes: None).
-
-    Objects are built through ``object.__new__`` with their ``__dict__``
-    installed wholesale (the ``_rebind_layer`` idiom) -- the values are
-    already final, so ``__init__`` would only re-run validation the
-    scalar path has by construction.  ``tolist()`` yields Python
-    ints/floats, keeping the results JSON- and pickle-compatible with
-    scalar ones.  A single multi-column ``zip`` replaces per-lane list
-    indexing: tuple unpacking is one bytecode per row.
-    """
-    dataflow = spec.dataflow
-    pe_forwarding = bool(d.pe_forwarding)
-    accelerator = spec.name
-    mac_c, pe_c, gb_c, dram_c, eo_c, oe_c, heat_c, laser_c, elec_c = map(
-        _column, energies
-    )
-    rows = zip(
-        flag.tolist(),
-        layers,
-        _column(d.cycles),
-        _column(d.ch_active),
-        _column(d.pe_active_per_chiplet),
-        _column(d.ef_waves),
-        _column(d.k_waves),
-        _column(d.w_sharers),
-        _column(d.i_sharers),
-        _column(d.w_fanout),
-        _column(d.i_fanout),
-        _column(d.w_refetch),
-        _column(d.i_refetch),
-        _column(d.c_chunks),
-        _column(d.psum_fanin),
-        _column(d.gw),
-        _column(d.gi),
-        _column(d.pw),
-        _column(d.pi),
-        _column(d.cw),
-        _column(d.ci),
-        _column(d.out),
-        _column(d.psum),
-        _column(d.dread),
-        _column(d.dwrite),
-        comp.tolist(),
-        comm.tolist(),
-        exposed.tolist(),
-        delivered.tolist(),
-        mac_c, pe_c, gb_c, dram_c, eo_c, oe_c, heat_c, laser_c, elec_c,
-    )
-    new = object.__new__
-    setattr_ = object.__setattr__
-    results = []
-    append = results.append
-    for (
-        flagged, layer, cycles, ch_active, pe_active, ef_waves, k_waves,
-        w_sharers, i_sharers, w_fanout, i_fanout, w_refetch, i_refetch,
-        c_chunks, psum_fanin, gw, gi, pw, pi, cw, ci, out_b, psum,
-        dread, dwrite, comp_s, comm_s, exposed_s, delivered_b,
-        mac_mj, pe_mj, gb_mj, dram_mj, eo, oe, heat, laser, elec,
-    ) in rows:
-        if flagged:
-            append(None)
-            continue
-        mapping = new(Mapping)
-        setattr_(
-            mapping,
-            "__dict__",
-            {
-                "layer": layer,
-                "dataflow": dataflow,
-                "compute_cycles": cycles,
-                "chiplets_active": ch_active,
-                "pes_active_per_chiplet": pe_active,
-                "ef_waves": ef_waves,
-                "k_waves": k_waves,
-                "weight_sharers": w_sharers,
-                "ifmap_sharers": i_sharers,
-                "weight_chiplet_fanout": w_fanout,
-                "ifmap_chiplet_fanout": i_fanout,
-                "weight_refetch": w_refetch,
-                "ifmap_refetch": i_refetch,
-                "c_chunks": c_chunks,
-                "psum_spatial_fanin": psum_fanin,
-                "pe_forwarding": pe_forwarding,
-            },
-        )
-        traffic = new(TrafficSummary)
-        setattr_(
-            traffic,
-            "__dict__",
-            {
-                "gb_weight_send_bytes": gw,
-                "gb_ifmap_send_bytes": gi,
-                "pe_weight_receive_bytes": pw,
-                "pe_ifmap_receive_bytes": pi,
-                "chiplet_weight_cross_bytes": cw,
-                "chiplet_ifmap_cross_bytes": ci,
-                "output_bytes": out_b,
-                "psum_bytes": psum,
-                "dram_read_bytes": dread,
-                "dram_write_bytes": dwrite,
-            },
-        )
-        network = new(NetworkEnergy)
-        setattr_(
-            network,
-            "__dict__",
-            {
-                "eo_mj": eo,
-                "oe_mj": oe,
-                "heating_mj": heat,
-                "laser_mj": laser,
-                "electrical_mj": elec,
-            },
-        )
-        energy = new(EnergyBreakdown)
-        setattr_(
-            energy,
-            "__dict__",
-            {
-                "mac_mj": mac_mj,
-                "pe_buffer_mj": pe_mj,
-                "gb_mj": gb_mj,
-                "dram_mj": dram_mj,
-                "network": network,
-            },
-        )
-        result = new(LayerResult)
-        setattr_(
-            result,
-            "__dict__",
-            {
-                "accelerator": accelerator,
-                "layer": layer,
-                "mapping": mapping,
-                "traffic": traffic,
-                "computation_time_s": comp_s,
-                "communication_time_s": comm_s,
-                "exposed_communication_s": exposed_s,
-                "energy": energy,
-                "packet_latency_s": packet_latency,
-                "delivered_bytes": delivered_b,
-            },
-        )
-        append(result)
-    return results
-
-
 def simulate_layers_vectorized(
     simulator: Simulator,
-    layers: Sequence[ConvLayer],
+    layers: "Sequence[ConvLayer]",
     *,
     layer_by_layer: bool = False,
-) -> "list[LayerResult] | None":
+    on_fallback: "Callable[[str], None] | None" = None,
+) -> "list[LayerResult]":
     """Batch-evaluate ``simulator.simulate_layer`` over ``layers``.
 
-    Returns one :class:`LayerResult` per input layer, bit-identical to
-    the scalar path, or ``None`` when the kernel declines the batch
-    (coverage gap, or a strict simulator with an invariant-dirty lane
-    -- the caller must then run the scalar loop, which reproduces the
-    exact raise).  Layers the kernel cannot prove exact (non-stock
-    layer types, intermediates crossing 2**53) are transparently
-    evaluated by the scalar oracle within the returned list.
+    The one-machine entry of the kernel: every lane
+    :func:`~repro.core.grid.lane_covered` accepts runs as one row of
+    :func:`~repro.core.grid.evaluate_grid`.  The other lanes, and every
+    lane of a machine the grid declines, run on the scalar simulator;
+    ``on_fallback(reason)`` hears why a machine was declined.  Returns
+    one result per input layer, bit-identical to the scalar path
+    either way.
     """
+    from . import grid
+
     layers = list(layers)
-    if not layers:
-        return []
-    if coverage_gap(simulator) is not None:
-        return None
-    out: "list[LayerResult | None]" = [None] * len(layers)
-    vec = [i for i, layer in enumerate(layers) if _precheck(layer)]
-    if vec:
-        sub = [layers[i] for i in vec]
-        try:
-            with np.errstate(all="ignore"):
-                built, _flag = _evaluate_batch(simulator, sub, layer_by_layer)
-        except OverflowError:
-            # A dimension too large for int64 entirely; sieve those
-            # lanes out (scalar handles them) and retry once.
-            vec = [i for i in vec if _fits_int64(layers[i])]
-            sub = [layers[i] for i in vec]
-            built = []
-            if sub:
-                with np.errstate(all="ignore"):
-                    built, _flag = _evaluate_batch(
-                        simulator, sub, layer_by_layer
-                    )
-        if built is None:
-            return None
-        for position, i in enumerate(vec):
-            out[i] = built[position]
-    for i, layer in enumerate(layers):
-        if out[i] is None:
-            out[i] = simulator.simulate_layer(layer, layer_by_layer=layer_by_layer)
-    return out
-
-
-def simulate_model_vectorized(
-    simulator: Simulator,
-    layers: "LayerSet",
-    layer_by_layer: bool = False,
-) -> ModelResult:
-    """Vectorized twin of ``Simulator.simulate_model``.
-
-    Shape-duplicate layers share one result object exactly like the
-    scalar loop; on any kernel decline the whole model falls back to
-    the scalar simulator.
-    """
-    if coverage_gap(simulator) is not None:
-        return simulator.simulate_model(layers, layer_by_layer=layer_by_layer)
-    all_layers = layers.all_layers
-    order = [layer.shape_key for layer in all_layers]
-    pending: dict = {}
-    setdefault = pending.setdefault
-    for key, layer in zip(order, all_layers):
-        setdefault(key, layer)
-    batch = simulate_layers_vectorized(
-        simulator, list(pending.values()), layer_by_layer=layer_by_layer
-    )
-    if batch is None:
-        return simulator.simulate_model(layers, layer_by_layer=layer_by_layer)
-    by_shape = dict(zip(pending, batch))
-    result = ModelResult(accelerator=simulator.spec.name, model=layers.name)
-    result.layers.extend(map(by_shape.__getitem__, order))
-    return result
-
-
-# ----------------------------------------------------------------------
-# Lower bounds (roofline / DSE pruning)
-# ----------------------------------------------------------------------
-def _floor_columns(spec, d, comp_floor):
-    """``mapped_time_floor_s`` over the lanes (exact mirror)."""
-    if spec.gb_weight_egress_gbps and spec.gb_ifmap_egress_gbps:
-        gb_floor = np.maximum(
-            _floor_lanes(d.gw, spec.gb_weight_egress_gbps),
-            _floor_lanes(d.gi, spec.gb_ifmap_egress_gbps),
+    sieve = [grid.lane_covered(layer) for layer in layers]
+    covered: dict = {}
+    for layer, ok in zip(layers, sieve):
+        if ok:
+            covered.setdefault(layer.shape_key, layer)
+    row: dict = {}
+    if covered:
+        outcome = grid.evaluate_grid(
+            [simulator], list(covered.values()), layer_by_layer=layer_by_layer
         )
-    else:
-        gb_floor = _floor_lanes(d.gb_send, spec.gb_egress_gbps)
-    ingress_floor = _floor_lanes(d.out, spec.gb_ingress_gbps)
-    dram_floor = _floor_lanes(d.dread + d.dwrite, spec.dram_bandwidth_gbps)
-    floor = np.maximum(comp_floor, gb_floor)
-    floor = np.maximum(floor, ingress_floor)
-    return np.maximum(floor, dram_floor)
-
-
-def _lower_for_bounds(spec, layers, layer_by_layer):
-    """Shared lowering for the two bounds entry points."""
-    out_n = len(layers)
-    vec = [i for i, layer in enumerate(layers) if _precheck(layer)]
-    if not vec:
-        return None, [], out_n
-    sub = [layers[i] for i in vec]
-    try:
-        flag = np.zeros(len(sub), dtype=bool)
-        d = _lower_dims(sub, flag, spec)
-    except OverflowError:
-        vec = [i for i in vec if _fits_int64(layers[i])]
-        if not vec:
-            return None, [], out_n
-        sub = [layers[i] for i in vec]
-        flag = np.zeros(len(sub), dtype=bool)
-        d = _lower_dims(sub, flag, spec)
-    _map_lanes(spec, d, flag)
-    _traffic_lanes(spec, d, flag, layer_by_layer)
-    if d.checked:
-        flag |= d.cycles >= _EXACT_INT
-    d.flag = flag
-    return d, vec, out_n
-
-
-def time_floors_batch(
-    spec: AcceleratorSpec,
-    layers: Sequence[ConvLayer],
-    *,
-    layer_by_layer: bool = False,
-) -> "list[float | None] | None":
-    """Batched ``roofline.time_lower_bound`` (None lanes need scalar).
-
-    Returns ``None`` when the spec is outside kernel coverage.
-    """
-    if spec_coverage_gap(spec) is not None:
-        return None
-    layers = list(layers)
-    if not layers:
-        return []
-    with np.errstate(all="ignore"):
-        d, vec, n = _lower_for_bounds(spec, layers, layer_by_layer)
-        out: "list[float | None]" = [None] * n
-        if d is None:
-            return out
-        comp_floor = d.cycles * spec.cycle_time_s
-        floors = _floor_columns(spec, d, comp_floor).tolist()
-        flags = d.flag.tolist()
-    for position, i in enumerate(vec):
-        if not flags[position]:
-            out[i] = floors[position]
-    return out
-
-
-def bounds_batch(
-    simulator: Simulator,
-    layers: Sequence[ConvLayer],
-    *,
-    layer_by_layer: bool = False,
-) -> "list[tuple[float, float] | None] | None":
-    """Batched ``dse.bounds.layer_bounds`` (None lanes need scalar).
-
-    Each covered lane yields ``(time_floor_s, energy_floor_mj)``
-    bit-identical to the scalar helper; returns ``None`` when the
-    simulator is outside bounds coverage.
-    """
-    if bounds_coverage_gap(simulator) is not None:
-        return None
-    layers = list(layers)
-    if not layers:
-        return []
-    spec = simulator.spec
-    ce = simulator.compute_energy
-    with np.errstate(all="ignore"):
-        d, vec, n = _lower_for_bounds(spec, layers, layer_by_layer)
-        out: "list[tuple[float, float] | None]" = [None] * n
-        if d is None:
-            return out
-        flag = d.flag
-        comp_floor = d.cycles * spec.cycle_time_s
-        floors = _floor_columns(spec, d, comp_floor)
-
-        pes_active = d.ch_active * d.pe_active_per_chiplet
-        if d.checked:
-            flag |= pes_active.astype(np.float64) >= _EXACT_INT
-            active_pe_cycles = _checked_mul(
-                pes_active, d.cycles, flag, limit=_CAST_LIMIT
-            )
-        else:
-            active_pe_cycles = pes_active * d.cycles
-        picojoules = (
-            d.macs * ce.mac.energy_per_mac_pj
-            + active_pe_cycles * ce.mac.leakage_per_pe_cycle_pj
-        )
-        mac_mj = picojoules * 1e-9
-        gb_pj = ce.gb.energy_pj_per_byte
-        gb_reads = d.gb_send + d.dwrite
-        gb_writes = d.out + d.dread
-        gb_mj = ((gb_reads + gb_writes) * gb_pj) * 1e-9
-        dram_mj = (
-            ((d.dread + d.dwrite) * 8) * ce.dram.energy_pj_per_bit
-        ) * 1e-9
-        energy = (mac_mj + gb_mj) + dram_mj
-
-        floors_l = floors.tolist()
-        energy_l = energy.tolist()
-        flags_l = flag.tolist()
-    for position, i in enumerate(vec):
-        if not flags_l[position]:
-            out[i] = (floors_l[position], energy_l[position])
+        if outcome.by_machine[0] is not None:
+            row = outcome.by_machine[0]
+        elif on_fallback is not None:
+            on_fallback(outcome.reasons[0])
+    out = []
+    for layer, ok in zip(layers, sieve):
+        lane = row.get(layer.shape_key) if ok else None
+        if lane is None:
+            lane = simulator.simulate_layer(layer, layer_by_layer=layer_by_layer)
+        elif lane.layer is not layer:
+            # A second layer of the same shape: same lane, its own name.
+            lane = grid.rebind_lane(lane, layer)
+        out.append(lane)
     return out

@@ -30,11 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..core.mapping import map_layer
-from ..core.roofline import (
-    mapped_time_floor_s,
-    time_lower_bound,
-    time_lower_bounds,
-)
+from ..core.roofline import mapped_time_floor_s, time_lower_bound
 from ..core.traffic import derive_traffic
 from ..errors import ConfigError
 
@@ -45,13 +41,14 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "frontier_bounds",
     "layer_bounds",
-    "layer_bounds_batch",
     "model_energy_lower_bound_mj",
     "model_time_lower_bound_s",
     "objective_lower_bound",
     "static_network_power_w",
     "time_lower_bound",
 ]
+
+_OBJECTIVES = ("execution_time", "energy", "edp", "static_power")
 
 
 def layer_bounds(
@@ -84,62 +81,12 @@ def layer_bounds(
     return time_floor, energy_floor
 
 
-def layer_bounds_batch(
-    simulator: "Simulator",
-    layers,
-    *,
-    layer_by_layer: bool = False,
-    vectorize: bool | None = None,
-) -> list[tuple[float, float]]:
-    """:func:`layer_bounds` over many layers, batched.
-
-    Routes through the NumPy kernel's
-    :func:`~repro.core.vectorized.bounds_batch` when enabled
-    (bit-identical floors by construction); lanes outside kernel
-    coverage -- and the whole batch when the simulator is uncovered --
-    fall back to the scalar helper, so the output is always
-    element-wise equal to ``[layer_bounds(simulator, l) for l in
-    layers]``.  ``vectorize=None`` defers to the campaign default
-    (:func:`repro.core.batch.default_vectorize`).
-    """
-    layers = list(layers)
-    if not layers:
-        return []
-    if vectorize is None:
-        from ..core.batch import default_vectorize
-
-        vectorize = default_vectorize()
-    pairs: "list[tuple[float, float] | None] | None" = None
-    if vectorize:
-        from ..core.vectorized import bounds_batch
-
-        pairs = bounds_batch(simulator, layers, layer_by_layer=layer_by_layer)
-    if pairs is None:
-        pairs = [None] * len(layers)
-    return [
-        layer_bounds(simulator, layer, layer_by_layer=layer_by_layer)
-        if pair is None
-        else pair
-        for layer, pair in zip(layers, pairs)
-    ]
-
-
 def model_time_lower_bound_s(
     simulator: "Simulator", model: "LayerSet", *, layer_by_layer: bool = False
 ) -> float:
-    """Admissible floor on ``simulate_model(model).execution_time_s``.
-
-    The per-layer floors come from the batched kernel when enabled;
-    the sum runs in ``unique_layers`` order either way, so the value
-    is bit-identical to the serial accumulation.
-    """
-    unique = model.unique_layers
-    floors = time_lower_bounds(
-        simulator.spec, unique, layer_by_layer=layer_by_layer
-    )
-    return sum(
-        model.multiplicity(layer) * floor
-        for layer, floor in zip(unique, floors)
+    """Admissible floor on ``simulate_model(model).execution_time_s``."""
+    return objective_lower_bound(
+        simulator, model, "execution_time", layer_by_layer=layer_by_layer
     )
 
 
@@ -147,13 +94,8 @@ def model_energy_lower_bound_mj(
     simulator: "Simulator", model: "LayerSet", *, layer_by_layer: bool = False
 ) -> float:
     """Admissible floor on ``simulate_model(model).energy.total_mj``."""
-    unique = model.unique_layers
-    pairs = layer_bounds_batch(
-        simulator, unique, layer_by_layer=layer_by_layer
-    )
-    return sum(
-        model.multiplicity(layer) * pair[1]
-        for layer, pair in zip(unique, pairs)
+    return objective_lower_bound(
+        simulator, model, "energy", layer_by_layer=layer_by_layer
     )
 
 
@@ -173,54 +115,16 @@ def objective_lower_bound(
     objective: str,
     *,
     layer_by_layer: bool = False,
-    vectorize: bool | None = None,
 ) -> float:
     """Admissible lower bound on one candidate's objective value.
 
     Admissibility per objective is proven layer-wise (module
     docstring) and verified zoo-wide in ``tests/dse/test_bounds.py``.
-    The per-layer floors take the batched kernel path when enabled
-    (``vectorize=None`` defers to the campaign default) and are
-    bit-identical to the scalar derivation either way, so pruning
-    decisions cannot depend on the setting.
+    A one-pair :func:`frontier_bounds`.
     """
-    if objective == "static_power":
-        power = static_network_power_w(simulator)
-        return 0.0 if power is None else power
-
-    unique = model.unique_layers
-    time_floor = 0.0
-    energy_floor = 0.0
-    if objective == "execution_time":
-        floors = time_lower_bounds(
-            simulator.spec,
-            unique,
-            layer_by_layer=layer_by_layer,
-            vectorize=vectorize,
-        )
-        for layer, floor in zip(unique, floors):
-            time_floor += model.multiplicity(layer) * floor
-    else:
-        pairs = layer_bounds_batch(
-            simulator,
-            unique,
-            layer_by_layer=layer_by_layer,
-            vectorize=vectorize,
-        )
-        for layer, (t, e) in zip(unique, pairs):
-            count = model.multiplicity(layer)
-            time_floor += count * t
-            energy_floor += count * e
-    if objective == "execution_time":
-        return time_floor
-    if objective == "energy":
-        return energy_floor
-    if objective == "edp":
-        return time_floor * energy_floor
-    raise ConfigError(
-        f"unknown objective {objective!r}; choose from "
-        "('execution_time', 'energy', 'edp', 'static_power')"
-    )
+    return frontier_bounds(
+        [(simulator, model)], objective, layer_by_layer=layer_by_layer
+    )[0]
 
 
 def frontier_bounds(
@@ -228,133 +132,86 @@ def frontier_bounds(
     objective: str,
     *,
     layer_by_layer: bool = False,
-    vectorize: bool | None = None,
 ) -> list[float]:
     """:func:`objective_lower_bound` over many ``(simulator, model)``
     pairs, grid-batched.
 
     A dense design-space frontier bounds hundreds of same-family
-    machines against one workload; the per-pair path re-lowers the
-    workload's shapes once per machine.  This helper groups the pairs
-    by :func:`~repro.core.grid.family_key`, evaluates each group's
-    union of covered layer shapes through one
-    :func:`~repro.core.grid.bounds_grid` pass, and accumulates every
-    pair's floors from its machine's row.
+    machines against one workload.  This helper groups the pairs'
+    machines by :func:`~repro.core.grid.family_key`, evaluates each
+    group's union of covered layer shapes through one
+    :func:`~repro.core.grid.bounds_grid` pass (a lone machine is a
+    one-row grid), and accumulates every pair's floors from its
+    machine's row.  Lanes outside :func:`~repro.core.grid.lane_covered`
+    and machines the grid declines take the scalar :func:`layer_bounds`.
 
-    The output is element-wise **bit-identical** to
-    ``[objective_lower_bound(s, m, objective, ...) for s, m in pairs]``:
-    grid floors match the 1-D/scalar derivations lane-for-lane, lanes
-    and machines outside grid coverage take the per-pair path, and the
-    per-model accumulation runs in the same ``unique_layers`` order
-    with the same operations -- so branch-and-bound prune decisions
-    cannot depend on whether the frontier was batched.
+    Grid floors match the scalar derivation lane-for-lane, and the
+    per-model accumulation runs in ``unique_layers`` order with the
+    same operations, so the output is bit-identical to the scalar
+    path and branch-and-bound prune decisions cannot depend on the
+    batching.
     """
-    pairs = list(pairs)
-    if vectorize is None:
-        from ..core.batch import default_vectorize
-
-        vectorize = default_vectorize()
-
-    def per_pair(simulator, model):
-        return objective_lower_bound(
-            simulator,
-            model,
-            objective,
-            layer_by_layer=layer_by_layer,
-            vectorize=vectorize,
-        )
-
-    if (
-        not vectorize
-        or objective == "static_power"
-        or len(pairs) < 2
-    ):
-        return [per_pair(simulator, model) for simulator, model in pairs]
-    if objective not in ("execution_time", "energy", "edp"):
+    if objective not in _OBJECTIVES:
         raise ConfigError(
-            f"unknown objective {objective!r}; choose from "
-            "('execution_time', 'energy', 'edp', 'static_power')"
+            f"unknown objective {objective!r}; choose from {_OBJECTIVES}"
         )
+    pairs = list(pairs)
+    if objective == "static_power":
+        out = []
+        for simulator, _ in pairs:
+            power = static_network_power_w(simulator)
+            out.append(0.0 if power is None else power)
+        return out
 
     from ..core import grid as grid_mod
-
-    eligible: dict[int, bool] = {}
-
-    def grid_ok(simulator) -> bool:
-        flag = eligible.get(id(simulator))
-        if flag is None:
-            flag = grid_mod.grid_gap(simulator) is None
-            eligible[id(simulator)] = flag
-        return flag
 
     cover_memo: dict[int, bool] = {}
 
     def covered(layer) -> bool:
         flag = cover_memo.get(id(layer))
         if flag is None:
-            flag = grid_mod.lane_covered(layer)
-            cover_memo[id(layer)] = flag
+            flag = cover_memo[id(layer)] = grid_mod.lane_covered(layer)
         return flag
 
-    out: "list[float | None]" = [None] * len(pairs)
-    groups: dict[tuple, dict] = {}
-    for idx, (simulator, model) in enumerate(pairs):
-        if not grid_ok(simulator):
-            out[idx] = per_pair(simulator, model)
-            continue
-        key = grid_mod.family_key(simulator, layer_by_layer)
-        group = groups.setdefault(key, {"machines": {}, "pairs": []})
-        group["machines"].setdefault(id(simulator), simulator)
-        group["pairs"].append(idx)
-
-    for group in groups.values():
-        machines = list(group["machines"].values())
-        indices = group["pairs"]
-        if len(machines) < 2:
-            # A lone machine gains nothing from the machine axis; the
-            # per-pair path already batches its layer axis.
-            for idx in indices:
-                out[idx] = per_pair(*pairs[idx])
-            continue
-        union: dict = {}
-        for idx in indices:
-            for layer in pairs[idx][1].unique_layers:
-                if covered(layer):
-                    union.setdefault(layer.shape_key, layer)
-        union_layers = list(union.values())
-        rows, _ = grid_mod.bounds_grid(
-            machines, union_layers, layer_by_layer=layer_by_layer
+    groups: dict[tuple, tuple[dict, dict]] = {}
+    for simulator, model in pairs:
+        machines, union = groups.setdefault(
+            grid_mod.family_key(simulator, layer_by_layer), ({}, {})
         )
-        row_by_machine = {
-            id(simulator): row for simulator, row in zip(machines, rows)
-        }
-        position = {
-            layer.shape_key: i for i, layer in enumerate(union_layers)
-        }
-        for idx in indices:
-            simulator, model = pairs[idx]
-            row = row_by_machine[id(simulator)]
-            if row is None:
-                # Exactness screen declined this machine for this
-                # layer table: per-pair path, bit-identical.
-                out[idx] = per_pair(simulator, model)
-                continue
-            time_floor = 0.0
-            energy_floor = 0.0
-            for layer in model.unique_layers:
-                count = model.multiplicity(layer)
-                if covered(layer):
-                    t, e = row[position[layer.shape_key]]
-                else:
-                    t, e = layer_bounds(
-                        simulator, layer, layer_by_layer=layer_by_layer
-                    )
-                time_floor += count * t
-                energy_floor += count * e
-            if objective == "execution_time":
-                out[idx] = time_floor
-            elif objective == "energy":
-                out[idx] = energy_floor
-            else:
-                out[idx] = time_floor * energy_floor
+        machines.setdefault(id(simulator), simulator)
+        for layer in model.unique_layers:
+            if covered(layer):
+                union.setdefault(layer.shape_key, layer)
+    #: machine id -> shape key -> (time floor, energy floor)
+    floors: dict[int, dict] = {}
+    for machines, union in groups.values():
+        rows, _ = grid_mod.bounds_grid(
+            list(machines.values()),
+            list(union.values()),
+            layer_by_layer=layer_by_layer,
+        )
+        for sim_id, row in zip(machines, rows):
+            if row is not None:
+                floors[sim_id] = dict(zip(union, row))
+
+    out = []
+    for simulator, model in pairs:
+        row = floors.get(id(simulator), {})
+        time_floor = 0.0
+        energy_floor = 0.0
+        for layer in model.unique_layers:
+            count = model.multiplicity(layer)
+            pair = row.get(layer.shape_key) if covered(layer) else None
+            if pair is None:
+                pair = layer_bounds(
+                    simulator, layer, layer_by_layer=layer_by_layer
+                )
+            time_floor += count * pair[0]
+            energy_floor += count * pair[1]
+        if objective == "execution_time":
+            out.append(time_floor)
+        elif objective == "energy":
+            out.append(energy_floor)
+        else:
+            out.append(time_floor * energy_floor)
     return out

@@ -307,17 +307,20 @@ class SearchEngine:
         #: The engine owns (and is responsible for closing) the runner
         #: only when it built one itself.
         self._owns_runner = runner is None
-        self.runner = (
-            SweepRunner(vectorize=vectorize, exec_plan=exec_plan, budget=budget)
-            if runner is None
-            else runner
-        )
+        #: ``vectorize=False`` builds the engine's runner in scalar
+        #: oracle mode; a caller-built runner keeps its own mode, so a
+        #: conflicting request fails instead of being ignored.
+        if runner is None:
+            runner = SweepRunner(
+                vectorize=vectorize, exec_plan=exec_plan, budget=budget
+            )
+        elif vectorize is not None and bool(vectorize) != runner.vectorize:
+            raise ConfigError(
+                f"vectorize={vectorize} conflicts with the given runner "
+                f"(vectorize={runner.vectorize})"
+            )
+        self.runner = runner
         self.layer_by_layer = layer_by_layer
-        #: Per-candidate batched-kernel override carried into every
-        #: :class:`SweepJob` this engine emits (``None``: defer to the
-        #: runner; candidate evaluation stays bit-identical either
-        #: way, so scores and prune decisions cannot depend on it).
-        self.vectorize = vectorize
 
     def close(self) -> None:
         """Release the engine's warm-worker pool (engine-built only).
@@ -431,7 +434,6 @@ class SearchEngine:
                 simulator=entry.simulator,
                 model=entry.workload if workloads is None else workloads[i],
                 layer_by_layer=self.layer_by_layer,
-                vectorize=self.vectorize,
             )
             for i, entry in enumerate(entries)
         ]
@@ -472,7 +474,6 @@ class SearchEngine:
             entry.workload,
             self.objective,
             layer_by_layer=self.layer_by_layer,
-            vectorize=self.vectorize,
         )
 
     # -- strategies -----------------------------------------------------
@@ -518,7 +519,6 @@ class SearchEngine:
             [(e.simulator, e.workload) for e in entries],
             self.objective,
             layer_by_layer=self.layer_by_layer,
-            vectorize=self.vectorize,
         )
         order = sorted(
             ((bound, e.candidate.index, e) for bound, e in zip(bounds, entries)),

@@ -1,7 +1,7 @@
-"""Scalar-oracle differential harness for the vectorized kernel.
+"""Scalar-oracle differential harness for the grid kernel.
 
 The contract under test is **bit identity**: for every (machine,
-layer) pair the batched NumPy kernel must produce a
+layer) pair the NumPy grid kernel must produce a
 :class:`~repro.core.simulator.LayerResult` whose canonical JSON form
 equals the scalar simulator's exactly.  The kernel earns this by
 mirroring the scalar arithmetic operation for operation (same
@@ -31,8 +31,8 @@ __all__ = [
     "canonical",
     "covered_union_layers",
     "drift_report",
+    "grid_mismatches",
     "merge_drift",
-    "three_way_mismatches",
     "ulp_distance",
     "zoo_grid_families",
     "zoo_machines",
@@ -43,10 +43,10 @@ __all__ = [
 #: Per-metric-group maximum relative error the differential tests
 #: accept, keyed by the top-level groups of
 #: :func:`repro.serialization.layer_result_to_dict`.  All zero: the
-#: kernel replays the scalar expression trees verbatim (division
-#: numerators are fenced below 2**53, products below int64 wrap), so
-#: float re-association never occurs and exact equality is the proven
-#: -- not aspirational -- contract.
+#: kernel replays the scalar expression trees verbatim (the exactness
+#: screen keeps every integer product below 2**53), so float
+#: re-association never occurs and exact equality is the proven --
+#: not aspirational -- contract.
 METRIC_TOLERANCES: dict[str, float] = {
     "layer": 0.0,
     "mapping": 0.0,
@@ -115,19 +115,18 @@ def covered_union_layers() -> list[ConvLayer]:
     return [layer for layer in zoo_union_layers() if lane_covered(layer)]
 
 
-def three_way_mismatches(
+def grid_mismatches(
     simulators, layers, *, layer_by_layer: bool = False
 ) -> list[str]:
-    """Divergences between scalar, 1-D and 2-D grid evaluations.
+    """Divergences between the scalar oracle and one grid evaluation.
 
-    Runs one same-family batch three ways -- the scalar oracle, the
-    per-machine 1-D kernel and one 2-D :func:`evaluate_grid` pass --
-    and returns a description per (machine, layer) lane whose three
-    canonical JSON forms are not byte-equal.  An empty list is the
-    bit-identity contract.
+    Runs one same-family batch through a single :func:`evaluate_grid`
+    pass and the scalar simulator, and returns a description per
+    (machine, layer) lane whose canonical JSON forms are not
+    byte-equal (or per machine the grid declined).  An empty list is
+    the bit-identity contract.
     """
     from repro.core.grid import evaluate_grid
-    from repro.core.vectorized import simulate_layers_vectorized
 
     simulators = list(simulators)
     layers = list(layers)
@@ -141,21 +140,12 @@ def three_way_mismatches(
         if row is None:
             mismatches.append(f"{name}: declined ({outcome.reasons[j]})")
             continue
-        vec = simulate_layers_vectorized(
-            simulator, layers, layer_by_layer=layer_by_layer
-        )
-        if vec is None:
-            mismatches.append(f"{name}: 1-D kernel declined the batch")
-            continue
-        for layer, fast in zip(layers, vec):
+        for layer in layers:
             slow = simulator.simulate_layer(
                 layer, layer_by_layer=layer_by_layer
             )
             lane = row[layer.shape_key]
-            oracle_form = canonical(slow)
-            if canonical(fast) != oracle_form:
-                mismatches.append(f"{name}/{layer.name}: 1-D != scalar")
-            if canonical(lane) != oracle_form:
+            if canonical(lane) != canonical(slow):
                 mismatches.append(f"{name}/{layer.name}: grid != scalar")
     return mismatches
 

@@ -21,8 +21,10 @@ from repro.core.batch import (
     SweepJob,
     SweepRunner,
     default_exec_plan,
+    default_workers,
 )
 from repro.core.layer import ConvLayer, LayerSet
+from repro.errors import ConfigError
 from repro.spacx.architecture import spacx_simulator
 
 
@@ -71,24 +73,51 @@ def test_default_exec_plan_chain(monkeypatch):
     monkeypatch.setenv("REPRO_SWEEP_PLAN", "Serial ")
     assert default_exec_plan() == "serial"
 
-    # Env typos must not crash a campaign: fall back to auto.
-    monkeypatch.setenv("REPRO_SWEEP_PLAN", "gird")
-    assert default_exec_plan() == "auto"
+    # Input from outside the process fails closed: a typo (or the
+    # removed "grid" plan) names the variable and the accepted values.
+    for typo in ("gird", "grid"):
+        monkeypatch.setenv("REPRO_SWEEP_PLAN", typo)
+        with pytest.raises(ConfigError, match="REPRO_SWEEP_PLAN.*auto"):
+            default_exec_plan()
 
     # configure() wins over the environment.
     monkeypatch.setattr(batch._defaults, "exec_plan", "pool")
     assert default_exec_plan() == "pool"
 
 
+def test_default_workers_rejects_non_integer_env(monkeypatch):
+    monkeypatch.setattr(batch._defaults, "workers", None)
+    monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
+    assert default_workers() == 3
+    monkeypatch.setenv("REPRO_SWEEP_WORKERS", "two")
+    with pytest.raises(ConfigError, match="REPRO_SWEEP_WORKERS"):
+        default_workers()
+
+
+@pytest.mark.parametrize(
+    "name, value", [("REPRO_SWEEP_PLAN", "grid"), ("REPRO_SWEEP_WORKERS", "x")]
+)
+def test_cli_exits_2_on_malformed_env(monkeypatch, capsys, name, value):
+    from repro.cli import main
+
+    monkeypatch.setattr(batch._defaults, "exec_plan", None)
+    monkeypatch.setattr(batch._defaults, "workers", None)
+    monkeypatch.setenv(name, value)
+    assert main(["tables"]) == 2
+    assert name in capsys.readouterr().err
+
+
 def test_runner_inherits_default_plan(monkeypatch):
     monkeypatch.setattr(batch._defaults, "exec_plan", "serial")
     assert _runner().exec_plan == "serial"
-    assert _runner(exec_plan="grid").exec_plan == "grid"
+    assert _runner(exec_plan="pool").exec_plan == "pool"
 
 
 def test_configure_rejects_unknown_plan():
     with pytest.raises(ValueError, match="exec_plan"):
         batch.configure(exec_plan="turbo")
+    with pytest.raises(ValueError, match="exec_plan"):
+        batch.configure(exec_plan="grid")
 
 
 def test_runner_rejects_unknown_plan():
@@ -110,7 +139,7 @@ def test_forced_serial_records_one_decision():
 
 
 def test_forced_grid_records_lanes_and_modes():
-    runner = _runner(exec_plan="grid")
+    runner = _runner(exec_plan="auto")
     jobs = [SweepJob(sim, _model(i)) for sim in _pair() for i in range(2)]
     runner.run(jobs)
     grid_decisions = [d for d in runner.plan_decisions if d.plan == "grid"]
@@ -129,7 +158,7 @@ def test_plan_decisions_reset_between_runs():
 
 
 def test_campaign_report_carries_plan():
-    runner = _runner(exec_plan="grid")
+    runner = _runner(exec_plan="auto")
     runner.run([SweepJob(sim, _model()) for sim in _pair()])
     report = runner.campaign_report()
     assert "plan:" in report
@@ -137,7 +166,7 @@ def test_campaign_report_carries_plan():
         assert decision.describe() in report
 
     payload = runner.campaign_report(as_dict=True)["plan"]
-    assert payload["exec_plan"] == "grid"
+    assert payload["exec_plan"] == "auto"
     assert payload["grid_lanes"] == runner.grid_lanes
     assert payload["grid_machines"] == runner.grid_machines
     assert payload["grid_fallbacks"] == []
@@ -159,8 +188,23 @@ def test_pool_stats_carry_plan_description():
 
 def test_auto_prefers_serial_for_tiny_vectorized_campaigns():
     """The pool/serial inversion: a fistful of one-layer jobs must
-    not pay process dispatch.  The planner's decision says why."""
+    not pay process dispatch -- auto keeps them in-process."""
     runner = _runner(max_workers=4, exec_plan="auto")
     sims = _pair()
     runner.run([SweepJob(sims[i % 2], _model(i)) for i in range(6)])
     assert all(d.plan in ("grid", "serial") for d in runner.plan_decisions)
+
+
+def test_auto_grids_a_lone_machine_over_its_models_union():
+    """One machine x several models: one grid decision whose lanes
+    cover the union of the models' shapes, and no serial decision."""
+    runner = _runner(max_workers=1, exec_plan="auto")
+    simulator = spacx_simulator()
+    models = [_model(i) for i in range(3)] + [_model(0)]
+    runner.run([SweepJob(simulator, model) for model in models])
+    [decision] = runner.plan_decisions
+    assert decision.plan == "grid"
+    assert decision.jobs == len(models)
+    assert decision.lanes == runner.grid_lanes == 3  # distinct shapes
+    assert runner.grid_machines == 1
+    assert all(s.mode == "grid" for s in runner.stats)

@@ -1,17 +1,18 @@
-"""Three-way differential oracle: scalar vs 1-D kernel vs 2-D grid.
+"""Differential oracle: the multi-machine grid vs the scalar simulator.
 
-Satellite suite of the grid megabatch (:mod:`repro.core.grid`).  The
-scalar :class:`Simulator` stays the oracle; the 1-D kernel is already
-pinned to it bit-for-bit (``test_vectorized_oracle.py``), and every
-test here closes the triangle by asserting the 2-D grid's lanes equal
-*both* -- see ``tests/core/oracle.py`` for the shared harness and the
-(all-zero) per-metric tolerance table.
+Satellite suite of the grid kernel (:mod:`repro.core.grid`).  The
+scalar :class:`Simulator` stays the oracle; every test here asserts
+that the grid's lanes equal it bit for bit -- see
+``tests/core/oracle.py`` for the shared harness and the (all-zero)
+per-metric tolerance table.  The one-machine entry (a one-row grid)
+is pinned in ``test_vectorized_oracle.py``.
 
 Coverage map:
 
 * the zoo's family partition itself (which machines may share a
   megabatch is a load-bearing planner input);
-* zoo-wide three-way bit identity, per family, both timing modes;
+* zoo-wide scalar-vs-grid bit identity, per family, both timing
+  modes, and the grid declining rows of a foreign family;
 * the golden drift report pinning worst-case grid-vs-scalar ULP
   error (all zeros) across every family;
 * hypothesis-randomised mixed-coverage grids: random granularity
@@ -19,9 +20,10 @@ Coverage map:
   the scalar path exactly as the planner does;
 * campaign digest invariance under every ``--exec-plan`` value,
   composed with process pools, crash injection and manifest resume;
-* planner routing on mixed fleets: coverage-gap machines ride the
-  serial/pool lanes while clean families still grid, results
-  unchanged.
+* planner routing on mixed fleets: every machine the grid declines
+  (dead link, exactness screen, coverage gap) runs on the scalar
+  simulator with one ``grid_fallbacks`` entry while clean families
+  still grid, results unchanged.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ from oracle import (
     canonical,
     covered_union_layers,
     drift_report,
+    grid_mismatches,
     merge_drift,
-    three_way_mismatches,
     zoo_grid_families,
+    zoo_machines,
 )
 from repro.core.batch import (
     NullCache,
@@ -51,12 +54,14 @@ from repro.core.batch import (
 )
 from repro.core.campaign import CampaignManifest
 from repro.core.grid import (
+    bounds_grid,
     evaluate_grid,
     family_key,
     grid_gap,
     lane_covered,
 )
 from repro.core.layer import ConvLayer, LayerSet
+from repro.core.simulator import Simulator
 from repro.spacx.architecture import spacx_simulator
 
 #: Granularity settings shared with the ablation figures (divisors
@@ -94,25 +99,41 @@ def test_family_key_is_timing_mode_sensitive():
 
 
 # ----------------------------------------------------------------------
-# Zoo-wide three-way bit identity
+# Zoo-wide bit identity
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("layer_by_layer", [False, True])
 def test_zoo_three_way_bit_identical(layer_by_layer):
-    """scalar == 1-D == 2-D for every family x covered union shape,
-    under strict simulators, both timing modes."""
+    """scalar == grid for every family x covered union shape, under
+    strict simulators, both timing modes."""
     layers = covered_union_layers()
     assert layers, "zoo union unexpectedly outside lane coverage"
     for members in zoo_grid_families(layer_by_layer).values():
         simulators = [simulator for _, simulator in members]
         for simulator in simulators:
             simulator.strict = True
-        mismatches = three_way_mismatches(
+        mismatches = grid_mismatches(
             simulators, layers, layer_by_layer=layer_by_layer
         )
         assert not mismatches, (
             f"{len(mismatches)} divergent lanes (layer_by_layer="
             f"{layer_by_layer}): {mismatches[:5]}"
         )
+
+
+def test_grid_declines_rows_of_a_foreign_family():
+    """The kernel takes dataflow, capabilities and split links from
+    its first row: a machine of another family is declined, never
+    evaluated with the wrong branches -- on both kernels."""
+    machines = zoo_machines()
+    layers = covered_union_layers()[:5]
+    fleet = [machines["spacx"], machines["simba"]]
+    outcome = evaluate_grid(fleet, layers)
+    assert outcome.reasons[0] is None
+    assert outcome.by_machine[1] is None
+    assert "family" in outcome.reasons[1]
+    rows, reasons = bounds_grid(fleet, layers)
+    assert reasons[0] is None and rows[1] is None
+    assert "family" in reasons[1]
 
 
 def test_grid_drift_golden(golden):
@@ -191,7 +212,7 @@ def test_property_mixed_coverage_grid(layers, granularities, layer_by_layer):
     covered = [layer for layer in layers if lane_covered(layer)]
     sieved = [layer for layer in layers if not lane_covered(layer)]
     if covered:
-        mismatches = three_way_mismatches(
+        mismatches = grid_mismatches(
             simulators, covered, layer_by_layer=layer_by_layer
         )
         assert not mismatches, mismatches[:5]
@@ -262,7 +283,7 @@ def serial_baseline():
     return _digest(results)
 
 
-@pytest.mark.parametrize("exec_plan", ["auto", "grid", "pool", "serial"])
+@pytest.mark.parametrize("exec_plan", ["auto", "pool", "serial"])
 def test_exec_plan_digest_invariant(exec_plan, serial_baseline):
     """Every plan value produces the byte-identical campaign."""
     runner = SweepRunner(
@@ -275,12 +296,12 @@ def test_exec_plan_digest_invariant(exec_plan, serial_baseline):
     assert _digest(results) == serial_baseline
     assert not runner.failures and not runner.grid_fallbacks
     assert runner.plan_decisions, "planner recorded no decision"
-    if exec_plan == "grid":
-        assert any(d.plan == "grid" for d in runner.plan_decisions)
-        assert runner.grid_lanes > 0 and runner.grid_machines >= 2
+    if exec_plan == "auto":
+        assert [d.plan for d in runner.plan_decisions] == ["grid"]
+        assert runner.grid_lanes > 0 and runner.grid_machines == 2
 
 
-@pytest.mark.parametrize("exec_plan", ["auto", "grid", "pool"])
+@pytest.mark.parametrize("exec_plan", ["auto", "pool"])
 def test_exec_plan_crash_resume_digest_invariant(
     exec_plan, serial_baseline, tmp_path
 ):
@@ -319,27 +340,87 @@ def test_exec_plan_crash_resume_digest_invariant(
     assert _digest(resumed) == serial_baseline
 
 
-def test_mixed_fleet_gap_machines_ride_serial_lanes(tmp_path):
-    """A fleet mixing a coverage-gap machine into a clean family:
-    auto still megabatches the family, routes the gap machine
-    through the per-job lanes, and the digest matches serial."""
-    models = _models(2)
-    clean = _family_pair()
-    gap = CrashingSimulator(
+def _declined_fleet(tmp_path):
+    """One machine per grid decline reason, each distinctly named,
+    paired with the reason text its ``grid_fallbacks`` entry carries."""
+    base = spacx_simulator()
+
+    class TracingSimulator(Simulator):
+        pass
+
+    crash = CrashingSimulator(
         spacx_simulator(), fail_times=0, counter_path=tmp_path / "counter"
     )
-    assert grid_gap(gap) is not None
+    crash.spec = replace(crash.spec, name="SPACX-crashkit")
+    dead = Simulator(
+        replace(base.spec, name="SPACX-dead", dram_bandwidth_gbps=1e-15),
+        base.compute_energy,
+        base.network_energy,
+        strict=False,
+    )
+    traced = TracingSimulator(
+        replace(base.spec, name="SPACX-traced"),
+        base.compute_energy,
+        base.network_energy,
+    )
+    # Its own family (split links without bandwidth allocation), so
+    # its oversized model cannot drag the clean pair's union off the
+    # grid.
+    screened = spacx_simulator(bandwidth_allocation=False)
+    return [
+        (crash, "CrashingSimulator"),
+        (dead, "dead link"),
+        (traced, "TracingSimulator"),
+        (screened, "exactness screen"),
+    ]
+
+
+def test_mixed_fleet_gap_machines_ride_serial_lanes(tmp_path):
+    """A fleet mixing declined machines into a clean family: auto
+    still grids the family, runs each declined machine on the scalar
+    simulator with exactly one ``grid_fallbacks`` entry, and the
+    digest matches serial."""
+    models = _models(2)
+    clean = _family_pair()
+    declined = _declined_fleet(tmp_path)
+    for simulator, _ in declined[:3]:
+        assert grid_gap(simulator) is not None
+    big = LayerSet(
+        "big-net",
+        [
+            *models[0].all_layers,
+            ConvLayer(name="huge", c=4096, k=4096, r=3, s=3, h=2048,
+                      w=2048, batch=2),
+        ],
+    )
+
+    def jobs():
+        machines = [*clean, *(simulator for simulator, _ in declined)]
+        return [
+            *_jobs(machines, models),
+            SweepJob(declined[-1][0], big),
+        ]
 
     auto = SweepRunner(
         max_workers=1, cache=NullCache(), manifest=False, exec_plan="auto"
     )
-    fast = auto.run(_jobs([*clean, gap], models))
+    fast = auto.run(jobs())
     serial = SweepRunner(
-        max_workers=1, cache=NullCache(), manifest=False, exec_plan="serial"
-    ).run(_jobs([*clean, gap], models))
+        max_workers=1,
+        cache=NullCache(),
+        manifest=False,
+        exec_plan="serial",
+        vectorize=False,
+    ).run(jobs())
     assert _digest(fast) == _digest(serial)
+    assert not auto.failures
     plans = [d.plan for d in auto.plan_decisions]
     assert "grid" in plans, plans
     assert any(p in ("serial", "pool", "spawn") for p in plans), plans
-    assert not auto.grid_fallbacks
     assert auto.grid_machines == 2
+    assert len(auto.grid_fallbacks) == len(declined), auto.grid_fallbacks
+    for (simulator, reason), (name, recorded) in zip(
+        declined, auto.grid_fallbacks
+    ):
+        assert name == simulator.spec.name
+        assert reason in recorded, recorded

@@ -294,6 +294,7 @@ class TestPoolIsolation:
             on_error="skip",
             pool=True,
             pool_batch=6,  # force every job into one dispatched batch
+            exec_plan="pool",  # ... rather than grid the stock jobs
         ) as runner:
             results = runner.run(jobs)
             assert not runner.used_fallback

@@ -279,7 +279,7 @@ class TestResume:
         assert second.manifest.resumed
         assert second.resumed_jobs == 2
         modes = {s.index: s.mode for s in second.stats}
-        assert modes == {0: "resumed", 1: "serial", 2: "resumed"}
+        assert modes == {0: "resumed", 1: "grid", 2: "resumed"}
         for a, b in zip(resumed, clean):
             assert a.execution_time_s == b.execution_time_s
             assert a.energy.total_mj == b.energy.total_mj

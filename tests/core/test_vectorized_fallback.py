@@ -1,11 +1,13 @@
-"""Structural scalar fallback of the vectorized path, and how it
-composes with the pool, the crash-injection kit and campaign resume.
+"""Structural scalar fallback of the kernel, and how it composes with
+the pool, the crash-injection kit and campaign resume.
 
 The coverage registry (:func:`repro.core.vectorized.coverage_gap`)
 must *decline* anything it does not fully understand -- a subclassed
 simulator, an unregistered network-energy model -- so the sweep
-engine silently runs the scalar oracle instead and reports why.  A
-wrong fast answer is the one failure mode this layer may never have.
+engine runs the scalar oracle instead and reports why.  A wrong fast
+answer is the one failure mode this layer may never have.  A runner
+built with ``vectorize=False`` must keep the kernel out of every
+dispatch path, worker processes included.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ import json
 import pytest
 
 from crashkit import CrashingSimulator
-from repro.core import batch
+from repro.core import vectorized
 from repro.core.batch import NullCache, ResultCache, SweepJob, SweepRunner
 from repro.core.campaign import CampaignManifest
 from repro.core.layer import ConvLayer, LayerSet
 from repro.core.metrics import NetworkEnergy
 from repro.core.simulator import Simulator
 from repro.core.vectorized import coverage_gap, simulate_layers_vectorized
-from repro.serialization import model_result_to_dict
+from repro.serialization import layer_result_to_dict, model_result_to_dict
 from repro.spacx.architecture import spacx_simulator
 
 
@@ -72,11 +74,23 @@ def _custom_simulator() -> Simulator:
 # ----------------------------------------------------------------------
 # Coverage registry: decline, never guess
 # ----------------------------------------------------------------------
+def _assert_scalar_routed(simulator, name):
+    """The one-machine entry declines with ``name`` in the reason and
+    returns the scalar simulator's result."""
+    reasons = []
+    [result] = simulate_layers_vectorized(
+        simulator, [_layer("probe")], on_fallback=reasons.append
+    )
+    assert len(reasons) == 1 and name in reasons[0]
+    scalar = simulator.simulate_layer(_layer("probe"), layer_by_layer=False)
+    assert layer_result_to_dict(result) == layer_result_to_dict(scalar)
+
+
 def test_unregistered_network_model_is_a_coverage_gap():
     simulator = _custom_simulator()
     gap = coverage_gap(simulator)
     assert gap is not None and "FlatNetworkEnergy" in gap
-    assert simulate_layers_vectorized(simulator, [_layer("probe")]) is None
+    _assert_scalar_routed(simulator, "FlatNetworkEnergy")
 
 
 def test_subclassed_simulator_is_a_coverage_gap():
@@ -89,13 +103,13 @@ def test_subclassed_simulator_is_a_coverage_gap():
     )
     gap = coverage_gap(simulator)
     assert gap is not None and "TracingSimulator" in gap
-    assert simulate_layers_vectorized(simulator, [_layer("probe")]) is None
+    _assert_scalar_routed(simulator, "TracingSimulator")
 
 
 def test_runner_records_fallback_and_matches_scalar():
-    """An uncovered machine in a vectorized campaign: the job runs on
-    the scalar oracle, the reason lands in ``vectorized_fallbacks``
-    and ``campaign_report()``, and results equal a scalar campaign."""
+    """An uncovered machine in a vectorized campaign: its jobs run on
+    the scalar oracle, one reason lands in ``grid_fallbacks`` and
+    ``campaign_report()``, and results equal a scalar campaign."""
     models = _models(2)
     custom = _custom_simulator()
     stock = spacx_simulator()
@@ -110,30 +124,56 @@ def test_runner_records_fallback_and_matches_scalar():
     ).run([SweepJob(sim, m) for m in models for sim in (custom, stock)])
     assert _digest(fast) == _digest(scalar)
 
-    fallbacks = fast_runner.vectorized_fallbacks
-    assert [index for index, *_ in fallbacks] == [0, 2]
-    for index, accelerator, model_name, reason in fallbacks:
-        assert accelerator == custom.spec.name
-        assert model_name == models[index // 2].name
-        assert "FlatNetworkEnergy" in reason
+    [(accelerator, reason)] = fast_runner.grid_fallbacks
+    assert accelerator == custom.spec.name
+    assert "FlatNetworkEnergy" in reason
     report = fast_runner.campaign_report()
-    assert "vectorized fallback" in report and "FlatNetworkEnergy" in report
+    assert "grid fallback" in report and "FlatNetworkEnergy" in report
 
 
-def test_per_job_override_disables_kernel_without_fallback_record():
-    """``SweepJob.vectorize=False`` is a choice, not a coverage gap."""
+@pytest.mark.parametrize("exec_plan", ["serial", "auto"])
+def test_scalar_runner_records_no_fallback(exec_plan):
+    """``vectorize=False`` is a choice, not a coverage gap: the
+    kernel never runs, so nothing is declined."""
     models = _models(1)
     runner = SweepRunner(
-        max_workers=1, cache=NullCache(), manifest=False, vectorize=True
+        max_workers=1,
+        cache=NullCache(),
+        manifest=False,
+        vectorize=False,
+        exec_plan=exec_plan,
     )
-    chosen = runner.run(
-        [SweepJob(spacx_simulator(), models[0], vectorize=False)]
-    )
-    assert not runner.vectorized_fallbacks
-    scalar = SweepRunner(
-        max_workers=1, cache=NullCache(), manifest=False, vectorize=False
+    chosen = runner.run([SweepJob(spacx_simulator(), models[0])])
+    assert not runner.grid_fallbacks
+    fast = SweepRunner(
+        max_workers=1, cache=NullCache(), manifest=False
     ).run([SweepJob(spacx_simulator(), models[0])])
-    assert _digest(chosen) == _digest(scalar)
+    assert _digest(chosen) == _digest(fast)
+
+
+@pytest.mark.parametrize("pool", [True, False])
+def test_scalar_mode_reaches_worker_processes(monkeypatch, pool):
+    """A ``vectorize=False`` runner ships its mode with every pooled
+    batch and every per-attempt process: with the kernel's entry made
+    to raise before the workers fork, every job still succeeds."""
+
+    def kernel_ran(*args, **kwargs):
+        raise RuntimeError("kernel ran")
+
+    monkeypatch.setattr(vectorized, "simulate_layers_vectorized", kernel_ran)
+    stock = spacx_simulator()
+    with SweepRunner(
+        max_workers=2,
+        cache=NullCache(),
+        manifest=False,
+        vectorize=False,
+        exec_plan="pool",
+        pool=pool,
+        on_error="skip",
+    ) as runner:
+        results = runner.run([SweepJob(stock, m) for m in _models(4)])
+    assert not runner.failures, [f.message for f in runner.failures]
+    assert all(result is not None for result in results)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Differential oracle: the vectorized kernel vs the scalar simulator.
+"""Differential oracle: the kernel's one-machine entry vs the scalar simulator.
 
-Satellite suite of the batched NumPy evaluation path
-(:mod:`repro.core.vectorized`).  The scalar :class:`Simulator` is the
-oracle; every test here asserts *bit identity* of the canonical JSON
-forms -- see ``tests/core/oracle.py`` for the shared harness and the
-(all-zero) per-metric tolerance table.
+Satellite suite of :func:`repro.core.vectorized.simulate_layers_vectorized`,
+which evaluates one machine as a one-row grid
+(:func:`repro.core.grid.evaluate_grid`).  The scalar :class:`Simulator`
+is the oracle; every test here asserts *bit identity* of the canonical
+JSON forms -- see ``tests/core/oracle.py`` for the shared harness and
+the (all-zero) per-metric tolerance table.
 
 Coverage map:
 
@@ -15,11 +16,11 @@ Coverage map:
 * full-sweep digest equality with the kernel toggled off vs on;
 * hypothesis-randomised shapes x SPACX configs, including invariant
   audit verdict parity;
-* the exactness machinery's edge lanes: batches that fail the 2**53
-  screen (checked multiplies), lanes whose products cross 2**53
-  (scalar backfill) and dimensions past int64 (overflow sieve);
-* zero-bandwidth links: ``inf`` (never ``nan``) propagation with one
-  deduped :class:`ReproWarning` shared with the scalar path;
+* routing to the scalar path: batches that fail the 2**53 exactness
+  screen and dead (zero-bandwidth) links decline the machine, and
+  dimensions past int64 are sieved out lane by lane -- results stay
+  equal, including ``inf`` (never ``nan``) propagation with one
+  deduped :class:`ReproWarning`;
 * the golden drift report pinning worst-case per-metric ULP error
   (all zeros) across the zoo.
 """
@@ -49,11 +50,8 @@ from repro.core import batch
 from repro.core.invariants import audit_layer_result
 from repro.core.layer import ConvLayer
 from repro.core.simulator import Simulator
-from repro.core.vectorized import (
-    coverage_gap,
-    simulate_layers_vectorized,
-    simulate_model_vectorized,
-)
+from repro.core.grid import is_lane_proxy
+from repro.core.vectorized import coverage_gap, simulate_layers_vectorized
 from repro.errors import ReproWarning
 from repro.experiments import default_trio, run_models
 from repro.models.zoo import get_model
@@ -67,6 +65,17 @@ _DIVISORS_32 = [1, 2, 4, 8, 16, 32]
 def _verdicts(result, spec) -> list[str]:
     """Invariant-audit outcome in comparable form."""
     return [str(v) for v in audit_layer_result(result, spec)]
+
+
+def _kernel(simulator, layers, layer_by_layer=False):
+    """The one-machine entry, asserting the grid kept the machine."""
+    reasons = []
+    vec = simulate_layers_vectorized(
+        simulator, layers, layer_by_layer=layer_by_layer,
+        on_fallback=reasons.append,
+    )
+    assert not reasons, f"{simulator.spec.name}: grid declined: {reasons}"
+    return vec
 
 
 # ----------------------------------------------------------------------
@@ -88,10 +97,7 @@ def test_zoo_grid_bit_identical_strict(layer_by_layer):
     layers = zoo_union_layers()
     for name, simulator in zoo_machines().items():
         simulator.strict = True
-        vec = simulate_layers_vectorized(
-            simulator, layers, layer_by_layer=layer_by_layer
-        )
-        assert vec is not None, f"{name}: kernel declined a stock machine"
+        vec = _kernel(simulator, layers, layer_by_layer)
         mismatches = []
         for layer, fast in zip(layers, vec):
             slow = simulator.simulate_layer(
@@ -110,8 +116,7 @@ def test_zoo_audit_verdicts_match():
     layers = zoo_union_layers()
     for name, simulator in zoo_machines().items():
         simulator.strict = False
-        vec = simulate_layers_vectorized(simulator, layers)
-        assert vec is not None, name
+        vec = _kernel(simulator, layers)
         for layer, fast in zip(layers, vec):
             slow = simulator.simulate_layer(layer, layer_by_layer=False)
             assert _verdicts(fast, simulator.spec) == _verdicts(
@@ -127,7 +132,9 @@ def test_golden_trio_models_identical():
     for simulator in default_trio():
         for model in ("ResNet-50", "MobileNetV2"):
             layers = get_model(model)
-            fast = simulate_model_vectorized(simulator, layers)
+            fast = batch.simulate_model_cached(
+                simulator, layers, cache=batch.NullCache()
+            )
             slow = simulator.simulate_model(layers)
             assert json.dumps(
                 model_result_to_dict(fast), sort_keys=True
@@ -148,8 +155,7 @@ def test_spacx_granularity_grid_identical(bandwidth_allocation):
                 bandwidth_allocation=bandwidth_allocation,
             )
             simulator.strict = True
-            vec = simulate_layers_vectorized(simulator, layers)
-            assert vec is not None
+            vec = _kernel(simulator, layers)
             for layer, fast in zip(layers, vec):
                 slow = simulator.simulate_layer(layer, layer_by_layer=False)
                 assert canonical(slow) == canonical(fast), (
@@ -229,10 +235,7 @@ def test_property_random_layers_identical(
         bandwidth_allocation=bandwidth_allocation,
     )
     simulator.strict = False
-    vec = simulate_layers_vectorized(
-        simulator, layers, layer_by_layer=layer_by_layer
-    )
-    assert vec is not None
+    vec = _kernel(simulator, layers, layer_by_layer)
     for layer, fast in zip(layers, vec):
         slow = simulator.simulate_layer(layer, layer_by_layer=layer_by_layer)
         assert canonical(slow) == canonical(fast)
@@ -242,46 +245,52 @@ def test_property_random_layers_identical(
 
 
 # ----------------------------------------------------------------------
-# Exactness-machinery edge lanes
+# Routing to the scalar path
 # ----------------------------------------------------------------------
 def test_checked_mode_and_scalar_backfill_identical():
     """A batch whose worst lane breaks the 2**53 exactness screen.
 
-    The big lane's MAC count (~1.9e16) exceeds 2**53, so the whole
-    batch runs with checked multiplies, the big lane is flagged and
-    backfilled by the scalar oracle, and the small lane still goes
-    through the (now checked) vector path -- all bit-identical.
+    The big lane's MAC count (~1.3e15) times its 8-byte bound crosses
+    2**53, so the screen declines the machine's row and both lanes --
+    the small one too -- run on the scalar oracle, bit-identically,
+    with the reason reported.
     """
     layers = [
-        ConvLayer(name="huge", c=4096, k=4096, r=3, s=3, h=256, w=256,
+        ConvLayer(name="huge", c=4096, k=4096, r=3, s=3, h=2048, w=2048,
                   batch=2),
         ConvLayer(name="small", c=8, k=8, r=3, s=3, h=8, w=8),
     ]
     simulator = spacx_simulator()
     simulator.strict = False
-    vec = simulate_layers_vectorized(simulator, layers)
-    assert vec is not None
+    reasons = []
+    vec = simulate_layers_vectorized(
+        simulator, layers, on_fallback=reasons.append
+    )
+    assert reasons == ["exactness screen declined the grid batch"]
+    assert not any(is_lane_proxy(fast) for fast in vec)
     for layer, fast in zip(layers, vec):
         slow = simulator.simulate_layer(layer, layer_by_layer=False)
         assert canonical(slow) == canonical(fast), layer.name
 
 
 def test_overflow_sieve_identical():
-    """Dimensions whose products escape int64 entirely.
+    """A dimension past int64 cannot enter an int64 column at all.
 
-    This lane trips the OverflowError retry: it is sieved out and
-    evaluated by the scalar oracle (exact Python ints), while the
-    surviving lane is still vectorized.
+    The lane sieve routes that lane to the scalar oracle (exact Python
+    ints) while the surviving lane still runs as a one-row grid.
     """
     layers = [
-        ConvLayer(name="astronomical", c=2**20, k=2**20, r=1, s=1,
-                  h=2**16, w=2**16),
+        ConvLayer(name="astronomical", c=2**64, k=2, r=1, s=1, h=4, w=4),
         ConvLayer(name="small", c=8, k=8, r=3, s=3, h=8, w=8),
     ]
     simulator = spacx_simulator()
     simulator.strict = False
-    vec = simulate_layers_vectorized(simulator, layers)
-    assert vec is not None
+    reasons = []
+    vec = simulate_layers_vectorized(
+        simulator, layers, on_fallback=reasons.append
+    )
+    assert not reasons
+    assert [is_lane_proxy(fast) for fast in vec] == [False, True]
     for layer, fast in zip(layers, vec):
         slow = simulator.simulate_layer(layer, layer_by_layer=False)
         assert canonical(slow) == canonical(fast), layer.name
@@ -301,17 +310,20 @@ def _dead_dram_simulator() -> Simulator:
 
 
 def test_zero_bandwidth_inf_propagation_and_warning_dedup():
-    """A dead DRAM link yields inf (never nan) on both paths, with
-    exactly one ReproWarning shared through the per-(spec, link) memo."""
+    """A dead DRAM link declines the grid row: the scalar path yields
+    inf (never nan), with exactly one ReproWarning shared through the
+    per-(spec, link) memo."""
     simulator = _dead_dram_simulator()
     assert coverage_gap(simulator) is None
     layers = zoo_union_layers()[:6]
+    reasons = []
     with warnings.catch_warnings(record=True) as vec_caught:
         warnings.simplefilter("always")
         vec = simulate_layers_vectorized(
-            simulator, layers, layer_by_layer=True
+            simulator, layers, layer_by_layer=True,
+            on_fallback=reasons.append,
         )
-    assert vec is not None
+    assert len(reasons) == 1 and "dead link" in reasons[0]
     dead_link = [
         w
         for w in vec_caught
@@ -351,8 +363,7 @@ def test_vectorized_drift_golden(golden):
     total: dict = {}
     for name, simulator in zoo_machines().items():
         simulator.strict = False
-        vec = simulate_layers_vectorized(simulator, layers)
-        assert vec is not None, name
+        vec = _kernel(simulator, layers)
         for layer, fast in zip(layers, vec):
             slow = simulator.simulate_layer(layer, layer_by_layer=False)
             merge_drift(total, drift_report(slow, fast))

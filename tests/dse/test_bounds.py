@@ -150,10 +150,20 @@ class TestFrontierBounds:
             assert bound == objective_lower_bound(simulator, model, objective)
 
     def test_matches_with_vectorize_off(self, machines, workloads):
-        pairs = [(machines["spacx"], w) for w in workloads] * 2
-        off = frontier_bounds(pairs, "edp", vectorize=False)
-        on = frontier_bounds(pairs, "edp", vectorize=True)
-        assert off == on
+        """The grid floors equal the scalar ``layer_bounds`` derivation
+        accumulated the same way -- the kernel switched off."""
+        pairs = self._pairs(machines, workloads)
+        for bound, (simulator, model) in zip(
+            frontier_bounds(pairs, "edp"), pairs
+        ):
+            time_floor = 0.0
+            energy_floor = 0.0
+            for layer in model.unique_layers:
+                count = model.multiplicity(layer)
+                t, e = layer_bounds(simulator, layer)
+                time_floor += count * t
+                energy_floor += count * e
+            assert bound == time_floor * energy_floor
 
     def test_layer_by_layer_mode(self, machines, workloads):
         pairs = self._pairs(machines, workloads)

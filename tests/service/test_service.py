@@ -513,7 +513,8 @@ class TestGridPlan:
             decision for decision in plan["decisions"]
             if decision["plan"] == "grid"
         ]
-        assert len(grid_decisions) == 1, plan  # the simba/popstar family
+        # One per machine family: spacx alone, simba with popstar.
+        assert len(grid_decisions) == 2, plan
         assert plan["grid_lanes"] > 0
         assert not plan["grid_fallbacks"]
 
