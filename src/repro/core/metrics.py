@@ -130,17 +130,31 @@ class ModelResult:
 
     @property
     def energy(self) -> EnergyBreakdown:
-        """Accumulated energy breakdown."""
-        total = EnergyBreakdown(
-            mac_mj=0.0,
-            pe_buffer_mj=0.0,
-            gb_mj=0.0,
-            dram_mj=0.0,
-            network=NetworkEnergy(),
-        )
+        """Accumulated energy breakdown.
+
+        Folds each component from ``0.0`` in layer order -- exactly the
+        additions a chain of ``EnergyBreakdown.__add__`` performs, so
+        the totals are bit-identical, without building two frozen
+        dataclasses per layer.
+        """
+        mac = pe_buffer = gb = dram = 0.0
+        eo = oe = heating = laser = electrical = 0.0
         for result in self.layers:
-            total = total + result.energy
-        return total
+            energy = result.energy
+            network = energy.network
+            mac += energy.mac_mj
+            pe_buffer += energy.pe_buffer_mj
+            gb += energy.gb_mj
+            dram += energy.dram_mj
+            eo += network.eo_mj
+            oe += network.oe_mj
+            heating += network.heating_mj
+            laser += network.laser_mj
+            electrical += network.electrical_mj
+        return EnergyBreakdown(
+            mac, pe_buffer, gb, dram,
+            NetworkEnergy(eo, oe, heating, laser, electrical),
+        )
 
     @property
     def mean_packet_latency_s(self) -> float:

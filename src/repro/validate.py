@@ -32,6 +32,7 @@ Validation never mutates its subject and never raises for *findings*
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -254,6 +255,7 @@ class ValidationReport:
 # ----------------------------------------------------------------------
 # Photonic physics
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=32)
 def crosstalk_limited_channels(
     crosstalk: CrosstalkModel = DEFAULT_CROSSTALK, search_limit: int = 512
 ) -> int:
@@ -266,11 +268,20 @@ def crosstalk_limited_channels(
     3 dB/channel rolloff the limit sits far above the 64-wavelength
     WDM density bound, so density -- not crosstalk -- binds; weaker
     suppression flips that, which is exactly what this check is for.
+
+    ``total_leakage_ratio(n)`` is the two-sided sum over distances
+    ``1 .. n-2`` plus one aggressor at ``n-1``, so one running prefix
+    reproduces every compared value bit for bit with one
+    ``aggressor_ratio`` call per step.  The frozen model is the cache
+    key: each model walks once per process.
     """
     feasible = 1
+    two_sided = 0.0
     for n_channels in range(2, search_limit + 1):
-        if crosstalk.total_leakage_ratio(n_channels) >= 0.5:
+        edge = crosstalk.aggressor_ratio(n_channels - 1)
+        if two_sided + edge >= 0.5:
             return feasible
+        two_sided += 2 * edge
         feasible = n_channels
     return feasible
 
@@ -919,7 +930,11 @@ def validate_raw_config(raw: Mapping[str, Any]) -> ValidationReport:
                     subject=report.subject,
                 )
             )
+    # The WDM density checks always apply a crosstalk model; the link
+    # budget carries a crosstalk penalty only when the config names
+    # one, as a built simulator does only when its power model has one.
     crosstalk = DEFAULT_CROSSTALK
+    budget_crosstalk: CrosstalkModel | None = None
     crosstalk_raw = raw.get("crosstalk", {})
     if crosstalk_raw:
         if not isinstance(crosstalk_raw, Mapping):
@@ -929,12 +944,13 @@ def validate_raw_config(raw: Mapping[str, Any]) -> ValidationReport:
             )
         else:
             try:
-                crosstalk = replace(DEFAULT_CROSSTALK, **dict(crosstalk_raw))
+                crosstalk = budget_crosstalk = replace(
+                    DEFAULT_CROSSTALK, **dict(crosstalk_raw)
+                )
             except (TypeError, ValueError) as exc:
                 report.error(
                     "DOC-TYPE", f"bad crosstalk model: {exc}"
                 )
-                crosstalk = DEFAULT_CROSSTALK
 
     # Explicit WDM density override is checked even when the topology
     # cannot be built.
@@ -1010,7 +1026,7 @@ def validate_raw_config(raw: Mapping[str, Any]) -> ValidationReport:
     budget_report = validate_link_budget(
         topology,
         params,
-        crosstalk=None,
+        crosstalk=budget_crosstalk,
         max_launch_power_mw=max_launch_mw,
         subject=report.subject,
     )

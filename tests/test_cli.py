@@ -330,6 +330,19 @@ class TestDoctorCommand:
         out = capsys.readouterr().out
         assert "PHO-WDM-DENSITY" in out
 
+    def test_doctor_config_crosstalk_breaks_link_budget(
+        self, capsys, restore_sweep_defaults, tmp_path
+    ):
+        config = tmp_path / "xtalk.json"
+        config.write_text(
+            '{"machine": "spacx", "chiplets": 16, "pes_per_chiplet": 32, '
+            '"ef_granularity": 2, "k_granularity": 32, '
+            '"crosstalk": {"suppression_db": 12}}'
+        )
+        assert main(["doctor", "--config", str(config)]) == 1
+        out = capsys.readouterr().out
+        assert "PHO-LINK-BUDGET" in out
+
     def test_doctor_malformed_config_exits_2(
         self, capsys, restore_sweep_defaults, tmp_path
     ):

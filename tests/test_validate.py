@@ -129,6 +129,49 @@ class TestWdmDensity:
         assert any(d.code == "PHO-XTALK" for d in report.errors)
 
 
+class TestChannelCeilingCost:
+    """The ceiling walk is O(n) once per model, and free after that."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        aggressor_ratio = CrosstalkModel.aggressor_ratio
+
+        def counting(model, distance):
+            calls.append(distance)
+            return aggressor_ratio(model, distance)
+
+        monkeypatch.setattr(CrosstalkModel, "aggressor_ratio", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "model",
+        [CrosstalkModel(), CrosstalkModel(8.0, 0.0), CrosstalkModel(12.0)],
+        ids=["default", "8dB-flat", "12dB"],
+    )
+    @pytest.mark.parametrize("search_limit", [1, 2, 64, 512])
+    def test_cold_call_is_linear(self, evaluations, model, search_limit):
+        crosstalk_limited_channels.cache_clear()
+        crosstalk_limited_channels(model, search_limit)
+        assert len(evaluations) <= search_limit
+
+    def test_equal_model_is_served_from_memory(self, evaluations):
+        crosstalk_limited_channels.cache_clear()
+        first = crosstalk_limited_channels(CrosstalkModel(25.0, 3.0))
+        del evaluations[:]
+        assert crosstalk_limited_channels(CrosstalkModel(25.0, 3.0)) == first
+        assert evaluations == []
+
+    def test_warm_simulator_validation_is_cheap(self, evaluations):
+        simulator = machine_zoo()["spacx"]()
+        validate_simulator(simulator)
+        del evaluations[:]
+        assert validate_simulator(simulator).clean
+        # Only the machine's own penalty sum remains: one term per
+        # co-propagating channel, never the ceiling walk again.
+        assert len(evaluations) <= MAX_WAVELENGTHS_PER_WAVEGUIDE
+
+
 class TestLinkBudget:
     def test_shipped_topology_closes(self):
         report = validate_link_budget(SpacxTopology(32, 32, 8, 16))
@@ -235,6 +278,29 @@ class TestRawConfig:
     def test_non_integer_knob_is_error(self):
         report = validate_raw_config({"machine": "spacx", "chiplets": "many"})
         assert not report.ok
+
+    def test_config_crosstalk_applies_to_link_budget(self):
+        # 34 carriers per waveguide at 12 dB suppression cost 1.27 dB
+        # of crosstalk penalty, which pushes the Y path past 100 mW.
+        probe = {
+            "machine": "spacx",
+            "chiplets": 16,
+            "pes_per_chiplet": 32,
+            "ef_granularity": 2,
+            "k_granularity": 32,
+            "crosstalk": {"suppression_db": 12},
+        }
+        report = validate_raw_config(probe)
+        [error] = report.errors
+        assert error.code == "PHO-LINK-BUDGET"
+        assert error.context["path"] == "Y (single-chiplet)"
+        assert error.context["required_mw"] == pytest.approx(128.5, abs=0.05)
+        # Without a crosstalk section the budget carries no penalty,
+        # as for a built simulator: it closes, with little margin.
+        del probe["crosstalk"]
+        report = validate_raw_config(probe)
+        assert report.ok
+        assert report.codes() == {"PHO-LINK-MARGIN"}
 
     def test_report_is_json_serialisable(self):
         report = validate_raw_config(

@@ -1,6 +1,6 @@
 """Property-based tests for the validation and invariant subsystems.
 
-Three guarantees, each exercised with Hypothesis:
+Four guarantees, each exercised with Hypothesis:
 
 (a) every machine and model shipped in the zoo passes
     :mod:`repro.validate` without a single diagnostic;
@@ -9,23 +9,32 @@ Three guarantees, each exercised with Hypothesis:
     sub-lower-bound communication times can never slip through;
 (c) random-but-valid SPACX configurations simulate cleanly under
     strict mode -- the auditor has no false positives on sound
-    machines.
+    machines;
+(d) the memoized O(n) crosstalk channel ceiling equals a brute-force
+    walk over ``CrosstalkModel.total_leakage_ratio``.
 """
 
 import dataclasses
 import functools
+import math
 
 import pytest
 
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import example, given, settings, strategies as st
 except ImportError:  # pragma: no cover - hypothesis is a baked-in dep
     pytest.skip("hypothesis unavailable", allow_module_level=True)
 
 from repro.core.invariants import audit_layer_result, audit_model_result
 from repro.models.zoo import EXTENDED_MODELS, get_model
 from repro.spacx.architecture import spacx_simulator
-from repro.validate import machine_zoo, validate_model, validate_simulator
+from repro.photonics.crosstalk import CrosstalkModel
+from repro.validate import (
+    crosstalk_limited_channels,
+    machine_zoo,
+    validate_model,
+    validate_simulator,
+)
 
 _MACHINE_NAMES = sorted(machine_zoo())
 _MODEL_NAMES = sorted(EXTENDED_MODELS)
@@ -181,3 +190,67 @@ def test_valid_spacx_configs_pass_strict(
     # the assertion.
     result = simulator.simulate_model(get_model("MobileNetV2"))
     assert audit_model_result(result, simulator.spec) == []
+
+
+# ----------------------------------------------------------------------
+# (d) the channel ceiling equals the brute-force leakage walk
+# ----------------------------------------------------------------------
+def _brute_force_ceiling(crosstalk, search_limit):
+    """Recompute the full leakage sum for every candidate count."""
+    feasible = 1
+    for n_channels in range(2, search_limit + 1):
+        if crosstalk.total_leakage_ratio(n_channels) >= 0.5:
+            return feasible
+        feasible = n_channels
+    return feasible
+
+
+@given(
+    suppression_db=st.floats(
+        min_value=0.0, max_value=30.0, exclude_min=True, allow_nan=False
+    ),
+    rolloff_db=st.floats(min_value=0.0, max_value=6.0, allow_nan=False),
+    search_limit=st.integers(min_value=1, max_value=256),
+)
+@example(suppression_db=8.0, rolloff_db=0.0, search_limit=256)
+@example(suppression_db=12.0, rolloff_db=3.0, search_limit=256)
+@example(suppression_db=25.0, rolloff_db=3.0, search_limit=256)
+@example(suppression_db=1e-9, rolloff_db=0.0, search_limit=2)
+@settings(max_examples=200, deadline=None)
+def test_channel_ceiling_matches_brute_force(
+    suppression_db, rolloff_db, search_limit
+):
+    model = CrosstalkModel(suppression_db, rolloff_db)
+    expected = _brute_force_ceiling(model, search_limit)
+    crosstalk_limited_channels.cache_clear()
+    assert crosstalk_limited_channels(model, search_limit) == expected  # cold
+    assert crosstalk_limited_channels(model, search_limit) == expected  # warm
+
+
+@pytest.mark.parametrize("rolloff_db", [0.0, 0.5, 3.0])
+@pytest.mark.parametrize("n_channels", [2, 3, 5, 17, 40])
+def test_channel_ceiling_at_the_rounding_edge(n_channels, rolloff_db):
+    # Bisect the suppression down to adjacent doubles that put the
+    # brute-force leakage at ``n_channels`` on either side of 0.5:
+    # a walk that rounded one partial sum differently, or compared
+    # with the wrong sense, would split from the reference here.
+    def leaks(suppression_db):
+        model = CrosstalkModel(suppression_db, rolloff_db)
+        return model.total_leakage_ratio(n_channels) >= 0.5
+
+    lo, hi = 1e-3, 30.0
+    assert leaks(lo) and not leaks(hi)
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            mid = math.nextafter(lo, hi)
+        if leaks(mid):
+            lo = mid
+        else:
+            hi = mid
+    crosstalk_limited_channels.cache_clear()
+    for suppression_db in (lo, hi):
+        model = CrosstalkModel(suppression_db, rolloff_db)
+        assert crosstalk_limited_channels(model, 64) == _brute_force_ceiling(
+            model, 64
+        )
