@@ -20,7 +20,7 @@ from typing import Callable
 
 from .baselines.popstar import popstar_simulator
 from .baselines.simba import simba_simulator
-from .core import batch
+from .core import batch, store
 from .core.simulator import Simulator
 from .errors import (
     EXIT_BUDGET_STOPPED,
@@ -145,31 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the sweep engine's post-run invariant audit "
         "(enabled by default; violating results become job failures)",
-    )
-    pool_group = parser.add_mutually_exclusive_group()
-    pool_group.add_argument(
-        "--pool",
-        dest="pool",
-        action="store_true",
-        default=None,
-        help="run parallel sweeps on the persistent warm-worker pool "
-        "(the default; amortises process spawn and keeps worker caches "
-        "warm across jobs)",
-    )
-    pool_group.add_argument(
-        "--no-pool",
-        dest="pool",
-        action="store_false",
-        help="launch one fresh process per job attempt instead of using "
-        "the warm-worker pool (maximum isolation, slower)",
-    )
-    parser.add_argument(
-        "--pool-batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fix the pool's jobs-per-dispatch batch size "
-        "(default: adaptive chunking)",
     )
     parser.add_argument(
         "--exec-plan",
@@ -793,8 +768,6 @@ def _doctor_cache_scan(args: argparse.Namespace) -> int:
     once the damage has been quarantined and the logs rewritten.
     Missing directories are a usage error (exit 2 via ``ReproError``).
     """
-    from .core import store
-
     repair = not args.no_repair
     health, scans = store.scan_directory(args.cache, repair=repair)
     issues = sum(s.torn + s.corrupt for s in scans) + sum(
@@ -1168,8 +1141,6 @@ def main(argv: list[str] | None = None) -> int:
         on_error=args.on_error,
         resume=True if args.resume else None,
         audit=False if args.no_audit else None,
-        pool=args.pool,
-        pool_batch=args.pool_batch,
         exec_plan=args.exec_plan,
         budget=budget,
         retry_quarantined=True if args.retry_quarantined else None,
@@ -1177,9 +1148,12 @@ def main(argv: list[str] | None = None) -> int:
     batch.clear_last_outcome()
     try:
         # Resolve the env-backed defaults up front: a malformed
-        # $REPRO_SWEEP_* value fails every command the same way.
+        # $REPRO_SWEEP_* / $REPRO_STORE_FSYNC value fails every
+        # command the same way.
         batch.default_workers()
         batch.default_exec_plan()
+        batch.default_cache()
+        store.fsync_policy()
         if args.drain_signal:
             with GracefulDrain():
                 rc = _COMMANDS[args.command](args)

@@ -14,19 +14,20 @@ harness):
    with an in-memory LRU tier and
    an optional on-disk JSON tier (via :mod:`repro.serialization`), so
    repeated benchmark runs are near-instant;
-2. a **sweep runner** -- :class:`SweepRunner` fans ``(simulator,
-   model)`` jobs out over worker processes with deterministic result
-   ordering, graceful fallback to serial execution when
-   ``max_workers == 1`` or worker processes cannot be used, and
-   per-job wall-clock statistics.
+2. a **sweep runner** -- :class:`SweepRunner` plans each campaign
+   (grid kernel, in-process serial loop or the persistent warm-worker
+   pool of :mod:`repro.core.pool`) with deterministic result ordering,
+   graceful fallback to serial execution when ``max_workers == 1`` or
+   worker processes cannot be used, and per-job wall-clock statistics.
 
-The runner is *fault tolerant*: every job attempt runs in its own
-worker process, so a crashing, raising or hanging job can never
-poison its siblings.  Failures are retried with exponential backoff
-up to a configurable bound, optionally time-limited per attempt, and
-surfaced as structured :class:`JobFailure` records; ``on_error="skip"``
-returns the surviving results (``None`` in failed slots) instead of
-aborting the campaign.  Together with a
+The runner is *fault tolerant*: a job that raises, crashes, hangs or
+breaches its memory budget in a pool worker is charged alone -- its
+batch-mates are requeued free and the worker respawns -- so it can
+never poison its siblings.  Failures are retried with exponential
+backoff up to a configurable bound, optionally time-limited per
+attempt, and surfaced as structured :class:`JobFailure` records;
+``on_error="skip"`` returns the surviving results (``None`` in failed
+slots) instead of aborting the campaign.  Together with a
 :class:`repro.core.campaign.CampaignManifest` the runner checkpoints
 completion state as jobs finish, so a campaign killed mid-run resumes
 and reproduces an uninterrupted run byte for byte.
@@ -44,10 +45,7 @@ import functools
 import hashlib
 import json
 import logging
-import multiprocessing
-import multiprocessing.connection
 import os
-import pickle
 import random
 import threading
 import time
@@ -94,7 +92,6 @@ __all__ = [
     "configure",
     "default_budget",
     "default_exec_plan",
-    "default_pool",
     "default_workers",
     "default_cache",
     "default_manifest",
@@ -784,7 +781,7 @@ class JobStats:
     n_unique_layers: int
     cache_hits: int
     cache_misses: int
-    mode: str  # "serial" | "parallel" | "pool" | "resumed" | "grid"
+    mode: str  # "serial" | "pool" | "resumed" | "grid"
     attempts: int = 1
     failed: bool = False
     index: int = -1
@@ -795,8 +792,8 @@ class PlanDecision:
     """One execution-planner choice for a group of campaign jobs.
 
     ``plan`` is the mechanism the group was routed to (``"grid"``:
-    in-process grid kernel, ``"pool"``/``"spawn"``: process
-    parallelism, ``"serial"``: in-process per-job loop); ``reason``
+    in-process grid kernel, ``"pool"``: the warm-worker pool,
+    ``"serial"``: in-process per-job loop); ``reason``
     says why in one human-readable clause.  Grid decisions also carry
     the evaluated lane count (machines x union shapes).
     """
@@ -824,7 +821,7 @@ class JobFailure:
     message: str
     traceback_summary: str
     attempts: int
-    phase: str  # "serial" | "parallel"
+    phase: str  # "serial" | "grid" | "parallel" (a pool worker)
     #: Structured invariant-violation payloads (dicts from
     #: :meth:`repro.core.invariants.InvariantViolation.to_dict`) when
     #: the job failed the post-run result audit; empty otherwise.
@@ -858,20 +855,6 @@ class SweepJobError(RuntimeError):
         self.failure = failure
 
 
-def _execute_job(job: SweepJob, vectorize: bool) -> ModelResult:
-    """Worker-side job body in the dispatching runner's mode."""
-    if vectorize:
-        return simulate_model_cached(
-            job.simulator,
-            job.model,
-            layer_by_layer=job.layer_by_layer,
-            cache=NullCache(),
-        )
-    return job.simulator.simulate_model(
-        job.model, layer_by_layer=job.layer_by_layer
-    )
-
-
 def _traceback_summary(exc: BaseException, limit: int = 4) -> str:
     """Compact single-line tail of an exception's traceback."""
     frames = traceback.extract_tb(exc.__traceback__)[-limit:]
@@ -880,44 +863,6 @@ def _traceback_summary(exc: BaseException, limit: int = 4) -> str:
         for frame in frames
     ]
     return " <- ".join(reversed(parts)) if parts else ""
-
-
-def _worker_entry(payload: bytes, conn) -> None:
-    """Worker-process body: run one pickled ``(job, vectorize)``
-    attempt, ship the outcome back.
-
-    Everything the parent needs to know travels over the pipe: either
-    ``("ok", ModelResult)`` or ``("err", type, message, traceback)``.
-    A worker that dies without sending anything (``os._exit``, signal,
-    interpreter crash) is detected by the parent as an EOF on the pipe.
-    """
-    try:
-        job, vectorize = pickle.loads(payload)
-        result = _execute_job(job, vectorize)
-        conn.send(("ok", result))
-    except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-        try:
-            conn.send(
-                ("err", type(exc).__name__, str(exc), _traceback_summary(exc))
-            )
-        except Exception:
-            pass  # parent sees EOF and records a worker crash
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-
-
-@dataclass
-class _ActiveAttempt:
-    """Parent-side bookkeeping for one in-flight worker process."""
-
-    pos: int  # position within the submitted sub-list
-    attempt: int
-    process: multiprocessing.process.BaseProcess
-    started: float
-    deadline: float | None
 
 
 class SweepRunner:
@@ -929,17 +874,16 @@ class SweepRunner:
       cache; a *structural* pool failure (fork refusal, unpicklable
       job) falls back to the serial path transparently, records
       :attr:`fallback_reason` and sets :attr:`used_fallback`;
-    * the parallel path defaults to a **persistent warm-worker pool**
-      (:class:`repro.core.pool.WorkerPool`): long-lived worker
-      processes loop over adaptively-chunked job batches, keeping a
-      warm in-process cache tier and fingerprint memo across jobs, so
-      many-small-job campaigns skip the per-attempt fork + pickle
-      cost.  ``pool=False`` restores the PR 2 one-process-per-attempt
-      path.  Either way the **fault isolation** contract is the same:
-      a raising, crashing or hanging job never takes sibling jobs'
-      results down with it (a pooled worker that dies or hangs is
-      terminated and respawned; batch-mates that never started are
-      re-queued without being charged an attempt).  Failed attempts
+    * jobs leave the parent process only through the **persistent
+      warm-worker pool** (:class:`repro.core.pool.WorkerPool`):
+      long-lived worker processes loop over adaptively-chunked job
+      batches, keeping a warm in-process cache tier and fingerprint
+      memo across jobs.  **Fault isolation:** a raising, crashing,
+      hanging or memory-budget-breaching job never takes sibling
+      jobs' results down with it (a worker that dies, hangs or
+      breaches the budget is terminated and respawned; batch-mates
+      that never started are re-queued without being charged an
+      attempt, and a budget casualty retries solo).  Failed attempts
       are retried up to :attr:`retries` times with exponential backoff
       (``backoff_s * 2**(attempt-1)``) and optionally time-limited by
       :attr:`timeout_s` (parallel runs only; a hung attempt's worker
@@ -968,8 +912,6 @@ class SweepRunner:
         resume: bool | None = None,
         progress: Callable[[JobStats], None] | None = None,
         audit: bool | None = None,
-        pool: bool | None = None,
-        pool_batch: int | None = None,
         vectorize: bool | None = None,
         budget: "CampaignBudget | None | bool" = None,
         retry_quarantined: bool | None = None,
@@ -1003,21 +945,12 @@ class SweepRunner:
         #: violations.  Audit failures are deterministic, so they are
         #: never retried.
         self.audit = _defaults.audit if audit is None else audit
-        #: Use the persistent warm-worker pool on the parallel path
-        #: (default); ``pool=False`` restores one process per attempt.
-        self.pool = default_pool() if pool is None else bool(pool)
-        #: Fixed batch size per dispatch (None: adaptive chunking).
-        self.pool_batch = (
-            _defaults.pool_batch if pool_batch is None else pool_batch
-        )
-        if self.pool_batch is not None and self.pool_batch < 1:
-            raise ValueError("pool_batch must be >= 1 (or None)")
         #: Evaluate cache misses through the NumPy kernel
         #: (:func:`repro.core.grid.evaluate_grid`) -- bit-identical to
         #: the scalar path by construction, ~an order of magnitude
         #: faster on full-zoo sweeps.  ``vectorize=False`` runs the
-        #: scalar oracle on every dispatch path: in-process, pooled
-        #: and per-attempt workers alike.
+        #: scalar oracle on every dispatch path: in-process and in
+        #: pool workers alike.
         self.vectorize = True if vectorize is None else bool(vectorize)
         #: Campaign execution plan: ``"auto"`` groups jobs by machine
         #: family and evaluates each group through the grid kernel
@@ -1263,43 +1196,39 @@ class SweepRunner:
             )
             self.cache.put(key, layer_result)
 
-    def _parallel_audit_failure(
+    def _audit(self, result: ModelResult, spec: AcceleratorSpec) -> None:
+        """Post-run invariant audit (when enabled): a violating result
+        raises :class:`InvariantViolationError`."""
+        if self.audit:
+            violations = audit_model_result(result, spec)
+            if violations:
+                raise InvariantViolationError(
+                    f"{len(violations)} invariant violation(s): "
+                    + "; ".join(v.describe() for v in violations[:3]),
+                    violations=tuple(violations),
+                )
+
+    def _record_violation(
         self,
-        entry: "_ActiveAttempt",
-        indexes: Sequence[int],
-        jobs: Sequence[SweepJob],
-        job_stats: dict,
-        violations: list,
+        index: int,
+        job: SweepJob,
+        exc: InvariantViolationError,
+        **fields,
     ) -> JobFailure:
-        """Record a parallel job whose result failed the invariant audit."""
-        job = jobs[entry.pos]
-        failure = self._record_failure(
-            indexes[entry.pos],
+        """Fail a job whose result broke an invariant.  A violating
+        result is deterministic -- retrying reproduces it bit for bit
+        -- so the retry budget is skipped and the structured violation
+        payload rides on the failure record."""
+        self._note_attempt(False, type(exc).__name__)
+        return self._record_failure(
+            index,
             job,
-            error_type="InvariantViolationError",
-            message=(
-                f"{len(violations)} invariant violation(s): "
-                + "; ".join(v.describe() for v in violations[:3])
-            ),
-            traceback_summary="",
-            attempts=entry.attempt,
-            phase="parallel",
-            violations=tuple(v.to_dict() for v in violations),
+            error_type=type(exc).__name__,
+            message=str(exc),
+            traceback_summary=_traceback_summary(exc),
+            violations=tuple(v.to_dict() for v in exc.violations),
+            **fields,
         )
-        job_stats[entry.pos] = JobStats(
-            model=job.model.name,
-            accelerator=job.simulator.spec.name,
-            wall_time_s=time.monotonic() - entry.started,
-            n_layers=0,
-            n_unique_layers=len(job.model.unique_layers),
-            cache_hits=0,
-            cache_misses=0,
-            mode="parallel",
-            attempts=entry.attempt,
-            failed=True,
-            index=indexes[entry.pos],
-        )
-        return failure
 
     def _grid_declined(self, simulator: Simulator, reason: str) -> None:
         """Record one :attr:`grid_fallbacks` entry per declined machine."""
@@ -1357,41 +1286,20 @@ class SweepRunner:
                             self._grid_declined, job.simulator
                         ),
                     )
-                    if self.audit:
-                        violations = audit_model_result(
-                            result, job.simulator.spec
-                        )
-                        if violations:
-                            raise InvariantViolationError(
-                                f"{len(violations)} invariant violation(s): "
-                                + "; ".join(
-                                    v.describe() for v in violations[:3]
-                                ),
-                                violations=tuple(violations),
-                            )
+                    self._audit(result, job.simulator.spec)
                     elapsed = time.perf_counter() - start
                     self._note_attempt(True)
                     break
                 except InvariantViolationError as exc:
-                    # A violating result is deterministic -- retrying
-                    # reproduces it bit for bit -- so the retry budget
-                    # is skipped and the job fails immediately with
-                    # the structured violation payload attached.
                     elapsed = time.perf_counter() - start
                     wall_times.append(elapsed)
                     result = None
-                    self._note_attempt(False, type(exc).__name__)
-                    failure = self._record_failure(
+                    failure = self._record_violation(
                         index,
                         job,
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                        traceback_summary=_traceback_summary(exc),
+                        exc,
                         attempts=attempts,
                         phase="serial",
-                        violations=tuple(
-                            v.to_dict() for v in (exc.violations or ())
-                        ),
                         attempt_wall_times_s=tuple(wall_times),
                         backoff_slept_s=backoff_total,
                     )
@@ -1488,9 +1396,9 @@ class SweepRunner:
     ):
         """Per-job dispatch: serial with one worker -- or for a lone
         job, unless a ``reason`` asks for worker processes -- otherwise
-        pool/spawn with structural fallback to serial.  ``vectorize``
-        (default: the runner's mode) travels with every dispatched
-        job."""
+        the warm-worker pool with structural fallback to serial.
+        ``vectorize`` (default: the runner's mode) travels with every
+        dispatched job."""
         if vectorize is None:
             vectorize = self.vectorize
         if self.max_workers <= 1 or (len(sub) <= 1 and reason is None):
@@ -1505,17 +1413,15 @@ class SweepRunner:
             )
             return self._run_serial(sub, indexes=todo, vectorize=vectorize)
         decision = PlanDecision(
-            plan="pool" if self.pool else "spawn",
+            plan="pool",
             jobs=len(sub),
             reason=reason
             or f"{len(sub)} job(s) across {self.max_workers} worker(s)",
         )
         self.plan_decisions.append(decision)
-        parallel = self._run_pool if self.pool else self._run_parallel
         try:
-            out = parallel(sub, indexes=todo, vectorize=vectorize)
-            if self.pool and self.pool_stats is not None:
-                self.pool_stats.plan = decision.describe()
+            out = self._run_pool(sub, indexes=todo, vectorize=vectorize)
+            self.pool_stats.plan = decision.describe()
             return out
         except SweepJobError:
             raise  # a *job* failed permanently: not structural
@@ -1858,31 +1764,16 @@ class SweepRunner:
                 result.__dict__[_PREAUDIT_ATTR] = spec
             failure: JobFailure | None = None
             try:
-                if self.audit:
-                    violations = audit_model_result(result, spec)
-                    if violations:
-                        raise InvariantViolationError(
-                            f"{len(violations)} invariant violation(s): "
-                            + "; ".join(
-                                v.describe() for v in violations[:3]
-                            ),
-                            violations=tuple(violations),
-                        )
+                self._audit(result, spec)
             except InvariantViolationError as exc:
                 elapsed = time.perf_counter() - start + share
                 result = None
-                self._note_attempt(False, type(exc).__name__)
-                failure = self._record_failure(
+                failure = self._record_violation(
                     index,
                     job,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    traceback_summary=_traceback_summary(exc),
+                    exc,
                     attempts=1,
                     phase="grid",
-                    violations=tuple(
-                        v.to_dict() for v in (exc.violations or ())
-                    ),
                     attempt_wall_times_s=(elapsed,),
                 )
             else:
@@ -1911,249 +1802,6 @@ class SweepRunner:
                 assert failure is not None
                 raise SweepJobError(failure)
         return leftover
-
-    # -- parallel path -------------------------------------------------
-    def _run_parallel(
-        self,
-        jobs: Sequence[SweepJob],
-        indexes: Sequence[int] | None = None,
-        vectorize: bool = True,
-    ) -> list[ModelResult | None]:
-        indexes = list(range(len(jobs))) if indexes is None else list(indexes)
-        # Jobs are pickled lazily, one attempt at a time at launch --
-        # peak payload memory is O(active workers), never O(campaign).
-        # An unpicklable job raises out of the dispatch loop and is
-        # caught by :meth:`run` as a reason to fall back to serial
-        # execution (worker cleanup happens in the ``finally`` below).
-        ctx = multiprocessing.get_context()
-        n = len(jobs)
-        results: list[ModelResult | None] = [None] * n
-        job_stats: dict[int, JobStats] = {}
-        #: (pos, attempt, not_before) queue of attempts awaiting a slot.
-        pending: list[tuple[int, int, float]] = [
-            (pos, 1, 0.0) for pos in range(n)
-        ]
-        active: dict = {}  # reader connection -> _ActiveAttempt
-        attempt_walls: dict[int, list[float]] = {}
-        backoff_spent: dict[int, float] = {}
-
-        def final_failure(
-            entry: _ActiveAttempt, error_type: str, message: str, tb: str
-        ) -> JobFailure | None:
-            """Handle one failed attempt; returns the permanent failure."""
-            walls = attempt_walls.setdefault(entry.pos, [])
-            walls.append(time.monotonic() - entry.started)
-            self._note_attempt(False, error_type)
-            quarantine = self._poisoned(indexes[entry.pos], error_type)
-            if not quarantine and entry.attempt <= self.retries:
-                if self._check_stop():
-                    # Draining: the job stays pending (unrecorded) so a
-                    # resume re-attempts it with a fresh retry budget.
-                    return None
-                delay = self._backoff_delay(entry.attempt)
-                self._retry_attempts += 1
-                self._retry_wall_s += walls[-1]
-                self._retry_backoff_s += delay
-                backoff_spent[entry.pos] = (
-                    backoff_spent.get(entry.pos, 0.0) + delay
-                )
-                pending.append(
-                    (entry.pos, entry.attempt + 1, time.monotonic() + delay)
-                )
-                return None
-            job = jobs[entry.pos]
-            failure = self._record_failure(
-                indexes[entry.pos],
-                job,
-                error_type=error_type,
-                message=message,
-                traceback_summary=tb,
-                attempts=entry.attempt,
-                phase="parallel",
-                quarantined=quarantine,
-                attempt_wall_times_s=tuple(walls),
-                backoff_slept_s=backoff_spent.get(entry.pos, 0.0),
-            )
-            job_stats[entry.pos] = JobStats(
-                model=job.model.name,
-                accelerator=job.simulator.spec.name,
-                wall_time_s=time.monotonic() - entry.started,
-                n_layers=0,
-                n_unique_layers=len(job.model.unique_layers),
-                cache_hits=0,
-                cache_misses=0,
-                mode="parallel",
-                attempts=entry.attempt,
-                failed=True,
-                index=indexes[entry.pos],
-            )
-            return failure
-
-        try:
-            while pending or active:
-                now = time.monotonic()
-                if pending and self._check_stop(now):
-                    # Budget/signal stop: drop queued attempts (their
-                    # jobs stay pending in the manifest -> resumable)
-                    # and keep polling until the in-flight ones drain.
-                    pending = []
-                    if not active:
-                        break
-                # Launch attempts into free slots (skipping attempts
-                # still inside their backoff window).
-                while len(active) < self.max_workers:
-                    ready_at = next(
-                        (
-                            i
-                            for i, (_, _, not_before) in enumerate(pending)
-                            if not_before <= now
-                        ),
-                        None,
-                    )
-                    if ready_at is None:
-                        break
-                    pos, attempt, _ = pending.pop(ready_at)
-                    payload = pickle.dumps((jobs[pos], vectorize))
-                    reader, writer = ctx.Pipe(duplex=False)
-                    process = ctx.Process(
-                        target=_worker_entry,
-                        args=(payload, writer),
-                        daemon=True,
-                    )
-                    process.start()
-                    writer.close()
-                    active[reader] = _ActiveAttempt(
-                        pos=pos,
-                        attempt=attempt,
-                        process=process,
-                        started=now,
-                        deadline=(
-                            now + self.timeout_s
-                            if self.timeout_s is not None
-                            else None
-                        ),
-                    )
-                if not active:
-                    # Only backed-off attempts remain: sleep until the
-                    # earliest becomes runnable.
-                    next_start = min(entry[2] for entry in pending)
-                    time.sleep(
-                        min(max(next_start - time.monotonic(), 0.0), 0.5)
-                        or 0.001
-                    )
-                    continue
-                # Wait for completions, bounded by the nearest deadline
-                # or backoff expiry.
-                wait_s = 0.5
-                deadlines = [
-                    entry.deadline
-                    for entry in active.values()
-                    if entry.deadline is not None
-                ]
-                if deadlines:
-                    wait_s = min(wait_s, max(min(deadlines) - now, 0.0))
-                if pending:
-                    wait_s = min(
-                        wait_s,
-                        max(min(e[2] for e in pending) - now, 0.0),
-                    )
-                ready = multiprocessing.connection.wait(
-                    list(active), timeout=max(wait_s, 0.005)
-                )
-                for reader in ready:
-                    entry = active.pop(reader)
-                    message = None
-                    try:
-                        message = reader.recv()
-                    except (EOFError, OSError):
-                        message = None
-                    finally:
-                        reader.close()
-                    entry.process.join(timeout=5.0)
-                    if message is not None and message[0] == "ok":
-                        result: ModelResult = message[1]
-                        job = jobs[entry.pos]
-                        if self.audit:
-                            audit_found = audit_model_result(
-                                result, job.simulator.spec
-                            )
-                            if audit_found:
-                                # Deterministic failure: skip the retry
-                                # budget, keep the corrupt result out of
-                                # the cache and the manifest.
-                                entry.attempt = max(
-                                    entry.attempt, self.retries + 1
-                                )
-                                self._note_attempt(
-                                    False, "InvariantViolationError"
-                                )
-                                failure = self._parallel_audit_failure(
-                                    entry, indexes, jobs, job_stats,
-                                    audit_found,
-                                )
-                                if self.on_error == "raise":
-                                    raise SweepJobError(failure)
-                                continue
-                        self._note_attempt(True)
-                        results[entry.pos] = result
-                        job_stats[entry.pos] = JobStats(
-                            model=job.model.name,
-                            accelerator=job.simulator.spec.name,
-                            wall_time_s=time.monotonic() - entry.started,
-                            n_layers=len(result.layers),
-                            n_unique_layers=len(job.model.unique_layers),
-                            cache_hits=0,
-                            cache_misses=len(job.model.unique_layers),
-                            mode="parallel",
-                            attempts=entry.attempt,
-                            index=indexes[entry.pos],
-                        )
-                        self._seed_job(job, result)
-                        if self.manifest is not None:
-                            self.manifest.mark_done(indexes[entry.pos])
-                        continue
-                    if message is not None and message[0] == "err":
-                        _, error_type, text, tb = message
-                    else:
-                        error_type = "WorkerCrashed"
-                        text = (
-                            "worker process died without reporting "
-                            f"(exit code {entry.process.exitcode})"
-                        )
-                        tb = ""
-                    failure = final_failure(entry, error_type, text, tb)
-                    if failure is not None and self.on_error == "raise":
-                        raise SweepJobError(failure)
-                # Terminate attempts that blew their per-job deadline.
-                now = time.monotonic()
-                for reader, entry in list(active.items()):
-                    if entry.deadline is None or now <= entry.deadline:
-                        continue
-                    del active[reader]
-                    entry.process.terminate()
-                    entry.process.join(timeout=5.0)
-                    reader.close()
-                    failure = final_failure(
-                        entry,
-                        "TimeoutError",
-                        f"job attempt exceeded the {self.timeout_s}s "
-                        "timeout and was terminated",
-                        "",
-                    )
-                    if failure is not None and self.on_error == "raise":
-                        raise SweepJobError(failure)
-        finally:
-            # Whatever the exit path, never leak worker processes.
-            for reader, entry in active.items():
-                entry.process.terminate()
-                entry.process.join(timeout=1.0)
-                try:
-                    reader.close()
-                except OSError:
-                    pass
-        for pos in sorted(job_stats):
-            self._finish_job(job_stats[pos])
-        return results
 
     # -- persistent warm-worker pool path ------------------------------
     def _ensure_pool(self):
@@ -2272,13 +1920,14 @@ class SweepRunner:
     ) -> list[ModelResult | None]:
         """Parallel execution over the persistent warm-worker pool.
 
-        Same policy semantics as :meth:`_run_parallel` -- retries with
-        exponential backoff, per-job timeout, audit-on-arrival, cache
-        seeding, manifest checkpointing, ``on_error`` -- but jobs ship
-        as adaptively-chunked batches to long-lived workers instead of
-        one fresh process per attempt.  Only the job a worker was
-        *executing* when it died or hung is charged a failed attempt;
-        queued batch-mates re-enter the dispatch queue untouched.
+        Same policy semantics as :meth:`_run_serial` -- retries with
+        exponential backoff, audit-on-arrival, manifest checkpointing,
+        ``on_error`` -- plus a per-job timeout and parent-cache
+        seeding; jobs ship as adaptively-chunked batches to long-lived
+        workers.  Only the job a worker was *executing* when it died,
+        hung or breached the memory budget is charged a failed
+        attempt; queued batch-mates re-enter the dispatch queue
+        untouched.
         """
         from .pool import adaptive_batch_size
 
@@ -2388,7 +2037,7 @@ class SweepRunner:
                         if not ready:
                             break
                         size = adaptive_batch_size(
-                            len(ready), pool.max_workers, self.pool_batch
+                            len(ready), pool.max_workers
                         )
                         if solo:
                             if ready[0][0] in solo:
@@ -2451,42 +2100,24 @@ class SweepRunner:
                         _, task_id, result, hits, misses, elapsed = event
                         pos, attempt, _ = active.pop(task_id)
                         job = jobs[pos]
-                        if self.audit:
-                            violations = audit_model_result(
-                                result, job.simulator.spec
+                        try:
+                            self._audit(result, job.simulator.spec)
+                        except InvariantViolationError as exc:
+                            # Keep the corrupt result out of the cache
+                            # and the manifest.
+                            failure = self._record_violation(
+                                indexes[pos],
+                                job,
+                                exc,
+                                attempts=attempt,
+                                phase="parallel",
                             )
-                            if violations:
-                                # Deterministic failure: skip the retry
-                                # budget, keep the corrupt result out
-                                # of the cache and the manifest.
-                                self._note_attempt(
-                                    False, "InvariantViolationError"
-                                )
-                                failure = self._record_failure(
-                                    indexes[pos],
-                                    job,
-                                    error_type="InvariantViolationError",
-                                    message=(
-                                        f"{len(violations)} invariant "
-                                        "violation(s): "
-                                        + "; ".join(
-                                            v.describe()
-                                            for v in violations[:3]
-                                        )
-                                    ),
-                                    traceback_summary="",
-                                    attempts=attempt,
-                                    phase="parallel",
-                                    violations=tuple(
-                                        v.to_dict() for v in violations
-                                    ),
-                                )
-                                self._finish_job(
-                                    job_stat(pos, attempt, wall=elapsed)
-                                )
-                                if self.on_error == "raise":
-                                    raise SweepJobError(failure)
-                                continue
+                            self._finish_job(
+                                job_stat(pos, attempt, wall=elapsed)
+                            )
+                            if self.on_error == "raise":
+                                raise SweepJobError(failure)
+                            continue
                         self._note_attempt(True)
                         results[pos] = result
                         self._seed_job(job, result)
@@ -2868,8 +2499,6 @@ class _SweepDefaults:
     on_error: str = "raise"
     resume: bool = False
     audit: bool = True
-    pool: bool | None = None
-    pool_batch: int | None = None
     budget: "CampaignBudget | None" = None
     retry_quarantined: bool = False
     exec_plan: str | None = None
@@ -2905,8 +2534,6 @@ def configure(
     on_error: str | None = None,
     resume: bool | None = None,
     audit: bool | None = None,
-    pool: bool | None = None,
-    pool_batch: int | None = None,
     budget: "CampaignBudget | None | bool" = None,
     retry_quarantined: bool | None = None,
     exec_plan: str | None = None,
@@ -2941,12 +2568,6 @@ def configure(
         _defaults.resume = resume
     if audit is not None:
         _defaults.audit = audit
-    if pool is not None:
-        _defaults.pool = pool
-    if pool_batch is not None:
-        if pool_batch < 1:
-            raise ValueError("pool_batch must be >= 1")
-        _defaults.pool_batch = pool_batch
     if budget is not None:
         _defaults.budget = None if budget is False else budget
     if retry_quarantined is not None:
@@ -2981,13 +2602,6 @@ def default_workers() -> int:
         ) from None
 
 
-def default_pool() -> bool:
-    """Warm-pool default: ``configure()`` > ``$REPRO_SWEEP_POOL`` > on."""
-    if _defaults.pool is not None:
-        return _defaults.pool
-    return os.environ.get("REPRO_SWEEP_POOL", "1") != "0"
-
-
 def default_exec_plan() -> str:
     """Execution-plan default: ``configure()`` > ``$REPRO_SWEEP_PLAN``
     > ``"auto"``.  An unknown env value raises
@@ -3016,14 +2630,20 @@ def default_cache() -> "ResultCache | NullCache":
     """The process-wide shared cache (amortises across experiments).
 
     ``configure(cache_enabled=False)`` or ``$REPRO_SWEEP_CACHE=0``
-    yields a :class:`NullCache`; ``configure(cache_dir=..)`` or
-    ``$REPRO_SWEEP_CACHE_DIR`` adds the disk tier.
+    yields a :class:`NullCache` (any env value but ``0``/``1`` raises
+    :class:`~repro.errors.ConfigError`); ``configure(cache_dir=..)``
+    or ``$REPRO_SWEEP_CACHE_DIR`` adds the disk tier.
     """
     global _default_cache
     if _default_cache is None:
         enabled = _defaults.cache_enabled
         if enabled is None:
-            enabled = os.environ.get("REPRO_SWEEP_CACHE", "1") != "0"
+            raw = os.environ.get("REPRO_SWEEP_CACHE", "1")
+            if raw.strip() not in ("0", "1"):
+                raise ConfigError(
+                    f"$REPRO_SWEEP_CACHE must be 0 or 1, got {raw!r}"
+                )
+            enabled = raw.strip() == "1"
         if not enabled:
             _default_cache = NullCache()
         else:

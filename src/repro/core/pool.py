@@ -1,13 +1,11 @@
 """Persistent warm-worker execution pool for the sweep engine.
 
-The fault-tolerant runner of PR 2 launches **one fresh OS process per
-job attempt**: bulletproof isolation, but for the many-small-job
-campaigns that now dominate (DSE candidate evaluation, per-trial
-degraded configurations in ``repro faults``) the spawn + pickling
-overhead rivals the analytical model itself.  This module provides the
-standard fix -- a pool of **long-lived worker processes** looping over
-a job queue -- without weakening any of the isolation semantics the
-resilience layer promises:
+The only way a sweep job leaves the parent process: a pool of
+**long-lived worker processes** looping over a job queue, so
+many-small-job campaigns (DSE candidate evaluation, per-trial degraded
+configurations in ``repro faults``) pay process spawn once per worker
+rather than once per job, with the isolation semantics the resilience
+layer promises:
 
 * **Warm workers.**  Each worker keeps an in-process
   :class:`~repro.core.batch.ResultCache` memory tier and a memo of
@@ -30,13 +28,16 @@ resilience layer promises:
   executing and is re-armed each time a result arrives.  A worker that
   blows the deadline is terminated and replaced, and the running job
   is reported as a timed-out attempt.
+* **Memory containment.**  Each worker installs an ``RLIMIT_AS``
+  self-limit and the parent samples every worker's RSS: a breaching
+  job becomes a structured ``MemoryBudgetExceeded`` attempt (the
+  runner retries it in a batch of one) instead of a host-level OOM.
 
 The pool is deliberately policy-free: retries, backoff, ``on_error``
 semantics, invariant auditing and campaign manifests all live in
-:class:`repro.core.batch.SweepRunner`, which drives this pool in its
-default parallel path (``pool=False`` restores the one-process-per-
-attempt behaviour).  Determinism is untouched: workers execute the
-same pure analytical model, so pooled, per-attempt-process and serial
+:class:`repro.core.batch.SweepRunner`, which drives this pool whenever
+it dispatches jobs to worker processes.  Determinism is untouched:
+workers execute the same pure analytical model, so pooled and serial
 campaigns produce bit-identical results (pinned by
 ``tests/core/test_pool.py`` and ``benchmarks/bench_pool.py``).
 """
@@ -45,11 +46,9 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
-import os
 import pickle
 import threading
 import time
-import traceback
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -66,18 +65,14 @@ __all__ = [
 MAX_BATCH_SIZE = 16
 
 
-def adaptive_batch_size(
-    n_ready: int, n_workers: int, override: int | None = None
-) -> int:
-    """Batch size for one dispatch: adaptive unless overridden.
+def adaptive_batch_size(n_ready: int, n_workers: int) -> int:
+    """Batch size for one dispatch.
 
     Targets roughly four waves of batches per worker so late batches
     can still load-balance, clamped to ``[1, MAX_BATCH_SIZE]``.  Tiny
     campaigns therefore keep per-job dispatch (maximum isolation
     granularity); 200-job campaigns ship ~16-job batches.
     """
-    if override is not None:
-        return max(1, min(int(override), MAX_BATCH_SIZE))
     waves = max(1, n_workers) * 4
     return max(1, min(MAX_BATCH_SIZE, -(-n_ready // waves)))
 
@@ -109,16 +104,6 @@ def _warm_fingerprint(simulator, memo: dict) -> str:
         fingerprint = simulator_fingerprint(simulator)
         memo[key] = fingerprint
     return fingerprint
-
-
-def _worker_traceback(exc: BaseException, limit: int = 4) -> str:
-    """Compact single-line tail of an exception's traceback."""
-    frames = traceback.extract_tb(exc.__traceback__)[-limit:]
-    parts = [
-        f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
-        for frame in frames
-    ]
-    return " <- ".join(reversed(parts)) if parts else ""
 
 
 def _install_rlimit_as(limit_mb) -> None:
@@ -176,7 +161,7 @@ def _pool_worker_main(
         except OSError:  # pragma: no cover - platform-specific
             pass
     _install_rlimit_as(rlimit_as_mb)
-    from .batch import ResultCache, _simulate_model_cached
+    from .batch import ResultCache, _simulate_model_cached, _traceback_summary
 
     # The campaign's disk tier (when present) is mounted read-only:
     # workers serve warm hits from shared shards, but only the parent
@@ -240,7 +225,7 @@ def _pool_worker_main(
                             task_id,
                             name,
                             str(exc),
-                            _worker_traceback(exc),
+                            _traceback_summary(exc),
                         )
                     )
                 except Exception:
@@ -476,7 +461,7 @@ class WorkerPool:
 
         The batch is pickled *here*, lazily -- a job that cannot be
         pickled raises immediately (the caller treats that as a
-        structural pool failure, exactly like the per-attempt path).
+        structural pool failure and runs the jobs serially).
         Returns ``False`` when the worker turned out to be dead (it is
         respawned and nothing was dispatched -- the caller simply
         retries on a fresh worker); ``True`` on success.

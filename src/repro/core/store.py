@@ -115,10 +115,24 @@ _os_replace = os.replace
 # ----------------------------------------------------------------------
 # Fsync policy
 # ----------------------------------------------------------------------
+_FSYNC_POLICIES = ("always", "never", "auto")
+
+
 def fsync_policy() -> str:
-    """Process-wide fsync override: ``$REPRO_STORE_FSYNC`` or ``auto``."""
-    policy = os.environ.get("REPRO_STORE_FSYNC", "auto").strip().lower()
-    return policy if policy in ("always", "never", "auto") else "auto"
+    """Process-wide fsync override: ``$REPRO_STORE_FSYNC`` or ``auto``.
+
+    Any value but ``always``/``never``/``auto`` raises
+    :class:`~repro.errors.ConfigError`: a typo must not silently
+    downgrade a requested ``always`` to the lenient default.
+    """
+    raw = os.environ.get("REPRO_STORE_FSYNC", "auto")
+    policy = raw.strip().lower()
+    if policy not in _FSYNC_POLICIES:
+        raise ConfigError(
+            "$REPRO_STORE_FSYNC must be one of "
+            f"{', '.join(_FSYNC_POLICIES)}, got {raw!r}"
+        )
+    return policy
 
 
 def resolve_fsync(default: bool) -> bool:

@@ -3,8 +3,8 @@
 One engine, three strategies, all dispatching surviving candidates
 through the existing :class:`~repro.core.batch.SweepRunner` -- so a
 search inherits process parallelism (the persistent warm-worker pool
-of :mod:`repro.core.pool` by default, whose workers stay warm across
-the pruned strategy's chunked evaluation loop), the content-addressed
+of :mod:`repro.core.pool`, whose workers stay warm across the pruned
+strategy's chunked evaluation loop), the content-addressed
 result cache, retries/timeouts, campaign resume and strict-mode
 invariant auditing without any code of its own:
 

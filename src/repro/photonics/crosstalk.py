@@ -18,14 +18,14 @@ capped to a validity domain (total aggressor power below the signal).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
+from ..errors import ConfigError
 from .units import db_to_ratio
 
 __all__ = ["CrosstalkModel", "DEFAULT_CROSSTALK"]
-
-import math
-from ..errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,20 @@ class CrosstalkModel:
     rolloff_db_per_channel: float = 3.0
 
     def __post_init__(self) -> None:
+        for name in ("suppression_db", "rolloff_db_per_channel"):
+            value = getattr(self, name)
+            # bool is an int subclass; a huge int overflows float math.
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ConfigError(
+                    f"{name} must be a real number of dB, "
+                    f"got {type(value).__name__}"
+                )
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ConfigError(f"{name} must be a finite number of dB")
         if self.suppression_db <= 0:
             raise ConfigError("suppression must be > 0 dB")
         if self.rolloff_db_per_channel < 0:

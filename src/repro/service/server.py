@@ -18,9 +18,13 @@ GET       ``/v1/campaigns/<sub>/stream``   chunked NDJSON progress events
 
 The tenant is the ``X-Repro-Tenant`` header (or ``"tenant"`` in the
 POST body; header wins), defaulting to ``anonymous``.  Error mapping
-is uniform: invalid campaign -> 400, unknown submission -> 404,
-results not ready -> 409, quota violation -> 429, draining -> 503;
-every error body is ``{"error": ...}``.
+is uniform: invalid campaign or malformed ``Content-Length`` -> 400,
+unknown submission -> 404, body not received within
+:data:`REQUEST_TIMEOUT_S` -> 408, results not ready -> 409, body over
+:data:`MAX_BODY_BYTES` -> 413, quota violation -> 429, draining ->
+503; every error body is ``{"error": ...}``.  After a 400 for a
+malformed length, a 408 or a 413 the server closes the connection:
+the body was not read, so the stream cannot carry another request.
 
 ``/stream`` long-polls the scheduler's event list and writes each
 event as one NDJSON line in a chunked response (``?from=N`` skips
@@ -62,6 +66,22 @@ logger = logging.getLogger(__name__)
 #: drain/disconnect.
 _STREAM_POLL_S = 2.0
 
+#: Largest request body read (413 above it, unread).  A campaign spec
+#: the protocol accepts is a few KiB.
+MAX_BODY_BYTES = 1 << 20
+
+#: Socket timeout of every connection: a client that stalls this long
+#: mid-body gets a 408 instead of pinning a handler thread.
+REQUEST_TIMEOUT_S = 30.0
+
+
+class _BodyError(Exception):
+    """A request body refused before it was fully read."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
 
 class ServiceHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer carrying the service reference."""
@@ -78,6 +98,7 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-service/1"
     # HTTP/1.1 enables keep-alive and chunked transfer for /stream.
     protocol_version = "HTTP/1.1"
+    timeout = REQUEST_TIMEOUT_S
 
     # -- plumbing -------------------------------------------------------
     @property
@@ -92,6 +113,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -107,10 +130,32 @@ class _Handler(BaseHTTPRequestHandler):
         return "anonymous"
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _BodyError(
+                400,
+                "Content-Length must be a non-negative integer, "
+                f"got {header[:32]!r}",
+            )
+        if length > MAX_BODY_BYTES:
+            raise _BodyError(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
+        if length == 0:
             raise ConfigError("request body required")
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raise _BodyError(
+                408,
+                f"request body not received within {self.timeout:g}s",
+            ) from None
         try:
             body = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -183,6 +228,9 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(202, ticket)
             else:
                 self._error(404, f"no route for POST {url.path}")
+        except _BodyError as exc:
+            self.close_connection = True
+            self._error(exc.status, str(exc))
         except ConfigError as exc:
             self._error(400, str(exc))
         except QuotaExceededError as exc:

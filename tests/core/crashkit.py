@@ -5,8 +5,8 @@ failure -- an exception, an abrupt worker death or a hang -- into a
 configurable number of execution attempts, then behaves normally.
 The wrapper is picklable (so it travels into sweep worker processes)
 and counts attempts through a **file-based counter**, so "fail the
-first K attempts, then succeed" works even when every attempt runs in
-a fresh process.
+first K attempts, then succeed" works whichever worker process runs
+each attempt.
 
 The wrapper forwards everything else (``spec``, energy models, ...)
 to the inner simulator, so its cache fingerprint -- and therefore its

@@ -353,7 +353,6 @@ class TestQuarantine:
         ]
         first = SweepRunner(
             max_workers=2,
-            pool=False,
             cache=ResultCache(cache_dir=cache_dir),
             manifest=CampaignManifest(cache_dir),
             on_error="skip",
@@ -505,7 +504,6 @@ class TestMemoryWatchdog:
         )
         runner = SweepRunner(
             max_workers=2,
-            pool=True,
             cache=NullCache(),
             manifest=False,
             retries=1,
@@ -538,7 +536,6 @@ class TestMemoryWatchdog:
         )
         runner = SweepRunner(
             max_workers=2,
-            pool=True,
             cache=NullCache(),
             manifest=False,
             on_error="skip",

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import batch
+from repro.core import batch, store
 from repro.core.batch import (
     NullCache,
     PlanDecision,
@@ -94,14 +94,44 @@ def test_default_workers_rejects_non_integer_env(monkeypatch):
         default_workers()
 
 
+def test_fsync_policy_rejects_unknown_env(monkeypatch):
+    monkeypatch.setenv("REPRO_STORE_FSYNC", "Always")
+    assert store.fsync_policy() == "always"
+    # A typo must not silently mean "auto" (shards never fsynced).
+    monkeypatch.setenv("REPRO_STORE_FSYNC", "alway")
+    with pytest.raises(ConfigError, match="REPRO_STORE_FSYNC.*always"):
+        store.fsync_policy()
+
+
+def test_default_cache_rejects_non_binary_env(monkeypatch):
+    monkeypatch.setattr(batch._defaults, "cache_enabled", None)
+    monkeypatch.setattr(batch, "_default_cache", None)
+    monkeypatch.setenv("REPRO_SWEEP_CACHE", "0")
+    assert isinstance(batch.default_cache(), NullCache)
+    # "off" / "false" must not silently leave the cache on.
+    for value in ("off", "false"):
+        monkeypatch.setattr(batch, "_default_cache", None)
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", value)
+        with pytest.raises(ConfigError, match="REPRO_SWEEP_CACHE.*0 or 1"):
+            batch.default_cache()
+
+
 @pytest.mark.parametrize(
-    "name, value", [("REPRO_SWEEP_PLAN", "grid"), ("REPRO_SWEEP_WORKERS", "x")]
+    "name, value",
+    [
+        ("REPRO_SWEEP_PLAN", "grid"),
+        ("REPRO_SWEEP_WORKERS", "x"),
+        ("REPRO_STORE_FSYNC", "alway"),
+        ("REPRO_SWEEP_CACHE", "off"),
+    ],
 )
 def test_cli_exits_2_on_malformed_env(monkeypatch, capsys, name, value):
     from repro.cli import main
 
     monkeypatch.setattr(batch._defaults, "exec_plan", None)
     monkeypatch.setattr(batch._defaults, "workers", None)
+    monkeypatch.setattr(batch._defaults, "cache_enabled", None)
+    monkeypatch.setattr(batch, "_default_cache", None)
     monkeypatch.setenv(name, value)
     assert main(["tables"]) == 2
     assert name in capsys.readouterr().err
@@ -176,14 +206,13 @@ def test_campaign_report_carries_plan():
 
 
 def test_pool_stats_carry_plan_description():
-    runner = _runner(max_workers=2, exec_plan="pool", pool=True)
+    runner = _runner(max_workers=2, exec_plan="pool")
     jobs = [SweepJob(spacx_simulator(), _model(i)) for i in range(4)]
     runner.run(jobs)
     [decision] = runner.plan_decisions
-    assert decision.plan in ("pool", "spawn")
+    assert decision.plan == "pool"
     assert decision.reason == "forced by exec_plan='pool'"
-    if decision.plan == "pool" and runner.pool_stats is not None:
-        assert runner.pool_stats.plan == decision.describe()
+    assert runner.pool_stats.plan == decision.describe()
 
 
 def test_auto_prefers_serial_for_tiny_vectorized_campaigns():

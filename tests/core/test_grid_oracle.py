@@ -416,7 +416,7 @@ def test_mixed_fleet_gap_machines_ride_serial_lanes(tmp_path):
     assert not auto.failures
     plans = [d.plan for d in auto.plan_decisions]
     assert "grid" in plans, plans
-    assert any(p in ("serial", "pool", "spawn") for p in plans), plans
+    assert any(p in ("serial", "pool") for p in plans), plans
     assert auto.grid_machines == 2
     assert len(auto.grid_fallbacks) == len(declined), auto.grid_fallbacks
     for (simulator, reason), (name, recorded) in zip(

@@ -2,9 +2,9 @@
 
 Pins the tentpole guarantees of :mod:`repro.core.pool`:
 
-* **Bit-identical results.**  Serial, one-process-per-attempt and
-  warm-pool execution of the full evaluation zoo produce the same
-  canonical digest (anchored to the golden uninterrupted sweep).
+* **Bit-identical results.**  Serial and warm-pool execution of the
+  full evaluation zoo produce the same canonical digest (anchored to
+  the golden uninterrupted sweep).
 * **Isolation is not weakened.**  A worker killed mid-batch loses only
   the job it was executing (a failed attempt in the retry path);
   queued batch-mates are re-dispatched without being charged an
@@ -12,7 +12,7 @@ Pins the tentpole guarantees of :mod:`repro.core.pool`:
   heartbeat deadline terminates the worker the same way.
 * **Campaign semantics hold.**  Retries/backoff, ``on_error``,
   structural serial fallback, manifest checkpointing and
-  SIGKILL-and-resume behave exactly as on the per-attempt path.
+  SIGKILL-and-resume behave exactly as on the serial path.
 """
 
 from __future__ import annotations
@@ -96,11 +96,6 @@ class TestAdaptiveBatching:
         assert adaptive_batch_size(10_000, 1) == MAX_BATCH_SIZE
         assert adaptive_batch_size(0, 2) == 1
 
-    def test_override_wins_but_stays_bounded(self):
-        assert adaptive_batch_size(1000, 2, override=3) == 3
-        assert adaptive_batch_size(1000, 2, override=999) == MAX_BATCH_SIZE
-        assert adaptive_batch_size(1000, 2, override=0) == 1
-
 
 class TestWorkerPoolLifecycle:
     def test_context_manager_spawns_and_closes(self):
@@ -170,7 +165,7 @@ class TestWorkerPoolLifecycle:
 
         from repro.core import batch
 
-        runner = batch.SweepRunner(max_workers=2, pool=True)
+        runner = batch.SweepRunner(max_workers=2)
         try:
             runner._ensure_pool()
             errors = []
@@ -196,22 +191,21 @@ class TestWorkerPoolLifecycle:
 # Tentpole: bit-identical across execution strategies (full zoo)
 # ----------------------------------------------------------------------
 @pytest.mark.slow
-def test_pool_serial_and_per_attempt_digests_are_identical():
+def test_pool_and_serial_digests_are_identical():
     """Full-zoo digest equivalence, anchored to the golden digest."""
     from repro.experiments.harness import default_trio, run_models
 
     digests = {}
     for label, kwargs in {
         "serial": dict(max_workers=1),
-        "per-attempt": dict(max_workers=2, pool=False),
-        "pool": dict(max_workers=2, pool=True),
+        "pool": dict(max_workers=2),
     }.items():
         runner = SweepRunner(cache=NullCache(), manifest=False, **kwargs)
         results = run_models(default_trio(), runner=runner)
         assert not runner.used_fallback, (label, runner.fallback_reason)
         digests[label] = _digest(results)
         runner.close()
-    assert digests["serial"] == digests["per-attempt"] == digests["pool"]
+    assert digests["serial"] == digests["pool"]
     golden = json.loads(GOLDEN_DIGEST.read_text())
     assert digests["pool"] == golden["sha256"]
 
@@ -221,8 +215,7 @@ def test_pool_results_match_serial_small_campaign(simulator):
     jobs = [SweepJob(simulator, m) for m in models]
     serial = SweepRunner(max_workers=1, cache=NullCache(), manifest=False)
     with SweepRunner(
-        max_workers=2, cache=NullCache(), manifest=False, pool=True,
-        exec_plan="pool",
+        max_workers=2, cache=NullCache(), manifest=False, exec_plan="pool"
     ) as pooled:
         a = serial.run(jobs)
         b = pooled.run(jobs)
@@ -237,8 +230,7 @@ def test_pool_persists_across_runs_and_reports_stats(simulator):
     models = _models(4)
     jobs = [SweepJob(simulator, m) for m in models]
     with SweepRunner(
-        max_workers=2, cache=NullCache(), manifest=False, pool=True,
-        exec_plan="pool",
+        max_workers=2, cache=NullCache(), manifest=False, exec_plan="pool"
     ) as runner:
         runner.run(jobs)
         runner.run(jobs)
@@ -259,7 +251,7 @@ def test_pool_worker_cache_hits_reported_in_job_stats(simulator):
     model = _models(1)[0]
     jobs = [SweepJob(simulator, model) for _ in range(4)]
     with SweepRunner(
-        max_workers=1, cache=NullCache(), manifest=False, pool=True
+        max_workers=1, cache=NullCache(), manifest=False
     ) as runner:
         # max_workers=1 would short-circuit to serial via run();
         # drive the pool path directly to pin worker-side accounting.
@@ -276,7 +268,9 @@ def test_pool_worker_cache_hits_reported_in_job_stats(simulator):
 # Isolation under the pool: crash / hang / retry
 # ----------------------------------------------------------------------
 class TestPoolIsolation:
-    def test_worker_kill_mid_batch_loses_only_running_job(self, simulator):
+    def test_worker_kill_mid_batch_loses_only_running_job(
+        self, simulator, monkeypatch
+    ):
         """One batch of six jobs; the worker dies on job #2.
 
         Jobs 0-1 already streamed their results, job 2 is a failed
@@ -287,13 +281,15 @@ class TestPoolIsolation:
         models = _models(6)
         jobs = [SweepJob(simulator, m) for m in models]
         jobs[2] = SweepJob(CrashingSimulator(simulator, mode="exit"), models[2])
+        # Force every job into one dispatched batch ...
+        monkeypatch.setattr(
+            "repro.core.pool.adaptive_batch_size", lambda *_: 6
+        )
         with SweepRunner(
             max_workers=2,
             cache=NullCache(),
             manifest=False,
             on_error="skip",
-            pool=True,
-            pool_batch=6,  # force every job into one dispatched batch
             exec_plan="pool",  # ... rather than grid the stock jobs
         ) as runner:
             results = runner.run(jobs)
@@ -326,7 +322,6 @@ class TestPoolIsolation:
             cache=NullCache(),
             manifest=False,
             on_error="skip",
-            pool=True,
         ) as runner:
             results = runner.run(jobs)
             assert results[1] is None
@@ -353,7 +348,6 @@ class TestPoolIsolation:
             manifest=False,
             timeout_s=0.5,
             on_error="skip",
-            pool=True,
         ) as runner:
             results = runner.run(jobs)
             assert results[0] is None and results[1] is not None
@@ -378,7 +372,6 @@ class TestPoolIsolation:
             retries=2,
             backoff_s=0.01,
             on_error="raise",
-            pool=True,
         ) as runner:
             results = runner.run(
                 [SweepJob(flaky, models[0]), SweepJob(simulator, models[1])]
@@ -402,7 +395,6 @@ class TestPoolIsolation:
             cache=NullCache(),
             manifest=False,
             on_error="raise",
-            pool=True,
         )
         with pytest.raises(batch.SweepJobError, match="injected crash"):
             runner.run(jobs)
@@ -419,8 +411,7 @@ class TestPoolIsolation:
         model = Unpicklable("local", [_layer("l0")])
         jobs = [SweepJob(simulator, model), SweepJob(simulator, _models(1)[0])]
         with SweepRunner(
-            max_workers=2, cache=NullCache(), manifest=False, pool=True,
-            exec_plan="pool",
+            max_workers=2, cache=NullCache(), manifest=False, exec_plan="pool"
         ) as runner:
             results = runner.run(jobs)
             assert runner.used_fallback
@@ -433,19 +424,20 @@ class TestPoolIsolation:
 # Manifest semantics under the pool
 # ----------------------------------------------------------------------
 def test_pool_campaign_manifest_has_no_lost_or_duplicate_entries(
-    simulator, tmp_path
+    simulator, tmp_path, monkeypatch
 ):
     models = _models(6)
     jobs = [SweepJob(simulator, m) for m in models]
     jobs[3] = SweepJob(CrashingSimulator(simulator, mode="exit"), models[3])
     cache_dir = tmp_path / "campaign"
+    # One six-job batch: the worker dies mid-batch on job #3.
+    monkeypatch.setattr("repro.core.pool.adaptive_batch_size", lambda *_: 6)
     with SweepRunner(
         max_workers=2,
         cache=ResultCache(cache_dir=cache_dir),
         manifest=CampaignManifest(cache_dir),
         on_error="skip",
-        pool=True,
-        pool_batch=6,
+        exec_plan="pool",
     ) as runner:
         runner.run(jobs)
         assert runner.manifest.completed == 5
@@ -472,7 +464,6 @@ def progress(stats):
 
 runner = batch.SweepRunner(
     max_workers=2,
-    pool=True,
     cache=batch.ResultCache(cache_dir=cache_dir),
     manifest=CampaignManifest(cache_dir),
     progress=progress,
@@ -509,7 +500,6 @@ def test_sigkill_under_pool_resumes_byte_identical(tmp_path):
 
     runner = batch.SweepRunner(
         max_workers=2,
-        pool=True,
         cache=batch.ResultCache(cache_dir=cache_dir),
         manifest=CampaignManifest(cache_dir),
         resume=True,

@@ -195,7 +195,7 @@ class TestRetry:
         assert results[0] is None and results[1] is not None
         [failure] = runner.failures
         assert failure.attempts == 3  # 1 initial + 2 retries
-        # Parallel attempts run in fresh processes: the file counter
+        # Attempts run in pool worker processes: the file counter
         # proves three separate attempts actually executed.
         assert (tmp_path / "counter").stat().st_size == 3
 

@@ -589,7 +589,6 @@ def progress(stats):
 
 runner = batch.SweepRunner(
     max_workers=2,
-    pool=True,
     cache=batch.ResultCache(cache_dir=cache_dir),
     manifest=CampaignManifest(cache_dir),
     progress=progress,
@@ -627,7 +626,6 @@ def test_killed_then_damaged_campaign_resumes_byte_identical(tmp_path):
 
     runner = batch.SweepRunner(
         max_workers=2,
-        pool=True,
         cache=batch.ResultCache(cache_dir=cache_dir),
         manifest=CampaignManifest(cache_dir),
         resume=True,

@@ -151,11 +151,10 @@ def test_scalar_runner_records_no_fallback(exec_plan):
     assert _digest(chosen) == _digest(fast)
 
 
-@pytest.mark.parametrize("pool", [True, False])
-def test_scalar_mode_reaches_worker_processes(monkeypatch, pool):
+def test_scalar_mode_reaches_worker_processes(monkeypatch):
     """A ``vectorize=False`` runner ships its mode with every pooled
-    batch and every per-attempt process: with the kernel's entry made
-    to raise before the workers fork, every job still succeeds."""
+    batch: with the kernel's entry made to raise before the workers
+    fork, every job still succeeds."""
 
     def kernel_ran(*args, **kwargs):
         raise RuntimeError("kernel ran")
@@ -168,7 +167,6 @@ def test_scalar_mode_reaches_worker_processes(monkeypatch, pool):
         manifest=False,
         vectorize=False,
         exec_plan="pool",
-        pool=pool,
         on_error="skip",
     ) as runner:
         results = runner.run([SweepJob(stock, m) for m in _models(4)])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import ConfigError
 from repro.photonics.crosstalk import DEFAULT_CROSSTALK, CrosstalkModel
 from repro.photonics.units import db_to_ratio
 
@@ -56,3 +57,13 @@ class TestPenalty:
             CrosstalkModel(suppression_db=0.0)
         with pytest.raises(ValueError):
             CrosstalkModel(suppression_db=25.0, rolloff_db_per_channel=-1.0)
+
+    @pytest.mark.parametrize("field", ["suppression_db", "rolloff_db_per_channel"])
+    @pytest.mark.parametrize(
+        "value",
+        [10**400, float("inf"), float("nan"), False, "25"],
+        ids=["huge-int", "inf", "nan", "bool", "str"],
+    )
+    def test_rejects_non_finite_or_non_real(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            CrosstalkModel(**{field: value})

@@ -8,7 +8,9 @@ exercising the real HTTP layer and the real sweep engine.
 from __future__ import annotations
 
 import json
+import socket
 import threading
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.service import (
     ServiceClient,
     ServiceHTTPServer,
 )
+from repro.service import server as server_mod
 from repro.service.client import ServiceError
 from repro.service.protocol import CampaignSpec, results_digest
 from repro.service.scheduler import (
@@ -526,3 +529,62 @@ class TestGridPlan:
             and any(line.startswith("grid") for line in slot["plan"])
             for slot in slots.values()
         ), slots
+
+
+def _raw_post(url: str, headers: str, body: bytes = b"") -> tuple:
+    """POST hand-written headers over a raw socket; read the reply until
+    the server hangs up.  Returns ``(status, headers, json body)``; a
+    server that never answers or never closes times the read out."""
+    parts = urlsplit(url)
+    request = (
+        "POST /v1/campaigns HTTP/1.1\r\n"
+        f"Host: {parts.hostname}\r\n{headers}\r\n"
+    ).encode() + body
+    with socket.create_connection(
+        (parts.hostname, parts.port), timeout=10.0
+    ) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    assert head, "the server hung up without answering"
+    status_line, *lines = head.decode().split("\r\n")
+    fields = {
+        name.lower(): value.strip()
+        for name, _, value in (line.partition(":") for line in lines)
+    }
+    return int(status_line.split()[1]), fields, json.loads(payload)
+
+
+class TestHTTPBoundary:
+    """A malformed or oversized ``Content-Length`` and a stalled body
+    each get an error reply and a closed connection -- never an
+    escaped exception, a giant read or a pinned handler thread."""
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_length_is_400(self, http_service, length):
+        _, url = http_service
+        status, fields, body = _raw_post(url, f"Content-Length: {length}\r\n")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        assert fields["connection"] == "close"
+
+    def test_oversized_length_is_413_without_reading(self, http_service):
+        _, url = http_service
+        status, fields, body = _raw_post(
+            url, "Content-Length: 99999999999\r\n"
+        )
+        assert status == 413
+        assert str(server_mod.MAX_BODY_BYTES) in body["error"]
+        assert fields["connection"] == "close"
+
+    def test_stalled_body_is_408(self, http_service, monkeypatch):
+        monkeypatch.setattr(server_mod._Handler, "timeout", 0.5)
+        _, url = http_service
+        status, fields, body = _raw_post(
+            url, "Content-Length: 1000\r\n", b"{}"
+        )
+        assert status == 408
+        assert "not received" in body["error"]
+        assert fields["connection"] == "close"

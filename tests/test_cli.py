@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -342,6 +343,30 @@ class TestDoctorCommand:
         assert main(["doctor", "--config", str(config)]) == 1
         out = capsys.readouterr().out
         assert "PHO-LINK-BUDGET" in out
+
+    @pytest.mark.parametrize(
+        "value", ["1" * 400, "NaN", "true"], ids=["huge-int", "nan", "bool"]
+    )
+    def test_doctor_non_numeric_crosstalk_is_a_finding(
+        self, capsys, restore_sweep_defaults, tmp_path, value
+    ):
+        config = tmp_path / "xtalk.json"
+        config.write_text(
+            '{"machine": "spacx", "crosstalk": {"suppression_db": %s}}' % value
+        )
+        assert main(["doctor", "--config", str(config), "--json"]) == 1
+        out = capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(out, parse_constant=reject)
+        codes = [
+            d["code"]
+            for report in payload["reports"]
+            for d in report["diagnostics"]
+        ]
+        assert codes == ["DOC-TYPE"]
 
     def test_doctor_malformed_config_exits_2(
         self, capsys, restore_sweep_defaults, tmp_path

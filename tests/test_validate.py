@@ -302,6 +302,19 @@ class TestRawConfig:
         assert report.ok
         assert report.codes() == {"PHO-LINK-MARGIN"}
 
+    @pytest.mark.parametrize(
+        "value", [10**400, float("nan"), True], ids=["huge-int", "nan", "bool"]
+    )
+    def test_non_numeric_crosstalk_is_type_error(self, value):
+        # Each once crashed the doctor (huge int: OverflowError), passed
+        # every check (NaN fails every comparison) or read as 1 dB (bool).
+        report = validate_raw_config(
+            {"machine": "spacx", "crosstalk": {"suppression_db": value}}
+        )
+        [error] = report.errors
+        assert error.code == "DOC-TYPE"
+        assert "suppression_db" in error.message
+
     def test_report_is_json_serialisable(self):
         report = validate_raw_config(
             {"machine": "spacx", "laser_power_mw": -1, "bogus": 1}
