@@ -1132,21 +1132,21 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-    batch.configure(
-        workers=args.workers,
-        cache_enabled=False if args.no_cache else None,
-        cache_dir=args.cache_dir,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        on_error=args.on_error,
-        resume=True if args.resume else None,
-        audit=False if args.no_audit else None,
-        exec_plan=args.exec_plan,
-        budget=budget,
-        retry_quarantined=True if args.retry_quarantined else None,
-    )
     batch.clear_last_outcome()
     try:
+        batch.configure(
+            workers=args.workers,
+            cache_enabled=False if args.no_cache else None,
+            cache_dir=args.cache_dir,
+            timeout_s=args.timeout,
+            retries=args.retries,
+            on_error=args.on_error,
+            resume=True if args.resume else None,
+            audit=False if args.no_audit else None,
+            exec_plan=args.exec_plan,
+            budget=budget,
+            retry_quarantined=True if args.retry_quarantined else None,
+        )
         # Resolve the env-backed defaults up front: a malformed
         # $REPRO_SWEEP_* / $REPRO_STORE_FSYNC value fails every
         # command the same way.

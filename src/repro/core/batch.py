@@ -97,7 +97,6 @@ __all__ = [
     "default_manifest",
     "last_campaign_outcome",
     "clear_last_outcome",
-    "reset_default_cache",
 ]
 
 #: Attempt failure kinds that indicate the *worker* was killed rather
@@ -865,34 +864,59 @@ def _traceback_summary(exc: BaseException, limit: int = 4) -> str:
     return " <- ".join(reversed(parts)) if parts else ""
 
 
+def _attempt_error(exc: BaseException) -> tuple:
+    """A failed attempt as ``(type name, message, traceback summary,
+    violation dicts)``.  The dicts are ``None`` unless ``exc`` is an
+    :class:`InvariantViolationError`, whose verdict is deterministic."""
+    violations = (
+        tuple(v.to_dict() for v in exc.violations)
+        if isinstance(exc, InvariantViolationError)
+        else None
+    )
+    return type(exc).__name__, str(exc), _traceback_summary(exc), violations
+
+
+#: ``JobFailure.phase`` of each ``JobStats.mode``.
+_PHASES = {
+    "serial": "serial",
+    "resumed": "serial",
+    "grid": "grid",
+    "pool": "parallel",
+}
+
+
 class SweepRunner:
-    """Fans sweep jobs out over processes with deterministic ordering.
+    """Runs a campaign of sweep jobs with deterministic result order.
 
     * results come back in exactly the submission order, whatever the
       completion order was;
-    * ``max_workers <= 1`` (the default) runs serially through the
-      cache; a *structural* pool failure (fork refusal, unpicklable
-      job) falls back to the serial path transparently, records
-      :attr:`fallback_reason` and sets :attr:`used_fallback`;
-    * jobs leave the parent process only through the **persistent
-      warm-worker pool** (:class:`repro.core.pool.WorkerPool`):
-      long-lived worker processes loop over adaptively-chunked job
-      batches, keeping a warm in-process cache tier and fingerprint
-      memo across jobs.  **Fault isolation:** a raising, crashing,
-      hanging or memory-budget-breaching job never takes sibling
-      jobs' results down with it (a worker that dies, hangs or
-      breaches the budget is terminated and respawned; batch-mates
-      that never started are re-queued without being charged an
-      attempt, and a budget casualty retries solo).  Failed attempts
-      are retried up to :attr:`retries` times with exponential backoff
-      (``backoff_s * 2**(attempt-1)``) and optionally time-limited by
-      :attr:`timeout_s` (parallel runs only; a hung attempt's worker
-      is terminated).  Exhausted jobs become :class:`JobFailure`
+    * the planner (:attr:`exec_plan`) picks where jobs run.  By
+      default every machine-family group is evaluated in-process
+      through the grid kernel.  Per-job dispatch (``"serial"`` /
+      ``"pool"``, a scalar-mode runner, machines the kernel declines)
+      runs the in-process serial loop with one worker or a lone job,
+      and otherwise the **persistent warm-worker pool**
+      (:class:`repro.core.pool.WorkerPool`), the only way a job leaves
+      the parent process.  A *structural* pool failure (fork refusal,
+      unpicklable job) falls back to the serial loop transparently,
+      records :attr:`fallback_reason` and sets :attr:`used_fallback`;
+    * **fault isolation:** a raising, crashing, hanging or
+      memory-budget-breaching pool job never takes sibling jobs'
+      results down with it (a worker that dies, hangs or breaches the
+      budget is terminated and respawned; batch-mates that never
+      started are re-queued without being charged an attempt, and a
+      budget casualty retries solo);
+    * every route settles a finished attempt through one policy
+      (:meth:`_settle`).  Failed attempts are retried up to
+      :attr:`retries` times with jittered exponential backoff (at most
+      ``backoff_s * 2**(attempt-1)``), pool attempts optionally
+      time-limited by :attr:`timeout_s`; an invariant violation is
+      never retried.  Exhausted jobs become :class:`JobFailure`
       records in :attr:`failures`; ``on_error="raise"`` (default)
       turns the first permanent failure into :class:`SweepJobError`,
       while ``on_error="skip"`` keeps going and returns ``None`` in
       the failed slots;
-    * completed results seed the parent cache *as they arrive*, and a
+    * pool results seed the parent cache *as they arrive*, and a
       :class:`~repro.core.campaign.CampaignManifest` (when attached)
       is checkpointed per job, so a killed campaign can resume;
     * on resume, jobs the manifest already marks done are replayed
@@ -920,11 +944,8 @@ class SweepRunner:
         self.max_workers = default_workers() if max_workers is None else max_workers
         self.cache = default_cache() if cache is None else cache
         self.timeout_s = _defaults.timeout_s if timeout_s is None else timeout_s
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive (or None)")
         self.retries = _defaults.retries if retries is None else retries
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
+        _check_retry_policy(self.timeout_s, self.retries)
         self.backoff_s = backoff_s
         on_error = _defaults.on_error if on_error is None else on_error
         if on_error not in ("raise", "skip"):
@@ -1028,6 +1049,9 @@ class SweepRunner:
         #: Worker-killing attempt counts per campaign job index (the
         #: poison-quarantine counter); reset per run().
         self._crash_counts: dict[int, int] = {}
+        #: ``index -> (wall times, backoff slept)`` of the failed
+        #: attempts of a job awaiting its next attempt; reset per run().
+        self._attempt_history: dict[int, tuple[tuple, float]] = {}
         #: Full-jitter backoff RNG; re-seeded deterministically per
         #: run() (from the manifest's campaign id when one is bound).
         self._jitter_rng = random.Random(0)
@@ -1116,72 +1140,154 @@ class SweepRunner:
         self._crash_counts[index] = count
         return count >= budget.poison_threshold
 
-    def _record_failure(
+    def _settle(
         self,
         index: int,
         job: SweepJob,
-        *,
-        error_type: str,
-        message: str,
-        traceback_summary: str,
-        attempts: int,
-        phase: str,
-        violations: tuple = (),
-        quarantined: bool = False,
-        attempt_wall_times_s: tuple = (),
-        backoff_slept_s: float = 0.0,
-    ) -> JobFailure:
-        failure = JobFailure(
-            index=index,
+        attempt: int,
+        started: float,
+        mode: str,
+        result: "ModelResult | None" = None,
+        error: "tuple | None" = None,
+        hits: int = 0,
+        misses: int = 0,
+    ) -> "ModelResult | float | None":
+        """Settle one finished attempt of the job at campaign ``index``.
+
+        Every route -- grid stitch, serial loop, pool event loop --
+        calls this once per attempt it ran (``attempt`` counts from 1,
+        ``started`` is its ``time.perf_counter()`` start) with either
+        the attempt's ``result`` or its ``error`` (see
+        :func:`_attempt_error`).  A result is audited first.  A
+        violation, whether the audit found it or the attempt raised
+        it, is deterministic: the job fails at once with its violation
+        payload, is never retried, and its result is neither cached
+        nor marked done.  Any other error is retried with
+        jittered backoff while :attr:`retries` lasts, unless the job
+        has become poison.  A settled job gets one :class:`JobStats`
+        (and progress call) and one manifest record; a failed one also
+        a :class:`JobFailure` carrying every attempt's wall time and
+        the backoff slept between them.
+
+        Returns the accepted result; a ``float``, the backoff delay
+        after which the route must run the next attempt; or ``None``
+        when the job failed for good (``on_error="skip"``) or a stop
+        left it pending for a resume.  ``mode="resumed"`` replays
+        neither re-mark the manifest done nor check for a stop.
+        """
+        resumed = mode == "resumed"
+        if result is not None and self.audit:
+            found = audit_model_result(result, job.simulator.spec)
+            if found:
+                result = None
+                error = (
+                    InvariantViolationError.__name__,
+                    f"{len(found)} invariant violation(s): "
+                    + "; ".join(v.describe() for v in found[:3]),
+                    "",
+                    tuple(v.to_dict() for v in found),
+                )
+        wall = time.perf_counter() - started
+        failure = None
+        if result is not None:
+            self._note_attempt(True)
+            if attempt > 1:
+                self._attempt_history.pop(index, None)
+            if mode == "pool":
+                # Results computed out of process warm the parent
+                # cache, before the manifest counts the job as done.
+                self._seed_job(job, result)
+            if self.manifest is not None and not resumed:
+                self.manifest.mark_done(index)
+        else:
+            error_type, message, tb, violations = error
+            self._note_attempt(False, error_type)
+            walls, slept = (
+                self._attempt_history.pop(index, ((), 0.0))
+                if attempt > 1
+                else ((), 0.0)
+            )
+            walls += (wall,)
+            quarantined = self._poisoned(index, error_type)
+            if (
+                violations is None
+                and not quarantined
+                and attempt <= self.retries
+            ):
+                if not resumed and self._check_stop():
+                    # Stopped mid-retry: the job stays pending
+                    # (unrecorded) so a resume re-attempts it.
+                    return None
+                delay = self._backoff_delay(attempt)
+                self._retry_attempts += 1
+                self._retry_wall_s += wall
+                self._retry_backoff_s += delay
+                self._attempt_history[index] = (walls, slept + delay)
+                return delay
+            failure = JobFailure(
+                index=index,
+                model=job.model.name,
+                accelerator=job.simulator.spec.name,
+                error_type=error_type,
+                message=message,
+                traceback_summary=tb,
+                attempts=attempt,
+                phase=_PHASES[mode],
+                violations=violations or (),
+                attempt_wall_times_s=walls,
+                backoff_slept_s=slept,
+                quarantined=quarantined,
+            )
+            self.failures.append(failure)
+            logger.warning("sweep %s", failure.describe())
+            if self.manifest is not None:
+                if quarantined:
+                    self.manifest.mark_quarantined(index, failure)
+                else:
+                    self.manifest.mark_failed(index, failure)
+            # Failure-count budgets: stop the campaign (graceful drain,
+            # not an abort) once too many jobs failed permanently.
+            self._budget_failures += 1
+            self._budget_consec += 1
+            budget = self.budget
+            if budget is not None and self._stop_reason is None:
+                if (
+                    budget.max_failures is not None
+                    and self._budget_failures >= budget.max_failures
+                ):
+                    self.request_stop(
+                        "max-failures",
+                        f"{self._budget_failures} permanent job failure(s) "
+                        "reached the max_failures budget",
+                    )
+                elif (
+                    budget.max_consecutive_failures is not None
+                    and self._budget_consec >= budget.max_consecutive_failures
+                ):
+                    self.request_stop(
+                        "max-consecutive-failures",
+                        f"{self._budget_consec} permanent job failure(s) in "
+                        "a row reached the max_consecutive_failures budget",
+                    )
+        stats = JobStats(
             model=job.model.name,
             accelerator=job.simulator.spec.name,
-            error_type=error_type,
-            message=message,
-            traceback_summary=traceback_summary,
-            attempts=attempts,
-            phase=phase,
-            violations=violations,
-            attempt_wall_times_s=attempt_wall_times_s,
-            backoff_slept_s=backoff_slept_s,
-            quarantined=quarantined,
+            wall_time_s=wall,
+            n_layers=len(result.layers) if result is not None else 0,
+            n_unique_layers=len(job.model.unique_layers),
+            cache_hits=hits,
+            cache_misses=misses,
+            mode=mode,
+            attempts=attempt,
+            failed=result is None,
+            index=index,
         )
-        self.failures.append(failure)
-        logger.warning("sweep %s", failure.describe())
-        if self.manifest is not None:
-            if quarantined:
-                self.manifest.mark_quarantined(index, failure)
-            else:
-                self.manifest.mark_failed(index, failure)
-        # Failure-count budgets: stop the campaign (graceful drain, not
-        # an abort) once too many jobs failed permanently.
-        self._budget_failures += 1
-        self._budget_consec += 1
-        budget = self.budget
-        if budget is not None and self._stop_reason is None:
-            if (
-                budget.max_failures is not None
-                and self._budget_failures >= budget.max_failures
-            ):
-                self.request_stop(
-                    "max-failures",
-                    f"{self._budget_failures} permanent job failure(s) "
-                    "reached the max_failures budget",
-                )
-            elif (
-                budget.max_consecutive_failures is not None
-                and self._budget_consec >= budget.max_consecutive_failures
-            ):
-                self.request_stop(
-                    "max-consecutive-failures",
-                    f"{self._budget_consec} permanent job failure(s) in "
-                    "a row reached the max_consecutive_failures budget",
-                )
-        return failure
-
-    def _finish_job(self, stats: JobStats) -> None:
         self.stats.append(stats)
         if self.progress is not None:
             self.progress(stats)
+        if failure is not None and self.on_error == "raise":
+            raise SweepJobError(failure)
+        return result
 
     def _seed_job(self, job: SweepJob, result: ModelResult) -> None:
         """Warm the parent cache from one completed job's results."""
@@ -1196,40 +1302,6 @@ class SweepRunner:
             )
             self.cache.put(key, layer_result)
 
-    def _audit(self, result: ModelResult, spec: AcceleratorSpec) -> None:
-        """Post-run invariant audit (when enabled): a violating result
-        raises :class:`InvariantViolationError`."""
-        if self.audit:
-            violations = audit_model_result(result, spec)
-            if violations:
-                raise InvariantViolationError(
-                    f"{len(violations)} invariant violation(s): "
-                    + "; ".join(v.describe() for v in violations[:3]),
-                    violations=tuple(violations),
-                )
-
-    def _record_violation(
-        self,
-        index: int,
-        job: SweepJob,
-        exc: InvariantViolationError,
-        **fields,
-    ) -> JobFailure:
-        """Fail a job whose result broke an invariant.  A violating
-        result is deterministic -- retrying reproduces it bit for bit
-        -- so the retry budget is skipped and the structured violation
-        payload rides on the failure record."""
-        self._note_attempt(False, type(exc).__name__)
-        return self._record_failure(
-            index,
-            job,
-            error_type=type(exc).__name__,
-            message=str(exc),
-            traceback_summary=_traceback_summary(exc),
-            violations=tuple(v.to_dict() for v in exc.violations),
-            **fields,
-        )
-
     def _grid_declined(self, simulator: Simulator, reason: str) -> None:
         """Record one :attr:`grid_fallbacks` entry per declined machine."""
         if id(simulator) not in self._declined:
@@ -1242,11 +1314,11 @@ class SweepRunner:
         jobs: Sequence[SweepJob],
         indexes: Sequence[int] | None = None,
         mode: str = "serial",
-        mark: bool = True,
         vectorize: bool | None = None,
     ) -> list[ModelResult | None]:
         """In-process per-job loop; ``vectorize`` (default: the
-        runner's mode) picks the kernel or the scalar simulator."""
+        runner's mode) picks the kernel or the scalar simulator.  A
+        retry waits here, in-line."""
         if vectorize is None:
             vectorize = self.vectorize
         results: list[ModelResult | None] = []
@@ -1264,16 +1336,11 @@ class SweepRunner:
             sim_id = id(job.simulator)
             if sim_id not in fingerprints:
                 fingerprints[sim_id] = simulator_fingerprint(job.simulator)
-            attempts = 0
-            result: ModelResult | None = None
-            failure: JobFailure | None = None
-            abandoned = False
-            wall_times: list[float] = []
-            backoff_total = 0.0
+            attempt = 1
             while True:
-                attempts += 1
-                before = (self.cache.stats.hits, self.cache.stats.misses)
+                before = self.cache.stats
                 start = time.perf_counter()
+                result = error = None
                 try:
                     result = _simulate_model_cached(
                         job.simulator,
@@ -1286,77 +1353,25 @@ class SweepRunner:
                             self._grid_declined, job.simulator
                         ),
                     )
-                    self._audit(result, job.simulator.spec)
-                    elapsed = time.perf_counter() - start
-                    self._note_attempt(True)
-                    break
-                except InvariantViolationError as exc:
-                    elapsed = time.perf_counter() - start
-                    wall_times.append(elapsed)
-                    result = None
-                    failure = self._record_violation(
-                        index,
-                        job,
-                        exc,
-                        attempts=attempts,
-                        phase="serial",
-                        attempt_wall_times_s=tuple(wall_times),
-                        backoff_slept_s=backoff_total,
-                    )
-                    break
                 except Exception as exc:
-                    elapsed = time.perf_counter() - start
-                    wall_times.append(elapsed)
-                    self._note_attempt(False, type(exc).__name__)
-                    if attempts <= self.retries:
-                        if check_stop and self._check_stop():
-                            # Stopped mid-retry: leave the job pending
-                            # (unrecorded) so a resume re-attempts it.
-                            abandoned = True
-                            break
-                        delay = self._backoff_delay(attempts)
-                        self._retry_attempts += 1
-                        self._retry_wall_s += elapsed
-                        self._retry_backoff_s += delay
-                        backoff_total += delay
-                        time.sleep(delay)
-                        continue
-                    failure = self._record_failure(
-                        index,
-                        job,
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                        traceback_summary=_traceback_summary(exc),
-                        attempts=attempts,
-                        phase="serial",
-                        attempt_wall_times_s=tuple(wall_times),
-                        backoff_slept_s=backoff_total,
-                    )
-                    break
-            if abandoned:
-                break
-            results.append(result)
-            self._finish_job(
-                JobStats(
-                    model=job.model.name,
-                    accelerator=job.simulator.spec.name,
-                    wall_time_s=elapsed,
-                    n_layers=len(result.layers) if result is not None else 0,
-                    n_unique_layers=len(job.model.unique_layers),
-                    cache_hits=self.cache.stats.hits - before[0],
-                    cache_misses=self.cache.stats.misses - before[1],
-                    mode=mode,
-                    attempts=attempts,
-                    failed=result is None,
-                    index=index,
+                    error = _attempt_error(exc)
+                after = self.cache.stats
+                outcome = self._settle(
+                    index,
+                    job,
+                    attempt,
+                    start,
+                    mode,
+                    result,
+                    error,
+                    hits=after.hits - before.hits,
+                    misses=after.misses - before.misses,
                 )
-            )
-            if result is not None:
-                if mark and self.manifest is not None:
-                    self.manifest.mark_done(index)
-            elif self.on_error == "raise":
-                assert failure is not None
-                raise SweepJobError(failure)
+                if type(outcome) is not float:
+                    break
+                time.sleep(outcome)
+                attempt += 1
+            results.append(outcome)
         return results
 
     # -- execution planner / grid path ---------------------------------
@@ -1669,8 +1684,7 @@ class SweepRunner:
                             cache_put(ckey, lane)
 
         # Stitch per-job results from the shared lanes, in submission
-        # order, with the same audit / manifest / failure contract as
-        # the serial loop.
+        # order, and settle each job like any other route does.
         stitched = [
             (pos, j)
             for j, (simulator, positions) in enumerate(machines)
@@ -1706,9 +1720,7 @@ class SweepRunner:
             start = time.perf_counter()
             lanes = resolved[j]
             unique, shapes, occ = _model_structure(job.model)
-            result: "ModelResult | None" = ModelResult(
-                accelerator=spec.name, model=job.model.name
-            )
+            result = ModelResult(accelerator=spec.name, model=job.model.name)
             if j in pure:
                 # Fast path: every lane's layer is the union layer, so
                 # which slots need rebinding depends on the model only.
@@ -1762,45 +1774,10 @@ class SweepRunner:
             result.layers.extend(map(lane_list.__getitem__, occ))
             if marked:
                 result.__dict__[_PREAUDIT_ATTR] = spec
-            failure: JobFailure | None = None
-            try:
-                self._audit(result, spec)
-            except InvariantViolationError as exc:
-                elapsed = time.perf_counter() - start + share
-                result = None
-                failure = self._record_violation(
-                    index,
-                    job,
-                    exc,
-                    attempts=1,
-                    phase="grid",
-                    attempt_wall_times_s=(elapsed,),
-                )
-            else:
-                elapsed = time.perf_counter() - start + share
-                self._note_attempt(True)
-            results[pos] = result
-            self._finish_job(
-                JobStats(
-                    model=job.model.name,
-                    accelerator=spec.name,
-                    wall_time_s=elapsed,
-                    n_layers=len(result.layers) if result is not None else 0,
-                    n_unique_layers=len(job.model.unique_layers),
-                    cache_hits=0,
-                    cache_misses=0,
-                    mode="grid",
-                    attempts=1,
-                    failed=result is None,
-                    index=index,
-                )
+            # Each job is charged its share of the launch time.
+            results[pos] = self._settle(
+                index, job, 1, start - share, "grid", result
             )
-            if result is not None:
-                if self.manifest is not None:
-                    self.manifest.mark_done(index)
-            elif self.on_error == "raise":
-                assert failure is not None
-                raise SweepJobError(failure)
         return leftover
 
     # -- persistent warm-worker pool path ------------------------------
@@ -1920,14 +1897,14 @@ class SweepRunner:
     ) -> list[ModelResult | None]:
         """Parallel execution over the persistent warm-worker pool.
 
-        Same policy semantics as :meth:`_run_serial` -- retries with
-        exponential backoff, audit-on-arrival, manifest checkpointing,
-        ``on_error`` -- plus a per-job timeout and parent-cache
-        seeding; jobs ship as adaptively-chunked batches to long-lived
-        workers.  Only the job a worker was *executing* when it died,
-        hung or breached the memory budget is charged a failed
-        attempt; queued batch-mates re-enter the dispatch queue
-        untouched.
+        Jobs ship as adaptively-chunked batches to long-lived workers,
+        each under the per-job timeout; every finished attempt is
+        settled by :meth:`_settle`.  What stays here is where attempts
+        run and when they may run again: a retry re-enters the queue
+        with a not-before time, a memory-budget casualty re-dispatches
+        solo, and only the job a worker was *executing* when it died,
+        hung or breached the memory budget is charged an attempt --
+        queued batch-mates re-enter the queue untouched.
         """
         from .pool import adaptive_batch_size
 
@@ -1939,80 +1916,12 @@ class SweepRunner:
         pending: list[tuple[int, int, float]] = [
             (pos, 1, 0.0) for pos in range(n)
         ]
-        #: task_id -> (pos, attempt, dispatched_at) for shipped jobs.
+        #: task_id -> (pos, attempt, perf_counter at dispatch).
         active: dict[int, tuple[int, int, float]] = {}
-        attempt_walls: dict[int, list[float]] = {}
-        backoff_spent: dict[int, float] = {}
         #: Positions whose last attempt breached the memory budget:
         #: they re-dispatch *solo* (batch size 1) so a leaner retry
         #: cannot take batch-mates down with it again.
         solo: set[int] = set()
-
-        def job_stat(
-            pos: int,
-            attempt: int,
-            *,
-            wall: float,
-            result: ModelResult | None = None,
-            hits: int = 0,
-            misses: int = 0,
-        ) -> JobStats:
-            job = jobs[pos]
-            return JobStats(
-                model=job.model.name,
-                accelerator=job.simulator.spec.name,
-                wall_time_s=wall,
-                n_layers=len(result.layers) if result is not None else 0,
-                n_unique_layers=len(job.model.unique_layers),
-                cache_hits=hits,
-                cache_misses=misses,
-                mode="pool",
-                attempts=attempt,
-                failed=result is None,
-                index=indexes[pos],
-            )
-
-        def failed_attempt(
-            task_id: int, error_type: str, text: str, tb: str
-        ) -> JobFailure | None:
-            """One failed attempt: schedule a retry or fail permanently."""
-            pos, attempt, started = active.pop(task_id)
-            walls = attempt_walls.setdefault(pos, [])
-            walls.append(time.monotonic() - started)
-            self._note_attempt(False, error_type)
-            if error_type == "MemoryBudgetExceeded":
-                solo.add(pos)
-            quarantine = self._poisoned(indexes[pos], error_type)
-            if not quarantine and attempt <= self.retries:
-                if self._check_stop():
-                    # Draining: the job stays pending (unrecorded) so
-                    # a resume re-attempts it with a fresh budget.
-                    return None
-                delay = self._backoff_delay(attempt)
-                self._retry_attempts += 1
-                self._retry_wall_s += walls[-1]
-                self._retry_backoff_s += delay
-                backoff_spent[pos] = backoff_spent.get(pos, 0.0) + delay
-                pending.append((pos, attempt + 1, time.monotonic() + delay))
-                return None
-            failure = self._record_failure(
-                indexes[pos],
-                jobs[pos],
-                error_type=error_type,
-                message=text,
-                traceback_summary=tb,
-                attempts=attempt,
-                phase="parallel",
-                quarantined=quarantine,
-                attempt_wall_times_s=tuple(walls),
-                backoff_slept_s=backoff_spent.get(pos, 0.0),
-            )
-            self._finish_job(
-                job_stat(
-                    pos, attempt, wall=time.monotonic() - started
-                )
-            )
-            return failure
 
         def requeue(task_ids) -> None:
             """Batch-mates that never started: no attempt is charged."""
@@ -2050,7 +1959,7 @@ class SweepRunner:
                                         size = j
                                         break
                         batch, ready = ready[:size], ready[size:]
-                        started = time.monotonic()
+                        started = time.perf_counter()
                         items = []
                         for pos, attempt, _ in batch:
                             task_id = self._task_counter
@@ -2095,98 +2004,65 @@ class SweepRunner:
                 events.extend(pool.expire())
                 events.extend(pool.sample_rss())
                 for event in events:
-                    kind = event[0]
+                    kind, task_id = event[0], event[1]
+                    result = error = None
+                    hits = misses = 0
                     if kind == "ok":
-                        _, task_id, result, hits, misses, elapsed = event
-                        pos, attempt, _ = active.pop(task_id)
-                        job = jobs[pos]
-                        try:
-                            self._audit(result, job.simulator.spec)
-                        except InvariantViolationError as exc:
-                            # Keep the corrupt result out of the cache
-                            # and the manifest.
-                            failure = self._record_violation(
-                                indexes[pos],
-                                job,
-                                exc,
-                                attempts=attempt,
-                                phase="parallel",
-                            )
-                            self._finish_job(
-                                job_stat(pos, attempt, wall=elapsed)
-                            )
-                            if self.on_error == "raise":
-                                raise SweepJobError(failure)
-                            continue
-                        self._note_attempt(True)
-                        results[pos] = result
-                        self._seed_job(job, result)
-                        if self.manifest is not None:
-                            self.manifest.mark_done(indexes[pos])
-                        self._finish_job(
-                            job_stat(
-                                pos,
-                                attempt,
-                                wall=elapsed,
-                                result=result,
-                                hits=hits,
-                                misses=misses,
-                            )
-                        )
+                        _, _, result, hits, misses, elapsed = event
                     elif kind == "err":
-                        _, task_id, error_type, text, tb = event
-                        failure = failed_attempt(task_id, error_type, text, tb)
-                        if failure is not None and self.on_error == "raise":
-                            raise SweepJobError(failure)
-                    elif kind == "crashed":
-                        _, current, queued, exitcode = event
-                        requeue(queued)
-                        if current is not None:
-                            failure = failed_attempt(
-                                current,
+                        error = event[2:]
+                    else:
+                        # A worker died, hung or breached the memory
+                        # budget: only the job it was executing is
+                        # charged an attempt; batch-mates requeue free.
+                        requeue(event[2])
+                        if task_id is None:
+                            continue
+                        if kind == "crashed":
+                            error = (
                                 "WorkerCrashed",
                                 "worker process died without reporting "
-                                f"(exit code {exitcode})",
-                                "",
+                                f"(exit code {event[3]})",
                             )
-                            if (
-                                failure is not None
-                                and self.on_error == "raise"
-                            ):
-                                raise SweepJobError(failure)
-                    elif kind == "timeout":
-                        _, current, queued = event
-                        requeue(queued)
-                        failure = failed_attempt(
-                            current,
-                            "TimeoutError",
-                            f"job attempt exceeded the {self.timeout_s}s "
-                            "timeout and was terminated",
-                            "",
-                        )
-                        if failure is not None and self.on_error == "raise":
-                            raise SweepJobError(failure)
-                    elif kind == "oom":
-                        # The parent RSS watchdog killed a worker over
-                        # the memory budget: the executing job becomes
-                        # a structured, retryable failure instead of a
-                        # host-level OOM kill; batch-mates requeue free.
-                        _, current, queued, rss_mb = event
-                        requeue(queued)
-                        if current is not None:
-                            failure = failed_attempt(
-                                current,
+                        elif kind == "timeout":
+                            error = (
+                                "TimeoutError",
+                                f"job attempt exceeded the {self.timeout_s}s "
+                                "timeout and was terminated",
+                            )
+                        else:
+                            # "oom": the parent's RSS watchdog turned a
+                            # host-level OOM kill into a retryable failure.
+                            error = (
                                 "MemoryBudgetExceeded",
-                                f"worker resident set {rss_mb:.0f} MB "
+                                f"worker resident set {event[3]:.0f} MB "
                                 f"exceeded the {pool.rss_limit_mb:.0f} MB "
                                 "memory budget; worker terminated",
-                                "",
                             )
-                            if (
-                                failure is not None
-                                and self.on_error == "raise"
-                            ):
-                                raise SweepJobError(failure)
+                        error += ("", None)  # no traceback, no violations
+                    pos, attempt, started = active.pop(task_id)
+                    if error is None:
+                        # The worker timed a finished attempt itself.
+                        started = time.perf_counter() - elapsed
+                    elif error[0] == "MemoryBudgetExceeded":
+                        solo.add(pos)
+                    outcome = self._settle(
+                        indexes[pos],
+                        jobs[pos],
+                        attempt,
+                        started,
+                        "pool",
+                        result,
+                        error,
+                        hits=hits,
+                        misses=misses,
+                    )
+                    if type(outcome) is float:
+                        pending.append(
+                            (pos, attempt + 1, time.monotonic() + outcome)
+                        )
+                    elif outcome is not None:
+                        results[pos] = outcome
         finally:
             if active or pool.inflight_jobs:
                 # Abnormal exit (structural failure or SweepJobError)
@@ -2228,6 +2104,7 @@ class SweepRunner:
         self.grid_lanes = 0
         self.grid_machines = 0
         self._crash_counts = {}
+        self._attempt_history = {}
         self._retry_attempts = 0
         self._retry_wall_s = 0.0
         self._retry_backoff_s = 0.0
@@ -2264,7 +2141,6 @@ class SweepRunner:
                     [jobs[i] for i in done_indexes],
                     indexes=done_indexes,
                     mode="resumed",
-                    mark=False,
                 )
                 for i, result in zip(done_indexes, replayed):
                     results[i] = result
@@ -2493,7 +2369,6 @@ class _SweepDefaults:
     workers: int | None = None
     cache_enabled: bool | None = None
     cache_dir: str | None = None
-    capacity: int = 4096
     timeout_s: float | None = None
     retries: int = 0
     on_error: str = "raise"
@@ -2528,7 +2403,6 @@ def configure(
     workers: int | None = None,
     cache_enabled: bool | None = None,
     cache_dir: str | Path | None = None,
-    capacity: int | None = None,
     timeout_s: float | None = None,
     retries: int | None = None,
     on_error: str | None = None,
@@ -2545,6 +2419,7 @@ def configure(
     rebuild the shared default cache on next use.
     """
     global _default_cache
+    _check_retry_policy(timeout_s, retries)
     if workers is not None:
         _defaults.workers = workers
     if cache_enabled is not None:
@@ -2552,9 +2427,6 @@ def configure(
         _default_cache = None
     if cache_dir is not None:
         _defaults.cache_dir = str(cache_dir)
-        _default_cache = None
-    if capacity is not None:
-        _defaults.capacity = capacity
         _default_cache = None
     if timeout_s is not None:
         _defaults.timeout_s = timeout_s
@@ -2578,6 +2450,15 @@ def configure(
                 f"exec_plan must be one of {_EXEC_PLANS}, got {exec_plan!r}"
             )
         _defaults.exec_plan = exec_plan
+
+
+def _check_retry_policy(timeout_s: float | None, retries: int | None) -> None:
+    """Reject a non-positive per-attempt timeout or a negative retry
+    count with :class:`~repro.errors.ConfigError` (``None``: unset)."""
+    if timeout_s is not None and not timeout_s > 0:
+        raise ConfigError("timeout_s must be positive (or None)")
+    if retries is not None and retries < 0:
+        raise ConfigError("retries must be >= 0")
 
 
 def default_budget() -> "CampaignBudget | None":
@@ -2650,9 +2531,7 @@ def default_cache() -> "ResultCache | NullCache":
             cache_dir = _defaults.cache_dir or os.environ.get(
                 "REPRO_SWEEP_CACHE_DIR"
             )
-            _default_cache = ResultCache(
-                capacity=_defaults.capacity, cache_dir=cache_dir
-            )
+            _default_cache = ResultCache(cache_dir=cache_dir)
     return _default_cache
 
 
@@ -2669,9 +2548,3 @@ def default_manifest() -> "CampaignManifest | None":
     from .campaign import CampaignManifest
 
     return CampaignManifest(cache_dir)
-
-
-def reset_default_cache() -> None:
-    """Drop the shared cache (tests and long-lived services)."""
-    global _default_cache
-    _default_cache = None

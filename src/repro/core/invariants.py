@@ -42,7 +42,6 @@ __all__ = [
     "InvariantViolation",
     "audit_layer_result",
     "audit_model_result",
-    "copy_preaudit",
     "raise_on_violations",
     "strict_mode_default",
 ]
@@ -114,18 +113,6 @@ def strict_mode_default() -> bool:
 #: way, corrupted copies and pool-roundtripped results are re-audited
 #: from scratch.
 _PREAUDIT_ATTR = "_preaudited_spec"
-
-
-def copy_preaudit(source: "LayerResult", target: "LayerResult") -> None:
-    """Transfer a pre-audit marker to an equivalent rebound result.
-
-    For callers that clone a result in a way that cannot change any
-    audited quantity (e.g. rebinding the layer name on a shape-level
-    cache hit); a clone whose source was never marked stays unmarked.
-    """
-    spec = source.__dict__.get(_PREAUDIT_ATTR)
-    if spec is not None:
-        target.__dict__[_PREAUDIT_ATTR] = spec
 
 
 def _is_bad(value: float) -> bool:

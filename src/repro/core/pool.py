@@ -146,7 +146,9 @@ def _pool_worker_main(
       in order in the dispatching runner's mode (``vectorize=False``:
       scalar simulator only), streaming one reply per job: ``("ok",
       task_id, result, hits, misses, elapsed_s)`` or ``("err",
-      task_id, type, message, tb)``.
+      task_id, type, message, tb, violations)``, where
+      ``violations`` holds an invariant violation's dicts (``None``
+      for any other error).
     * ``("stop",)`` -- exit cleanly.
 
     A worker that dies without replying is seen by the parent as EOF
@@ -161,7 +163,7 @@ def _pool_worker_main(
         except OSError:  # pragma: no cover - platform-specific
             pass
     _install_rlimit_as(rlimit_as_mb)
-    from .batch import ResultCache, _simulate_model_cached, _traceback_summary
+    from .batch import ResultCache, _attempt_error, _simulate_model_cached
 
     # The campaign's disk tier (when present) is mounted read-only:
     # workers serve warm hits from shared shards, but only the parent
@@ -210,24 +212,15 @@ def _pool_worker_main(
                     )
                 )
             except BaseException as exc:  # noqa: BLE001 - shipped to parent
-                # An allocation refused under the RLIMIT_AS self-limit
-                # is a *memory budget* breach, not an arbitrary crash:
-                # name it so the runner can retry the job solo.
-                name = (
-                    "MemoryBudgetExceeded"
-                    if isinstance(exc, MemoryError)
-                    else type(exc).__name__
-                )
+                error = _attempt_error(exc)
+                if isinstance(exc, MemoryError):
+                    # An allocation refused under the RLIMIT_AS
+                    # self-limit is a *memory budget* breach, not an
+                    # arbitrary crash: name it so the runner can retry
+                    # the job solo.
+                    error = ("MemoryBudgetExceeded",) + error[1:]
                 try:
-                    result_conn.send(
-                        (
-                            "err",
-                            task_id,
-                            name,
-                            str(exc),
-                            _traceback_summary(exc),
-                        )
-                    )
+                    result_conn.send(("err", task_id) + error)
                 except Exception:
                     return  # cannot report: parent sees EOF
     try:
@@ -315,7 +308,8 @@ class WorkerPool:
     Event tuples returned by :meth:`poll` / :meth:`expire`:
 
     * ``("ok", task_id, result, hits, misses, elapsed_s)``
-    * ``("err", task_id, error_type, message, traceback_summary)``
+    * ``("err", task_id, error_type, message, traceback_summary,
+      violation dicts | None)``
     * ``("crashed", current_task_id | None, [queued ids], exitcode)``
     * ``("timeout", current_task_id, [queued ids])``
     * ``("oom", current_task_id | None, [queued ids], rss_mb)``

@@ -287,7 +287,6 @@ class SearchEngine:
         runner: SweepRunner | None = None,
         layer_by_layer: bool = False,
         vectorize: bool | None = None,
-        exec_plan: str | None = None,
         budget: Any = None,
     ):
         if objective not in OBJECTIVES:
@@ -311,9 +310,7 @@ class SearchEngine:
         #: oracle mode; a caller-built runner keeps its own mode, so a
         #: conflicting request fails instead of being ignored.
         if runner is None:
-            runner = SweepRunner(
-                vectorize=vectorize, exec_plan=exec_plan, budget=budget
-            )
+            runner = SweepRunner(vectorize=vectorize, budget=budget)
         elif vectorize is not None and bool(vectorize) != runner.vectorize:
             raise ConfigError(
                 f"vectorize={vectorize} conflicts with the given runner "

@@ -1,21 +1,18 @@
 """Result serialization to plain dictionaries / JSON.
 
 Downstream tooling (plotting notebooks, CI dashboards) wants results
-as data, not Python objects.  These converters flatten the result
-dataclasses into JSON-compatible dictionaries with stable keys.
-
-Two families live here:
+as data, not Python objects.  Two families live here:
 
 * the *reporting* converters (``layer_result_to_dict`` etc.) flatten
-  results into human-oriented dictionaries with derived quantities
-  mixed in;
-* the *round-trip* converters (``layer_result_to_cache_dict`` /
-  ``layer_result_from_cache_dict``) losslessly serialise a
-  :class:`LayerResult` for the sweep engine's on-disk result cache
-  (:mod:`repro.core.batch`).  They enumerate constructor fields via
-  :mod:`dataclasses` so they stay exhaustive as the dataclasses grow,
-  and JSON's shortest-repr float encoding guarantees bit-exact float
-  round-trips.
+  results into JSON-compatible dictionaries with stable keys and
+  derived quantities mixed in;
+* the *packed* encoding (``layer_result_pack`` /
+  ``layer_result_unpack``) losslessly serialises a
+  :class:`LayerResult` as a positional array for the sweep engine's
+  on-disk result cache (:mod:`repro.core.batch`).  Field orders are
+  enumerated via :mod:`dataclasses`, so they stay exhaustive as the
+  dataclasses grow, and the float scalars travel as one IEEE-754
+  blob, so every float round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
-from enum import Enum
 from typing import Any
 
 from .core.dataflow import DataflowKind
@@ -38,14 +34,6 @@ __all__ = [
     "layer_result_to_dict",
     "model_result_to_dict",
     "model_result_to_json",
-    "dataclass_to_plain",
-    "conv_layer_from_dict",
-    "mapping_from_dict",
-    "traffic_summary_from_dict",
-    "network_energy_from_dict",
-    "energy_breakdown_from_dict",
-    "layer_result_to_cache_dict",
-    "layer_result_from_cache_dict",
     "layer_result_pack",
     "layer_result_unpack",
 ]
@@ -157,144 +145,6 @@ def model_result_to_json(result: ModelResult, indent: int | None = 2) -> str:
 
 
 # ----------------------------------------------------------------------
-# Lossless round-trip converters (sweep-engine disk cache)
-# ----------------------------------------------------------------------
-def dataclass_to_plain(obj: Any) -> dict[str, Any]:
-    """Recursively flatten a dataclass to JSON-compatible plain data.
-
-    Unlike :func:`dataclasses.asdict` this maps enums to their values
-    so the output survives ``json.dumps`` unchanged.  Only constructor
-    fields are emitted (no derived properties), which makes the output
-    suitable for exact reconstruction.
-    """
-    out: dict[str, Any] = {}
-    for field in dataclasses.fields(obj):
-        value = getattr(obj, field.name)
-        if isinstance(value, Enum):
-            value = value.value
-        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-            value = dataclass_to_plain(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        out[field.name] = value
-    return out
-
-
-# Field-name tuples hoisted to import time: the from-dict converters
-# run once per disk-cache entry on a warm start, so per-call
-# ``dataclasses.fields`` introspection is measurable.
-_NETWORK_ENERGY_FIELDS = tuple(f.name for f in dataclasses.fields(NetworkEnergy))
-_ENERGY_SCALAR_FIELDS = tuple(
-    f.name for f in dataclasses.fields(EnergyBreakdown) if f.name != "network"
-)
-
-
-def conv_layer_from_dict(data: dict[str, Any]) -> ConvLayer:
-    """Rebuild a :class:`ConvLayer` from its plain-dict form."""
-    return ConvLayer(**data)
-
-
-def mapping_from_dict(
-    data: dict[str, Any], *, layer: ConvLayer | None = None
-) -> Mapping:
-    """Rebuild a :class:`Mapping` from its plain-dict form.
-
-    Pass ``layer`` to reuse an already-reconstructed layer object
-    instead of rebuilding it from ``data["layer"]``.
-    """
-    kwargs = dict(data)
-    kwargs["layer"] = (
-        layer if layer is not None else conv_layer_from_dict(kwargs["layer"])
-    )
-    kwargs["dataflow"] = DataflowKind(kwargs["dataflow"])
-    return Mapping(**kwargs)
-
-
-def traffic_summary_from_dict(data: dict[str, Any]) -> TrafficSummary:
-    """Rebuild a :class:`TrafficSummary` from its plain-dict form."""
-    return TrafficSummary(**data)
-
-
-def network_energy_from_dict(data: dict[str, Any]) -> NetworkEnergy:
-    """Rebuild a :class:`NetworkEnergy` split from its plain-dict form.
-
-    Tolerates the derived ``total_mj`` key emitted by the reporting
-    converter :func:`network_energy_to_dict`.
-    """
-    return NetworkEnergy(**{k: data[k] for k in _NETWORK_ENERGY_FIELDS if k in data})
-
-
-def energy_breakdown_from_dict(data: dict[str, Any]) -> EnergyBreakdown:
-    """Rebuild an :class:`EnergyBreakdown` from its plain-dict form."""
-    kwargs: dict[str, Any] = {k: data[k] for k in _ENERGY_SCALAR_FIELDS}
-    kwargs["network"] = network_energy_from_dict(data["network"])
-    return EnergyBreakdown(**kwargs)
-
-
-def layer_result_to_cache_dict(result: LayerResult) -> dict[str, Any]:
-    """Losslessly flatten a :class:`LayerResult` for the disk cache."""
-    return dataclass_to_plain(result)
-
-
-#: Exact constructor-field name sets, for validating cache entries.
-_FIELD_KEYS: dict[type, frozenset[str]] = {
-    cls: frozenset(f.name for f in dataclasses.fields(cls))
-    for cls in (
-        ConvLayer,
-        Mapping,
-        TrafficSummary,
-        NetworkEnergy,
-        EnergyBreakdown,
-        LayerResult,
-    )
-}
-
-
-def _fast_build(cls: type, attributes: dict[str, Any]) -> Any:
-    """Construct a (slot-less) dataclass instance without ``__init__``.
-
-    Cache deserialisation rebuilds hundreds of frozen dataclasses per
-    warm start; going through the generated ``__init__`` (keyword
-    binding, ``object.__setattr__`` per field, ``__post_init__``
-    validation) costs several times more than populating ``__dict__``
-    directly.  Only used on *trusted* input -- entries this process
-    family wrote, guarded by the cache schema version -- where the
-    validation already passed when the original object was built.
-    Field-name coverage is still checked exactly, so truncated or
-    stale entries raise :class:`ValueError` (which the disk tier
-    treats as a miss) instead of yielding half-built objects.
-    """
-    if attributes.keys() != _FIELD_KEYS[cls]:
-        raise ValueError(f"{cls.__name__}: cache entry field mismatch")
-    obj = object.__new__(cls)
-    obj.__dict__.update(attributes)
-    return obj
-
-
-def layer_result_from_cache_dict(data: dict[str, Any]) -> LayerResult:
-    """Exactly rebuild a :class:`LayerResult` from its cache form."""
-    kwargs = dict(data)
-    layer = _fast_build(ConvLayer, data["layer"])
-    kwargs["layer"] = layer
-    mapping_data = data["mapping"]
-    mapping_kwargs = dict(mapping_data)
-    mapping_kwargs["dataflow"] = DataflowKind(mapping_data["dataflow"])
-    # The mapping almost always describes the result's own layer;
-    # share the object instead of rebuilding it.
-    mapping_kwargs["layer"] = (
-        layer
-        if mapping_data["layer"] == data["layer"]
-        else _fast_build(ConvLayer, mapping_data["layer"])
-    )
-    kwargs["mapping"] = _fast_build(Mapping, mapping_kwargs)
-    kwargs["traffic"] = _fast_build(TrafficSummary, data["traffic"])
-    energy_kwargs = dict(data["energy"])
-    energy_kwargs["network"] = _fast_build(NetworkEnergy, data["energy"]["network"])
-    kwargs["energy"] = _fast_build(EnergyBreakdown, energy_kwargs)
-    return _fast_build(LayerResult, kwargs)
-
-
-# ----------------------------------------------------------------------
 # Packed (positional) disk-cache encoding
 # ----------------------------------------------------------------------
 #: Canonical field order of the packed encoding, per dataclass.
@@ -309,6 +159,12 @@ _PACK_ORDER: dict[type, tuple[str, ...]] = {
         LayerResult,
     )
 }
+
+#: The energy breakdown's scalar fields (its ``network`` split is
+#: packed field by field through ``_PACK_ORDER``).
+_ENERGY_SCALAR_FIELDS = tuple(
+    f.name for f in dataclasses.fields(EnergyBreakdown) if f.name != "network"
+)
 
 # The float-typed scalars of a result, in canonical order.  They are
 # packed as one IEEE-754 hex blob per entry: ``bytes.fromhex`` +
@@ -353,10 +209,11 @@ _DATAFLOW_BY_VALUE = {kind.value: kind for kind in DataflowKind}
 def layer_result_pack(result: LayerResult) -> list[Any]:
     """Pack a :class:`LayerResult` into a positional JSON array.
 
-    Same information as :func:`layer_result_to_cache_dict` but built
-    for the disk cache's parse speed: field *positions* instead of
-    repeated field-name strings, and all float scalars collapsed into
-    one IEEE-754 little-endian hex blob (canonical ``_FLOAT_ORDER``).
+    Every constructor field of the result and of the dataclasses it
+    holds, laid out for the disk cache's parse speed: field
+    *positions* instead of repeated field-name strings, and all float
+    scalars collapsed into one IEEE-754 little-endian hex blob
+    (canonical ``_FLOAT_ORDER``).
     ``None`` in the mapping's layer slot means "same object as the
     result's layer" (the overwhelmingly common case).  Values in
     float-typed slots that are not actually ``float`` instances (an

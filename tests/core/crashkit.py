@@ -53,7 +53,10 @@ class CrashingSimulator:
     inner:
         The real simulator to delegate to once injection is spent.
     mode:
-        ``"raise"`` raises :class:`RuntimeError`, ``"exit"`` kills the
+        ``"raise"`` raises :class:`RuntimeError`, ``"violate"`` raises
+        :class:`~repro.errors.InvariantViolationError` with one
+        ``INV-TIME-NEG`` violation (what a strict-mode ``Simulator``
+        raises for a corrupt result), ``"exit"`` kills the
         process via ``os._exit`` (a worker crash the parent only sees
         as EOF), ``"hang"`` sleeps for ``hang_s`` seconds (long enough
         to trip any configured timeout).
@@ -73,8 +76,10 @@ class CrashingSimulator:
         counter_path: str | None = None,
         hang_s: float = 60.0,
     ):
-        if mode not in ("raise", "exit", "hang"):
-            raise ValueError("mode must be 'raise', 'exit' or 'hang'")
+        if mode not in ("raise", "violate", "exit", "hang"):
+            raise ValueError(
+                "mode must be 'raise', 'violate', 'exit' or 'hang'"
+            )
         if fail_times is not None and counter_path is None:
             raise ValueError("fail_times needs a counter_path")
         self.inner = inner
@@ -96,6 +101,23 @@ class CrashingSimulator:
         return prior < self.fail_times
 
     def _fail(self) -> None:
+        if self.mode == "violate":
+            from repro.core.invariants import (
+                InvariantViolation,
+                raise_on_violations,
+            )
+
+            name = self.inner.spec.name
+            raise_on_violations(
+                [
+                    InvariantViolation(
+                        code="INV-TIME-NEG",
+                        message="injected negative computation time",
+                        accelerator=name,
+                    )
+                ],
+                subject=name,
+            )
         if self.mode == "exit":
             os._exit(17)
         if self.mode == "hang":

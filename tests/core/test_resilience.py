@@ -27,7 +27,12 @@ import pytest
 from crashkit import CrashingSimulator
 from repro.core import batch
 from repro.core.batch import NullCache, ResultCache, SweepJob, SweepJobError, SweepRunner
-from repro.core.campaign import CampaignManifest, job_content_key
+from repro.core.campaign import (
+    CampaignManifest,
+    job_content_key,
+    read_manifest_events,
+)
+from repro.core.invariants import InvariantViolation
 from repro.core.layer import ConvLayer, LayerSet
 from repro.spacx.architecture import spacx_simulator
 
@@ -300,6 +305,108 @@ class TestResume:
         other.run([SweepJob(simulator, _models(3)[2])], resume=True)
         assert not other.manifest.resumed
         assert other.resumed_jobs == 0
+
+
+# ----------------------------------------------------------------------
+# One failure, one record: every route settles an attempt the same way
+# ----------------------------------------------------------------------
+#: Runner arguments that pin each route.  ``vectorize=False`` makes the
+#: injected simulators' own ``simulate_layer`` run; the grid route needs
+#: the kernel, so it only replays the audit probe.
+_ROUTES = {
+    "serial": dict(max_workers=1, exec_plan="serial", vectorize=False),
+    "pool": dict(max_workers=2, exec_plan="pool", vectorize=False),
+    "grid": dict(max_workers=1, exec_plan="auto", vectorize=True),
+}
+
+#: probe -> (routes that replay it, attempts the failing job takes).
+_PROBES = {
+    # The post-run audit flags the first attempt's result.
+    "audit": (("serial", "pool", "grid"), 1),
+    # The first attempt raises; the audit flags the retry's result.
+    "retried-audit": (("serial", "pool"), 2),
+    # The simulator raises a violation itself, as strict mode does.
+    "strict": (("serial", "pool"), 1),
+}
+
+
+def _flag_net0(monkeypatch):
+    """Make the runner's post-run audit flag every ``net-0`` result."""
+    real = batch.audit_model_result
+
+    def audit(result, spec, **kwargs):
+        if result.model == "net-0":
+            return [
+                InvariantViolation(
+                    code="INV-TIME-NEG",
+                    message="injected audit finding",
+                    accelerator=result.accelerator,
+                    layer=result.model,
+                )
+            ]
+        return real(result, spec, **kwargs)
+
+    monkeypatch.setattr(batch, "audit_model_result", audit)
+
+
+@pytest.mark.parametrize("probe", sorted(_PROBES))
+def test_one_failure_one_record_on_every_route(
+    simulator, tmp_path, monkeypatch, probe
+):
+    routes, attempts = _PROBES[probe]
+    if probe != "strict":
+        _flag_net0(monkeypatch)
+    models = _models(2)
+    records = {}
+    for route in routes:
+        if probe == "audit":
+            failing = simulator
+        elif probe == "retried-audit":
+            failing = CrashingSimulator(
+                simulator, fail_times=1, counter_path=tmp_path / route
+            )
+        else:
+            failing = CrashingSimulator(simulator, mode="violate")
+        manifest_dir = tmp_path / f"{route}-campaign"
+        with SweepRunner(
+            **_ROUTES[route],
+            cache=NullCache(),
+            manifest=CampaignManifest(manifest_dir),
+            retries=2,
+            backoff_s=0.05,
+            on_error="skip",
+            budget=False,
+        ) as runner:
+            results = runner.run(
+                [SweepJob(failing, models[0]), SweepJob(simulator, models[1])]
+            )
+        assert not runner.used_fallback
+        assert results[0] is None and results[1] is not None
+        [failure] = runner.failures
+        records[route] = {
+            "error_type": failure.error_type,
+            "message": failure.message,
+            "attempts": failure.attempts,
+            "wall_times": len(failure.attempt_wall_times_s),
+            "backoff_slept_s": failure.backoff_slept_s,
+            "violations": failure.violations,
+            "quarantined": failure.quarantined,
+            "stats": [(s.index, s.attempts, s.failed) for s in runner.stats],
+            "manifest": sorted(
+                (e["index"], e["event"], e.get("error"), e.get("attempts"))
+                for e in read_manifest_events(manifest_dir)[1:]
+            ),
+        }
+    serial = records["serial"]
+    for route, record in records.items():
+        assert record == serial, route
+    assert serial["error_type"] == "InvariantViolationError"
+    assert serial["attempts"] == attempts
+    assert serial["wall_times"] == attempts
+    assert (serial["backoff_slept_s"] > 0) == (attempts > 1)
+    assert [v["code"] for v in serial["violations"]] == ["INV-TIME-NEG"]
+    assert serial["manifest"][0][:2] == (0, "failed")
+    assert serial["manifest"][1][:2] == (1, "done")
 
 
 _KILL_SCRIPT = """

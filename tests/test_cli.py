@@ -171,6 +171,23 @@ class TestBudgetFlags:
         assert "deadline_s" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--timeout", "-1"], "timeout_s"),
+            (["--timeout", "0"], "timeout_s"),
+            (["--retries", "-1"], "retries"),
+        ],
+    )
+    def test_bad_retry_policy_exits_2(
+        self, capsys, restore_sweep_defaults, flags, field
+    ):
+        argv = [*flags, "run", "--model", "ResNet-50", "--machine", "spacx"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field}" in err
+        assert "Traceback" not in err
+
     def test_drain_signal_restores_handlers(
         self, capsys, restore_sweep_defaults
     ):
