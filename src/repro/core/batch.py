@@ -589,11 +589,14 @@ class NullCache:
 # Cached simulation entry points
 # ----------------------------------------------------------------------
 def _rebind_layer(result: LayerResult, layer: ConvLayer) -> LayerResult:
-    """Re-attach a cached (shape-keyed) result to a specific layer.
+    """Re-attach a shape-keyed result (a cache hit or a grid lane) to a
+    specific layer.
 
     Two layers with the same shape key cost the same but may carry
     different names; rebinding keeps the reported layer identity
-    exactly what a fresh simulation would have produced.
+    exactly what a fresh simulation would have produced.  The copy
+    keeps the source's pre-audit marker, so a rebound grid lane still
+    skips the per-layer audit.
 
     Only the *name* is compared: the cache key already pins every
     shape field (``layer.shape_key`` covers all nine dimensions), so
@@ -1631,10 +1634,6 @@ class SweepRunner:
 
         # One kernel launch per machine chunk over the union shapes.
         leftover: list[int] = []
-        #: Machines whose lane map came wholesale from this launch --
-        #: every lane's ``layer`` is the union layer, so the per-model
-        #: rebind pattern below applies machine-invariantly.
-        pure: set[int] = set()
         grid_rows = [j for j, miss in enumerate(missing) if miss]
         if grid_rows:
             union_layers = list(union.values())
@@ -1674,7 +1673,6 @@ class SweepRunner:
                         # full lane map (a superset of its need) serves
                         # the stitch directly.
                         resolved[j] = lanes
-                        pure.add(j)
                     else:
                         hits = resolved[j]
                         cache_put = cache.put
@@ -1705,12 +1703,6 @@ class SweepRunner:
             )
         setup_elapsed = time.perf_counter() - t0
         share = setup_elapsed / len(stitched) if stitched else 0.0
-        #: Per-model ``[(unique index, layer), ...]`` rebind pattern
-        #: against the union layers -- identical for every pure row.
-        rebind_plan: dict[int, list] = {}
-        #: Pure rows whose every union lane carries the preaudit marker
-        #: for its spec (checked once per machine, not once per job).
-        row_marked: dict[int, bool] = {}
         for pos, j in stitched:
             if self._check_stop():
                 break
@@ -1721,56 +1713,14 @@ class SweepRunner:
             lanes = resolved[j]
             unique, shapes, occ = _model_structure(job.model)
             result = ModelResult(accelerator=spec.name, model=job.model.name)
-            if j in pure:
-                # Fast path: every lane's layer is the union layer, so
-                # which slots need rebinding depends on the model only.
-                plan = rebind_plan.get(id(job.model))
-                if plan is None:
-                    plan = [
-                        (i, layer)
-                        for i, (layer, shape) in enumerate(
-                            zip(unique, shapes)
-                        )
-                        if union[shape].name != layer.name
-                    ]
-                    rebind_plan[id(job.model)] = plan
-                lane_list = list(map(lanes.__getitem__, shapes))
-                for i, layer in plan:
-                    lane = lane_list[i]
-                    clone = grid_mod.rebind_lane(lane, layer)
-                    lane_list[i] = (
-                        clone
-                        if clone is not None
-                        else _rebind_layer(lane, layer)
-                    )
-                marked = row_marked.get(j)
-                if marked is None:
-                    marked = all(
-                        lane.__dict__.get(_PREAUDIT_ATTR) is spec
-                        for lane in lanes.values()
-                    )
-                    row_marked[j] = marked
-            else:
-                lane_list = []
-                for layer, shape in zip(unique, shapes):
-                    lane = lanes[shape]
-                    current = lane.layer
-                    if current is not layer and current.name != layer.name:
-                        clone = (
-                            grid_mod.rebind_lane(lane, layer)
-                            if grid_mod.is_lane_proxy(lane)
-                            else None
-                        )
-                        lane = (
-                            clone
-                            if clone is not None
-                            else _rebind_layer(lane, layer)
-                        )
-                    lane_list.append(lane)
-                marked = all(
-                    lane.__dict__.get(_PREAUDIT_ATTR) is spec
-                    for lane in lane_list
-                )
+            lane_list = [
+                _rebind_layer(lanes[shape], layer)
+                for layer, shape in zip(unique, shapes)
+            ]
+            marked = all(
+                lane.__dict__.get(_PREAUDIT_ATTR) is spec
+                for lane in lane_list
+            )
             result.layers.extend(map(lane_list.__getitem__, occ))
             if marked:
                 result.__dict__[_PREAUDIT_ATTR] = spec

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 # Canonical home of the exit-code contract is repro.errors; the alias
 # here predates it and is kept for the many existing import sites.
-from ..errors import EXIT_BUDGET_STOPPED
+from ..errors import EXIT_BUDGET_STOPPED, ConfigError
 
 __all__ = [
     "EXIT_BUDGET_STOPPED",
@@ -111,8 +111,12 @@ class CampaignBudget:
     def __post_init__(self) -> None:
         for name in ("deadline_s", "max_rss_mb", "worker_rlimit_mb"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive (or None)")
+            # "not > 0" rather than "<= 0": a NaN limit must not pass
+            # as a limit that never trips.
+            if value is not None and not value > 0:
+                raise ConfigError(
+                    f"{name} must be positive (or None), got {value!r}"
+                )
         for name in (
             "max_failures",
             "max_consecutive_failures",

@@ -26,13 +26,12 @@ can never reach 2**53.  A row that fails, or that bails out strictly
 on a dirty audit lane, comes back as ``None`` with a reason, and its
 machine runs on the scalar simulator.
 
-**Lazy materialization.**  Building five Python objects per lane is
-most of what a lane costs; the grid instead returns
-:class:`_LaneProxy` results -- real :class:`LayerResult` instances
-whose ``__dict__`` holds only (store, row, lane, layer) -- and
-materializes the full field set on first attribute access.  Clean
-lanes carry the pre-audit marker from birth, so
-``audit_model_result`` stays O(1) per model.
+**Plain lanes.**  Every admitted row's lanes are built as ordinary
+:class:`LayerResult` objects, one row at a time, from the row's
+columns converted with ``tolist()``.  Every campaign reads every lane
+it asked for, so nothing is deferred.  Lanes that pass the grid audit
+carry the pre-audit marker, so ``audit_model_result`` stays O(1) per
+model.  :func:`bounds_grid` builds no lanes at all.
 """
 
 from __future__ import annotations
@@ -74,8 +73,6 @@ __all__ = [
     "family_key",
     "grid_gap",
     "lane_covered",
-    "rebind_lane",
-    "is_lane_proxy",
 ]
 
 
@@ -266,175 +263,49 @@ class _RowView:
 
 
 # ----------------------------------------------------------------------
-# Lazy lane results
+# Lane assembly
 # ----------------------------------------------------------------------
-_RESULT_FIELDS = (
-    "accelerator", "layer", "mapping", "traffic",
-    "computation_time_s", "communication_time_s",
-    "exposed_communication_s", "energy", "packet_latency_s",
-    "delivered_bytes",
-)
-_FIELDS_GET = None  # built lazily to keep import cost flat
+def _row_lists(cols, j, n):
+    """Row ``j`` of every result column as a list of ``n`` Python
+    scalars.  ``tolist()`` / ``.item()`` convert int64 to int and
+    float64 to float, so built lanes are JSON- and pickle-compatible
+    with scalar ones."""
+    row = {}
+    for name, col in cols.items():
+        nd = getattr(col, "ndim", -1)
+        if nd == 2:
+            if col.shape[1] == 1:
+                row[name] = [col[j, 0].item()] * n
+            else:
+                row[name] = col[j].tolist()
+        elif nd == 1:
+            row[name] = col.tolist()
+        elif nd == 0:
+            row[name] = [col.item()] * n
+        else:
+            row[name] = [col] * n
+    return row
 
 
-def _pick(col, j, i):
-    """One lane's Python-scalar value from a grid column.
+def _build_lanes(g, layers, spec, packet, dataflow, pe_forwarding, dirty_row):
+    """One grid row's lanes as plain :class:`LayerResult` objects.
 
-    ``.item()`` performs the same int64->int / float64->float
-    conversion ``tolist()`` does, keeping materialized results JSON-
-    and pickle-compatible with scalar ones.
+    ``g`` holds the row's columns (:func:`_row_lists`).  A lane whose
+    ``dirty_row`` entry is false passed the grid audit and carries the
+    pre-audit marker for ``spec``.  Objects are filled through
+    ``__dict__`` rather than the generated frozen-dataclass
+    ``__init__``, which would cost several times more per lane; every
+    value comes from the kernel's columns.
     """
-    nd = getattr(col, "ndim", -1)
-    if nd == 2:
-        if col.shape[1] == 1:
-            return col[j, 0].item()
-        return col[j, i].item()
-    if nd == 1:
-        return col[i].item()
-    if nd == 0:
-        return col.item()
-    return col
-
-
-def _restore_lane(state):
-    """Unpickle target: a materialized lane is a plain LayerResult."""
-    obj = object.__new__(LayerResult)
-    object.__setattr__(obj, "__dict__", state)
-    return obj
-
-
-class _LaneProxy(LayerResult):
-    """A ``LayerResult`` whose fields materialize on first access.
-
-    Born with only ``{_gs: store, _gj: row, _gi: lane, layer}`` (plus
-    the pre-audit marker when the lane passed the grid audit); any
-    field read triggers :meth:`_GridStore.materialize`, which installs
-    the full scalar-compatible ``__dict__`` and drops the store
-    references.  Identity-based fast paths (``result.layer``, the
-    marker's ``__dict__.get``) never materialize.
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        d = self.__dict__
-        store = d.get("_gs")
-        if store is None:
-            raise AttributeError(name)
-        store.materialize(self)
-        try:
-            return d[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-    # The dataclass-generated comparisons insist on an exact class
-    # match; a materialized proxy is value-equal to the plain result
-    # the scalar path would have built, so compare (and hash) by the
-    # same field tuple the dataclass uses.
-    def __eq__(self, other):
-        if not isinstance(other, LayerResult):
-            return NotImplemented
-        return tuple(getattr(self, f) for f in _RESULT_FIELDS) == tuple(
-            getattr(other, f) for f in _RESULT_FIELDS
-        )
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self):
-        return hash(tuple(getattr(self, f) for f in _RESULT_FIELDS))
-
-    def __reduce__(self):
-        store = self.__dict__.get("_gs")
-        if store is not None:
-            store.materialize(self)
-        return (_restore_lane, (dict(self.__dict__),))
-
-
-def is_lane_proxy(obj) -> bool:
-    return type(obj) is _LaneProxy
-
-
-def rebind_lane(proxy, layer):
-    """Unmaterialized-proxy twin of ``batch._rebind_layer``: share the
-    store/lane, swap the layer, carry the pre-audit marker.  Returns
-    ``None`` for an already-materialized proxy (use the generic
-    rebind)."""
-    d = proxy.__dict__
-    store = d.get("_gs")
-    if store is None:
-        return None
-    clone_dict = {
-        "_gs": store, "_gj": d["_gj"], "_gi": d["_gi"], "layer": layer,
-    }
-    spec = d.get(_PREAUDIT_ATTR)
-    if spec is not None:
-        clone_dict[_PREAUDIT_ATTR] = spec
-    clone = object.__new__(_LaneProxy)
-    object.__setattr__(clone, "__dict__", clone_dict)
-    return clone
-
-
-#: After this many lanes of one store have materialized, switch from
-#: per-lane numpy ``.item()`` picks to cached per-row ``tolist()``
-#: extraction: bulk conversion costs one row pass but turns the other
-#: ~40 scalar reads per lane into plain list indexing.  A digest /
-#: serialization / aggregate pass over a big grid is ~10x faster that
-#: way, while a caller touching only a lane or two never pays for it.
-_BULK_THRESHOLD = 4
-
-
-class _GridStore:
-    """Columnar backing for one evaluated grid: every result column
-    plus the per-row constants, shared by all of the grid's proxies."""
-
-    __slots__ = (
-        "cols", "packet", "accel", "dataflow", "pe_forwarding",
-        "n", "_touched", "_rows",
-    )
-
-    def __init__(self):
-        self._touched = 0
-        self._rows = None
-
-    def _row_lists(self, j):
-        """Row ``j``'s columns as plain-scalar lists of length ``n``
-        (cached).  ``tolist()`` performs the same int64->int /
-        float64->float conversion the per-lane ``.item()`` path does,
-        so bulk- and lazily-materialized lanes are byte-identical."""
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = {}
-        row = rows.get(j)
-        if row is None:
-            n = self.n
-            row = rows[j] = {}
-            for name, col in self.cols.items():
-                nd = getattr(col, "ndim", -1)
-                if nd == 2:
-                    if col.shape[1] == 1:
-                        row[name] = [col[j, 0].item()] * n
-                    else:
-                        row[name] = col[j].tolist()
-                elif nd == 1:
-                    row[name] = col.tolist()
-                elif nd == 0:
-                    row[name] = [col.item()] * n
-                else:
-                    row[name] = [col] * n
-        return row
-
-    def _materialize_bulk(self, d, j, i, layer) -> None:
-        g = self._row_lists(j)
-        new = object.__new__
-        set_ = object.__setattr__
+    new = object.__new__
+    set_ = object.__setattr__
+    accelerator = spec.name
+    out = []
+    for i, layer in enumerate(layers):
         mapping = new(Mapping)
         set_(mapping, "__dict__", {
             "layer": layer,
-            "dataflow": self.dataflow,
+            "dataflow": dataflow,
             "compute_cycles": g["cycles"][i],
             "chiplets_active": g["ch_active"][i],
             "pes_active_per_chiplet": g["pe_active_per_chiplet"][i],
@@ -448,7 +319,7 @@ class _GridStore:
             "ifmap_refetch": g["i_refetch"][i],
             "c_chunks": g["c_chunks"][i],
             "psum_spatial_fanin": g["psum_fanin"][i],
-            "pe_forwarding": self.pe_forwarding,
+            "pe_forwarding": pe_forwarding,
         })
         traffic = new(TrafficSummary)
         set_(traffic, "__dict__", {
@@ -479,86 +350,24 @@ class _GridStore:
             "dram_mj": g["dram"][i],
             "network": network,
         })
-        d["accelerator"] = self.accel[j]
-        d["mapping"] = mapping
-        d["traffic"] = traffic
-        d["computation_time_s"] = g["comp"][i]
-        d["communication_time_s"] = g["comm"][i]
-        d["exposed_communication_s"] = g["exposed"][i]
-        d["energy"] = energy
-        d["packet_latency_s"] = self.packet[j]
-        d["delivered_bytes"] = g["delivered"][i]
-
-    def materialize(self, proxy) -> None:
-        d = proxy.__dict__
-        j = d.pop("_gj")
-        i = d.pop("_gi")
-        d.pop("_gs", None)
-        layer = d["layer"]
-        self._touched += 1
-        if self._rows is not None or self._touched > _BULK_THRESHOLD:
-            self._materialize_bulk(d, j, i, layer)
-            return
-        g = self.cols
-        new = object.__new__
-        set_ = object.__setattr__
-        mapping = new(Mapping)
-        set_(mapping, "__dict__", {
+        fields = {
+            "accelerator": accelerator,
             "layer": layer,
-            "dataflow": self.dataflow,
-            "compute_cycles": _pick(g["cycles"], j, i),
-            "chiplets_active": _pick(g["ch_active"], j, i),
-            "pes_active_per_chiplet": _pick(g["pe_active_per_chiplet"], j, i),
-            "ef_waves": _pick(g["ef_waves"], j, i),
-            "k_waves": _pick(g["k_waves"], j, i),
-            "weight_sharers": _pick(g["w_sharers"], j, i),
-            "ifmap_sharers": _pick(g["i_sharers"], j, i),
-            "weight_chiplet_fanout": _pick(g["w_fanout"], j, i),
-            "ifmap_chiplet_fanout": _pick(g["i_fanout"], j, i),
-            "weight_refetch": _pick(g["w_refetch"], j, i),
-            "ifmap_refetch": _pick(g["i_refetch"], j, i),
-            "c_chunks": _pick(g["c_chunks"], j, i),
-            "psum_spatial_fanin": _pick(g["psum_fanin"], j, i),
-            "pe_forwarding": self.pe_forwarding,
-        })
-        traffic = new(TrafficSummary)
-        set_(traffic, "__dict__", {
-            "gb_weight_send_bytes": _pick(g["gw"], j, i),
-            "gb_ifmap_send_bytes": _pick(g["gi"], j, i),
-            "pe_weight_receive_bytes": _pick(g["pw"], j, i),
-            "pe_ifmap_receive_bytes": _pick(g["pi"], j, i),
-            "chiplet_weight_cross_bytes": _pick(g["cw"], j, i),
-            "chiplet_ifmap_cross_bytes": _pick(g["ci"], j, i),
-            "output_bytes": _pick(g["out"], j, i),
-            "psum_bytes": _pick(g["psum"], j, i),
-            "dram_read_bytes": _pick(g["dread"], j, i),
-            "dram_write_bytes": _pick(g["dwrite"], j, i),
-        })
-        network = new(NetworkEnergy)
-        set_(network, "__dict__", {
-            "eo_mj": _pick(g["eo"], j, i),
-            "oe_mj": _pick(g["oe"], j, i),
-            "heating_mj": _pick(g["heat"], j, i),
-            "laser_mj": _pick(g["laser"], j, i),
-            "electrical_mj": _pick(g["elec"], j, i),
-        })
-        energy = new(EnergyBreakdown)
-        set_(energy, "__dict__", {
-            "mac_mj": _pick(g["mac"], j, i),
-            "pe_buffer_mj": _pick(g["pe"], j, i),
-            "gb_mj": _pick(g["gb"], j, i),
-            "dram_mj": _pick(g["dram"], j, i),
-            "network": network,
-        })
-        d["accelerator"] = self.accel[j]
-        d["mapping"] = mapping
-        d["traffic"] = traffic
-        d["computation_time_s"] = _pick(g["comp"], j, i)
-        d["communication_time_s"] = _pick(g["comm"], j, i)
-        d["exposed_communication_s"] = _pick(g["exposed"], j, i)
-        d["energy"] = energy
-        d["packet_latency_s"] = self.packet[j]
-        d["delivered_bytes"] = _pick(g["delivered"], j, i)
+            "mapping": mapping,
+            "traffic": traffic,
+            "computation_time_s": g["comp"][i],
+            "communication_time_s": g["comm"][i],
+            "exposed_communication_s": g["exposed"][i],
+            "energy": energy,
+            "packet_latency_s": packet,
+            "delivered_bytes": g["delivered"][i],
+        }
+        if not dirty_row[i]:
+            fields[_PREAUDIT_ATTR] = spec
+        lane = new(LayerResult)
+        set_(lane, "__dict__", fields)
+        out.append(lane)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -656,23 +465,19 @@ def _compute_energies(models, d, pes_active):
 class GridOutcome:
     """Per-machine results of one grid evaluation.
 
-    ``by_machine[j]`` is a dict mapping ``layer.shape_key`` to a lazy
-    :class:`LayerResult` (aligned with the input simulators), or
+    ``by_machine[j]`` (aligned with the input simulators) is a dict
+    mapping ``layer.shape_key`` to a plain :class:`LayerResult`, or
     ``None`` with ``reasons[j]`` naming why that machine must run on
-    the scalar simulator instead.
+    the scalar simulator instead.  ``lanes`` counts the lanes built:
+    admitted rows times layers.
     """
 
-    __slots__ = ("by_machine", "reasons", "lanes", "n_layers")
+    __slots__ = ("by_machine", "reasons", "lanes")
 
-    def __init__(self, by_machine, reasons, lanes, n_layers):
+    def __init__(self, by_machine, reasons, lanes):
         self.by_machine = by_machine
         self.reasons = reasons
         self.lanes = lanes
-        self.n_layers = n_layers
-
-    @property
-    def n_machines(self) -> int:
-        return sum(1 for entry in self.by_machine if entry is not None)
 
 
 def evaluate_grid(
@@ -691,12 +496,12 @@ def evaluate_grid(
     n = len(layers)
     if n == 0:
         return GridOutcome(
-            [{} for _ in simulators], [None] * len(simulators), 0, 0
+            [{} for _ in simulators], [None] * len(simulators), 0
         )
     by_machine: list = [None] * len(simulators)
     kept, reasons, shared = _admit(simulators, layers, layer_by_layer)
     if not kept:
-        return GridOutcome(by_machine, reasons, 0, n)
+        return GridOutcome(by_machine, reasons, 0)
 
     sims = [simulators[j] for j in kept]
     specs = [s.spec for s in sims]
@@ -830,8 +635,7 @@ def evaluate_grid(
         )
         dirty = _audit_grid(specs, packet, d, comm, exec_s, energies, floors)
 
-    store = _GridStore()
-    store.cols = {
+    cols = {
         "cycles": d.cycles, "ch_active": d.ch_active,
         "pe_active_per_chiplet": d.pe_active_per_chiplet,
         "ef_waves": d.ef_waves, "k_waves": d.k_waves,
@@ -848,47 +652,24 @@ def evaluate_grid(
         "eo": eo_mj, "oe": oe_mj, "heat": heating_mj,
         "laser": laser_mj, "elec": electrical_mj,
     }
-    store.packet = packet
-    store.accel = [spec.name for spec in specs]
-    store.dataflow = specs[0].dataflow
-    store.pe_forwarding = bool(d.pe_forwarding)
-    store.n = n
-
+    dataflow = specs[0].dataflow
+    pe_forwarding = bool(d.pe_forwarding)
     shape_keys = [layer.shape_key for layer in layers]
-    indexed = list(enumerate(layers))
-    new = object.__new__
-    set_ = object.__setattr__
     lanes = 0
     for jj, sim in enumerate(sims):
-        row_dirty = bool(dirty[jj].any())
-        if sim.strict and row_dirty:
+        dirty_row = dirty[jj].tolist()
+        if sim.strict and any(dirty_row):
             # The scalar simulator reproduces the exact raise and its
             # side effects.
             reasons[kept[jj]] = "strict invariant bailout"
             continue
-        spec = sim.spec
-        if not row_dirty:
-            dicts = [
-                {"_gs": store, "_gj": jj, "_gi": i,
-                 "layer": layer, _PREAUDIT_ATTR: spec}
-                for i, layer in indexed
-            ]
-        else:
-            dirty_row = dirty[jj].tolist()
-            dicts = []
-            for i, layer in indexed:
-                lane_dict = {
-                    "_gs": store, "_gj": jj, "_gi": i, "layer": layer,
-                }
-                if not dirty_row[i]:
-                    lane_dict[_PREAUDIT_ATTR] = spec
-                dicts.append(lane_dict)
-        proxies = [new(_LaneProxy) for _ in indexed]
-        for proxy, lane_dict in zip(proxies, dicts):
-            set_(proxy, "__dict__", lane_dict)
-        by_machine[kept[jj]] = dict(zip(shape_keys, proxies))
+        row = _build_lanes(
+            _row_lists(cols, jj, n), layers, sim.spec, packet[jj],
+            dataflow, pe_forwarding, dirty_row,
+        )
+        by_machine[kept[jj]] = dict(zip(shape_keys, row))
         lanes += n
-    return GridOutcome(by_machine, reasons, lanes, n)
+    return GridOutcome(by_machine, reasons, lanes)
 
 
 def _audit_grid(specs, packet, d, comm, exec_s, energies, floors):

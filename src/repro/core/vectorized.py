@@ -712,7 +712,7 @@ def simulate_layers_vectorized(
     one result per input layer, bit-identical to the scalar path
     either way.
     """
-    from . import grid
+    from . import batch, grid
 
     layers = list(layers)
     sieve = [grid.lane_covered(layer) for layer in layers]
@@ -736,6 +736,6 @@ def simulate_layers_vectorized(
             lane = simulator.simulate_layer(layer, layer_by_layer=layer_by_layer)
         elif lane.layer is not layer:
             # A second layer of the same shape: same lane, its own name.
-            lane = grid.rebind_lane(lane, layer)
+            lane = batch._rebind_layer(lane, layer)
         out.append(lane)
     return out

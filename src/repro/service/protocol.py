@@ -171,7 +171,17 @@ def _normalize_budget(raw: Any) -> dict | None:
     for field in ("max_failures", "max_consecutive_failures"):
         if raw.get(field) is not None:
             budget[field] = _int_field(raw[field], field, 1)
-    return budget or None
+    if not budget:
+        return None
+    # CampaignBudget owns the limits' rules: a budget it would refuse
+    # inside the runner slot is refused here, at submission (400).
+    from ..core.budget import CampaignBudget
+
+    try:
+        CampaignBudget(**budget)
+    except ValueError as exc:
+        raise ConfigError(f"invalid 'budget': {exc}") from exc
+    return budget
 
 
 def _known_models() -> set:

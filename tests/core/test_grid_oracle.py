@@ -23,7 +23,9 @@ Coverage map:
 * planner routing on mixed fleets: every machine the grid declines
   (dead link, exactness screen, coverage gap) runs on the scalar
   simulator with one ``grid_fallbacks`` entry while clean families
-  still grid, results unchanged.
+  still grid, results unchanged;
+* grid lanes are plain ``LayerResult`` objects that carry the
+  pre-audit marker, so grid-served campaigns skip the per-layer audit.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from oracle import (
     zoo_grid_families,
     zoo_machines,
 )
+from repro.core import invariants
 from repro.core.batch import (
     NullCache,
     ResultCache,
@@ -61,7 +64,9 @@ from repro.core.grid import (
     lane_covered,
 )
 from repro.core.layer import ConvLayer, LayerSet
+from repro.core.metrics import LayerResult
 from repro.core.simulator import Simulator
+from repro.models.zoo import get_model
 from repro.spacx.architecture import spacx_simulator
 
 #: Granularity settings shared with the ablation figures (divisors
@@ -424,3 +429,61 @@ def test_mixed_fleet_gap_machines_ride_serial_lanes(tmp_path):
     ):
         assert name == simulator.spec.name
         assert reason in recorded, recorded
+
+
+# ----------------------------------------------------------------------
+# The pre-audit marker: grid results skip the per-layer audit
+# ----------------------------------------------------------------------
+def test_grid_results_skip_the_per_layer_audit(tmp_path, monkeypatch):
+    """Grid lanes carry the pre-audit marker, so the runner's audit of a
+    grid-served campaign never walks its layers -- neither when the
+    lanes are fresh nor when a rerun is served from the memory tier.
+    Hits unpacked from a disk tier carry no marker and are audited once
+    per unique lane of each job."""
+    audited = []
+    audit_layer_result = invariants.audit_layer_result
+
+    def counting(result, *args, **kwargs):
+        audited.append(result)
+        return audit_layer_result(result, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "audit_layer_result", counting)
+    models = [get_model("ResNet-50"), get_model("VGG-16")]
+
+    def audits(cache, jobs=None):
+        jobs = jobs or _jobs(list(zoo_machines().values()), models)
+        audited.clear()
+        runner = SweepRunner(max_workers=1, cache=cache, manifest=False)
+        results = runner.run(jobs)
+        assert not runner.failures and not runner.grid_fallbacks
+        unique = sum(len({id(lane) for lane in r.layers}) for r in results)
+        return len(audited), unique, jobs
+
+    assert audits(NullCache())[0] == 0
+    memory = ResultCache()
+    count, _, jobs = audits(memory)
+    assert count == 0
+    assert audits(memory, jobs)[0] == 0
+    audits(ResultCache(cache_dir=tmp_path))
+    count, unique, _ = audits(ResultCache(cache_dir=tmp_path))
+    assert count == unique > 0
+
+
+def test_grid_lanes_are_plain_layer_results():
+    """The kernel returns ordinary results, and so does the runner's
+    stitch, including the lanes it rebinds to a same-shape layer of
+    another name."""
+    simulators = _family_pair()
+    models = [*_models(3), LayerSet("renamed", [_layer("x", c=2, k=4)])]
+    layers = [layer for model in models[:3] for layer in model.unique_layers]
+    outcome = evaluate_grid(simulators, layers)
+    assert outcome.lanes == len(simulators) * len(layers)
+    assert {
+        type(lane) for row in outcome.by_machine for lane in row.values()
+    } == {LayerResult}
+    runner = SweepRunner(max_workers=1, cache=NullCache(), manifest=False)
+    results = runner.run(_jobs(simulators, models))
+    assert [d.plan for d in runner.plan_decisions] == ["grid"]
+    assert {type(lane) for r in results for lane in r.layers} == {LayerResult}
+    # "x" shares l0a's shape, so its lane is l0a's, rebound to "x".
+    assert [r.layers[0].layer.name for r in results[-2:]] == ["x", "x"]

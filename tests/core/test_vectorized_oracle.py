@@ -47,10 +47,9 @@ from oracle import (
     zoo_union_layers,
 )
 from repro.core import batch
-from repro.core.invariants import audit_layer_result
+from repro.core.invariants import _PREAUDIT_ATTR, audit_layer_result
 from repro.core.layer import ConvLayer
 from repro.core.simulator import Simulator
-from repro.core.grid import is_lane_proxy
 from repro.core.vectorized import coverage_gap, simulate_layers_vectorized
 from repro.errors import ReproWarning
 from repro.experiments import default_trio, run_models
@@ -267,7 +266,7 @@ def test_checked_mode_and_scalar_backfill_identical():
         simulator, layers, on_fallback=reasons.append
     )
     assert reasons == ["exactness screen declined the grid batch"]
-    assert not any(is_lane_proxy(fast) for fast in vec)
+    assert not any(_PREAUDIT_ATTR in fast.__dict__ for fast in vec)
     for layer, fast in zip(layers, vec):
         slow = simulator.simulate_layer(layer, layer_by_layer=False)
         assert canonical(slow) == canonical(fast), layer.name
@@ -290,7 +289,9 @@ def test_overflow_sieve_identical():
         simulator, layers, on_fallback=reasons.append
     )
     assert not reasons
-    assert [is_lane_proxy(fast) for fast in vec] == [False, True]
+    assert [
+        fast.__dict__.get(_PREAUDIT_ATTR) is simulator.spec for fast in vec
+    ] == [False, True]
     for layer, fast in zip(layers, vec):
         slow = simulator.simulate_layer(layer, layer_by_layer=False)
         assert canonical(slow) == canonical(fast), layer.name

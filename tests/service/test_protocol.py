@@ -89,6 +89,8 @@ class TestValidationErrors:
             {"kind": "search", "space": "no-such-preset"},
             {"kind": "search", "space": 7},
             "not an object",
+            {"kind": "sweep", "machines": ["spacx"], "models": ["MobileNetV2"], "budget": {"deadline_s": 0}},
+            {"kind": "sweep", "machines": ["spacx"], "models": ["MobileNetV2"], "budget": {"max_rss_mb": 0}},
         ],
     )
     def test_invalid_campaigns_raise_config_error(self, raw):

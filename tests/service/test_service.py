@@ -132,6 +132,18 @@ class TestEndToEnd:
             client.results("sub-999999")
         assert err.value.status == 404
 
+    @pytest.mark.parametrize("field", ["deadline_s", "max_rss_mb"])
+    def test_zero_budget_is_400(self, http_service, field):
+        # Refused at submission, not accepted (202) and then failed
+        # inside the runner slot.
+        service, url = http_service
+        client = ServiceClient(url, tenant="alice")
+        with pytest.raises(ServiceError) as err:
+            client.submit({**CAMPAIGN, "budget": {field: 0}})
+        assert err.value.status == 400
+        assert field in str(err.value)
+        assert service.stats()["submissions"] == 0
+
     def test_quota_violation_maps_to_429(self, tmp_path):
         registry = TenantRegistry(TenantQuota(max_jobs_per_campaign=1))
         svc = CampaignService(

@@ -188,6 +188,22 @@ class TestBudgetFlags:
         assert f"error: {field}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--deadline", "nan"], "deadline_s"),
+            (["--max-rss", "nan"], "max_rss_mb"),
+        ],
+    )
+    def test_nan_budget_exits_2(
+        self, capsys, restore_sweep_defaults, flags, field
+    ):
+        argv = [*flags, "run", "--model", "ResNet-50", "--machine", "spacx"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field}" in err
+        assert "Traceback" not in err
+
     def test_drain_signal_restores_handlers(
         self, capsys, restore_sweep_defaults
     ):
