@@ -1558,9 +1558,11 @@ class SweepRunner:
         the whole (machines x shapes) grid in one kernel launch
         (chunked along the machine axis under :data:`_GRID_LANE_BUDGET`)
         and stitches per-job results from the shared lanes.  Each
-        machine probes the cache once per union shape it needs; per-job
-        ``JobStats`` carry ``mode="grid"`` with zero cache counts (the
-        probes are charged to the runner-level cache stats).  Returns
+        machine probes the cache once per union shape it needs, and the
+        group's hits are audited in one array pass
+        (:func:`repro.core.grid.preaudit_hits`); per-job ``JobStats``
+        carry ``mode="grid"`` with zero cache counts (the probes are
+        charged to the runner-level cache stats).  Returns
         the sub-positions of jobs whose machine the kernel declined --
         they run on the scalar simulator, bit-identically.
         """
@@ -1597,8 +1599,14 @@ class SweepRunner:
 
         # Cache probes: hits resolve now, misses ride the grid.  Same
         # stat accounting as one pass-1 probe per (machine, shape).
+        # Hits not yet audited against their machine's spec are judged
+        # together by the grid's array audit; the clean ones carry the
+        # pre-audit marker into the stitch below.
         resolved: list = []  # per machine: shape -> LayerResult, or None
         missing: list = []  # per machine: shape -> cache key (None: NullCache)
+        audit_specs: list = []  # per machine with unaudited hits: its spec,
+        audit_hits: list = []  # the hits not yet marked for that spec,
+        audit_layers: list = []  # and the layer each was looked up for
         probes = 0
         for (simulator, positions), need in zip(machines, needs):
             hits: dict = {}
@@ -1608,6 +1616,9 @@ class SweepRunner:
                 miss = dict.fromkeys(need)
             else:
                 fingerprint = simulator_fingerprint(simulator)
+                spec = simulator.spec
+                unaudited: list = []
+                looked_up: list = []
                 for shape, layer in need.items():
                     ckey = memo_get((fingerprint, shape, layer_by_layer))
                     if ckey is None:
@@ -1627,10 +1638,19 @@ class SweepRunner:
                         miss[shape] = ckey
                     else:
                         hits[shape] = cached
+                        if cached.__dict__.get(_PREAUDIT_ATTR) is not spec:
+                            unaudited.append(cached)
+                            looked_up.append(layer)
+                if unaudited:
+                    audit_specs.append(spec)
+                    audit_hits.append(unaudited)
+                    audit_layers.append(looked_up)
             resolved.append(hits)
             missing.append(miss)
         if null_fast and probes:
             cache._misses += probes
+        if audit_hits and self.audit:
+            grid_mod.preaudit_hits(audit_specs, audit_hits, audit_layers)
 
         # One kernel launch per machine chunk over the union shapes.
         leftover: list[int] = []

@@ -32,11 +32,19 @@ columns converted with ``tolist()``.  Every campaign reads every lane
 it asked for, so nothing is deferred.  Lanes that pass the grid audit
 carry the pre-audit marker, so ``audit_model_result`` stays O(1) per
 model.  :func:`bounds_grid` builds no lanes at all.
+
+**One array audit.**  :func:`_audit_grid` evaluates every check of
+``audit_layer_result(result, spec)`` on columns.  It judges the
+kernel's lanes and, through :func:`preaudit_hits`, the results a
+grid group's cache probes return, so a warm rerun audits each hit
+once per machine, in one array pass per group, instead of once per
+job in Python.
 """
 
 from __future__ import annotations
 
-import math
+from itertools import chain
+from operator import attrgetter, eq
 from typing import TYPE_CHECKING, Sequence
 
 try:  # pragma: no cover - numpy ships with the toolchain
@@ -53,6 +61,7 @@ from .traffic import TrafficSummary
 from .vectorized import (
     _EXACT_INT,
     _NETWORK_LOWERERS,
+    _Cols,
     _close_lanes,
     _copy_cols,
     _map_lanes,
@@ -73,6 +82,7 @@ __all__ = [
     "family_key",
     "grid_gap",
     "lane_covered",
+    "preaudit_hits",
 ]
 
 
@@ -629,29 +639,24 @@ def evaluate_grid(
         # wrap below 3 * 2**53) and only feeds integer arithmetic.
         delivered = d.cw + d.ci + d.out
         packet = [sim.packet_latency_s() for sim in sims]
-        energies = (
-            mac_mj, pe_buffer_mj, gb_mj, dram_mj,
-            eo_mj, oe_mj, heating_mj, laser_mj, electrical_mj,
-        )
-        dirty = _audit_grid(specs, packet, d, comm, exec_s, energies, floors)
-
-    cols = {
-        "cycles": d.cycles, "ch_active": d.ch_active,
-        "pe_active_per_chiplet": d.pe_active_per_chiplet,
-        "ef_waves": d.ef_waves, "k_waves": d.k_waves,
-        "w_sharers": d.w_sharers, "i_sharers": d.i_sharers,
-        "w_fanout": d.w_fanout, "i_fanout": d.i_fanout,
-        "w_refetch": d.w_refetch, "i_refetch": d.i_refetch,
-        "c_chunks": d.c_chunks, "psum_fanin": d.psum_fanin,
-        "gw": d.gw, "gi": d.gi, "pw": d.pw, "pi": d.pi,
-        "cw": d.cw, "ci": d.ci, "out": d.out, "psum": d.psum,
-        "dread": d.dread, "dwrite": d.dwrite,
-        "comp": comp, "comm": comm, "exposed": exposed,
-        "delivered": delivered,
-        "mac": mac_mj, "pe": pe_buffer_mj, "gb": gb_mj, "dram": dram_mj,
-        "eo": eo_mj, "oe": oe_mj, "heat": heating_mj,
-        "laser": laser_mj, "elec": electrical_mj,
-    }
+        cols = {
+            "cycles": d.cycles, "ch_active": d.ch_active,
+            "pe_active_per_chiplet": d.pe_active_per_chiplet,
+            "ef_waves": d.ef_waves, "k_waves": d.k_waves,
+            "w_sharers": d.w_sharers, "i_sharers": d.i_sharers,
+            "w_fanout": d.w_fanout, "i_fanout": d.i_fanout,
+            "w_refetch": d.w_refetch, "i_refetch": d.i_refetch,
+            "c_chunks": d.c_chunks, "psum_fanin": d.psum_fanin,
+            "gw": d.gw, "gi": d.gi, "pw": d.pw, "pi": d.pi,
+            "cw": d.cw, "ci": d.ci, "out": d.out, "psum": d.psum,
+            "dread": d.dread, "dwrite": d.dwrite,
+            "comp": comp, "comm": comm, "exposed": exposed,
+            "delivered": delivered,
+            "mac": mac_mj, "pe": pe_buffer_mj, "gb": gb_mj, "dram": dram_mj,
+            "eo": eo_mj, "oe": oe_mj, "heat": heating_mj,
+            "laser": laser_mj, "elec": electrical_mj,
+        }
+        dirty = _audit_grid(specs, cols, d.macs, _float_col(packet), floors)
     dataflow = specs[0].dataflow
     pe_forwarding = bool(d.pe_forwarding)
     shape_keys = [layer.shape_key for layer in layers]
@@ -672,41 +677,66 @@ def evaluate_grid(
     return GridOutcome(by_machine, reasons, lanes)
 
 
-def _audit_grid(specs, packet, d, comm, exec_s, energies, floors):
+#: Energy columns in the audit's summation order.
+_ENERGY_COLS = ("mac", "pe", "gb", "dram", "eo", "oe", "heat", "laser", "elec")
+#: Byte-count columns: the result's delivered bytes and its traffic.
+_BYTE_COLS = (
+    "delivered", "gw", "gi", "pw", "pi", "cw", "ci", "out", "psum",
+    "dread", "dwrite",
+)
+
+
+def _audit_grid(specs, cols, macs, packet, floors):
     """Array form of ``audit_layer_result(result, spec)``: an (m, n)
     mask, dirty iff the scalar audit would report at least one
-    violation for that lane (checked at ``DEFAULT_REL_TOL``)."""
+    violation for that lane (checked at ``DEFAULT_REL_TOL``).
+
+    Row ``j`` is judged against ``specs[j]``.  ``cols`` holds the
+    audited values under the :func:`_build_lanes` names -- float64
+    times and energies, int64 byte counts and mapping fields -- each
+    broadcasting to (m, n); ``macs`` is the int64 MAC count, (n,) or
+    (m, n), ``packet`` the packet latency and ``floors`` the
+    :func:`_comm_floors` triple.  Every integer the float checks read
+    converts to float64 exactly (the exactness screen proves it for the
+    kernel's lanes, :func:`preaudit_hits` screens cache hits), so each
+    check is the scalar expression evaluated on the same values.  Every
+    check runs, including those that cannot fire on a kernel lane: a
+    cache hit holds whatever its record held.
+    """
     rel_tol = DEFAULT_REL_TOL
     slack = 1.0 + rel_tol
+    comp, comm, exposed = cols["comp"], cols["comm"], cols["exposed"]
 
-    # Checks that cannot fire on kernel-built lanes are not evaluated:
-    # comp is cycles * cycle_time_s with positive finite factors (the
-    # INV-OPS-TIME check would compare a value with itself), exposed
-    # is max(0, comm - comp) by construction, every byte column is a
-    # product of non-negative integers, and chiplets/PEs-active are
-    # np.minimum-clamped to the spec.  What remains is every check
-    # whose verdict depends on spec parameters the constructor does
-    # not validate or on mapper allocation bugs this audit exists to
-    # catch.
-    dirty = ~(comm >= 0)  # negative or NaN (a negative tuning delay)
-    for j, latency in enumerate(packet):
-        if math.isnan(latency) or latency < 0:
-            dirty[j, :] = True
+    # times: NaN or negative, then exposed == max(0, comm - comp).
+    # Python's max(0.0, diff) keeps 0.0 when diff is NaN or -0.0, as
+    # the select does; a NaN operand has already marked the lane.
+    dirty = ~(comp >= 0) | ~(comm >= 0) | ~(exposed >= 0) | ~(packet >= 0)
+    diff = comm - comp
+    dirty |= ~_close_lanes(exposed, np.where(diff > 0.0, diff, 0.0), rel_tol)
 
-    # energy: a negative or NaN component (negative/NaN energy-model
-    # coefficients), then the sum identity.  EnergyBreakdown.total_mj
-    # associates (((mac+pe)+gb)+dram) + ((((eo+oe)+heat)+laser)+elec);
-    # the audit's expectation is the flat left fold.  A NaN total
-    # implies a NaN among the components, already marked dirty.
-    mac, pe, gb, dram, eo, oe, heat, laser, elec = energies
+    # energy: a negative or NaN component, then the sum identity.
+    # EnergyBreakdown.total_mj associates (((mac+pe)+gb)+dram) +
+    # ((((eo+oe)+heat)+laser)+elec); the audit's expectation is the
+    # flat left fold.  A NaN total needs a NaN or -inf component,
+    # which has already marked the lane.
+    energies = [cols[name] for name in _ENERGY_COLS]
     for arr in energies:
         dirty |= ~(arr >= 0)
+    mac, pe, gb, dram, eo, oe, heat, laser, elec = energies
     observed_total = (((mac + pe) + gb) + dram) + (
         (((eo + oe) + heat) + laser) + elec
     )
     expected_total = mac + pe + gb + dram + eo + oe + heat + laser + elec
-    dirty |= ~np.isnan(expected_total) & ~_close_lanes(
-        observed_total, expected_total, rel_tol
+    dirty |= ~_close_lanes(observed_total, expected_total, rel_tol)
+
+    # byte counts are int64 columns: only their sign can be wrong.
+    for name in _BYTE_COLS:
+        dirty |= cols[name] < 0
+
+    # the mapping fits the machine
+    dirty |= cols["ch_active"] > _int_col([s.chiplets for s in specs])
+    dirty |= cols["pe_active_per_chiplet"] > _int_col(
+        [s.pes_per_chiplet for s in specs]
     )
 
     # op conservation.  capacity = cycles * peak legitimately crosses
@@ -715,28 +745,189 @@ def _audit_grid(specs, packet, d, comm, exec_s, energies, floors):
     # two.  Screen in float with a 1e-9 relative margin, then re-judge
     # the rare near-bound lanes with exact Python integers -- the
     # scalar expression itself.
+    cycles = cols["cycles"]
     peaks = [spec.peak_macs_per_cycle for spec in specs]
     peak_col = _float_col([float(peak) for peak in peaks])
-    capacity_f = d.cycles.astype(np.float64) * peak_col
-    macs_f = d.macs.astype(np.float64)
-    near = macs_f > capacity_f * (slack * (1.0 - 1e-9))
+    capacity_f = cycles.astype(np.float64) * peak_col
+    near = macs.astype(np.float64) > capacity_f * (slack * (1.0 - 1e-9))
     if bool(near.any()):
+        lane_macs = np.broadcast_to(macs, near.shape)
         for j, i in np.argwhere(near).tolist():
-            if int(d.macs[i]) > int(d.cycles[j, i]) * peaks[j] * slack:
+            if int(lane_macs[j, i]) > int(cycles[j, i]) * peaks[j] * slack:
                 dirty[j, i] = True
+
+    # computation time is cycles at the core clock
+    expected_comp = cycles * _float_col([s.cycle_time_s for s in specs])
+    dirty |= ~_close_lanes(comp, expected_comp, rel_tol)
 
     # communication lower bounds
     for floor in floors:
         dirty |= comm < floor * (1.0 - rel_tol)
 
     # roofline
+    exec_s = comp + exposed
     valid = np.isfinite(exec_s) & (exec_s > 0)
-    achieved = d.macs / np.where(valid, exec_s, 1.0)
+    achieved = macs / np.where(valid, exec_s, 1.0)
     peak_macs_col = _float_col([
         spec.peak_macs_per_cycle * spec.frequency_ghz * 1e9 for spec in specs
     ])
     dirty |= valid & (achieved > peak_macs_col * slack)
     return dirty
+
+
+# ----------------------------------------------------------------------
+# Cache hits: the same audit, one call per grid group
+# ----------------------------------------------------------------------
+#: The audited fields of a result: ``(column, owner, attribute)``,
+#: where the column is the :func:`_audit_grid` name and the owner is
+#: the result itself or one of its :data:`_HIT_PARTS`.
+_HIT_FLOAT_FIELDS = (
+    ("comp", "result", "computation_time_s"),
+    ("comm", "result", "communication_time_s"),
+    ("exposed", "result", "exposed_communication_s"),
+    ("packet", "result", "packet_latency_s"),
+    ("mac", "energy", "mac_mj"),
+    ("pe", "energy", "pe_buffer_mj"),
+    ("gb", "energy", "gb_mj"),
+    ("dram", "energy", "dram_mj"),
+    ("eo", "network", "eo_mj"),
+    ("oe", "network", "oe_mj"),
+    ("heat", "network", "heating_mj"),
+    ("laser", "network", "laser_mj"),
+    ("elec", "network", "electrical_mj"),
+)
+_HIT_INT_FIELDS = (
+    ("delivered", "result", "delivered_bytes"),
+    ("gw", "traffic", "gb_weight_send_bytes"),
+    ("gi", "traffic", "gb_ifmap_send_bytes"),
+    ("pw", "traffic", "pe_weight_receive_bytes"),
+    ("pi", "traffic", "pe_ifmap_receive_bytes"),
+    ("cw", "traffic", "chiplet_weight_cross_bytes"),
+    ("ci", "traffic", "chiplet_ifmap_cross_bytes"),
+    ("out", "traffic", "output_bytes"),
+    ("psum", "traffic", "psum_bytes"),
+    ("dread", "traffic", "dram_read_bytes"),
+    ("dwrite", "traffic", "dram_write_bytes"),
+    ("cycles", "mapping", "compute_cycles"),
+    ("ch_active", "mapping", "chiplets_active"),
+    ("pe_active_per_chiplet", "mapping", "pes_active_per_chiplet"),
+    ("macs", "layer", "macs"),
+)
+#: ``(part, owner, class)``: the objects a result's audited fields live
+#: on.  Energy, network, traffic and mapping must be of the stock class:
+#: the audit mirrors their derived properties (``total_mj``,
+#: ``gb_send_bytes``), and a rebound copy rebuilds the mapping as a
+#: plain :class:`Mapping`.  The layer's MAC count is compared with the
+#: looked-up layer's instead.
+_HIT_PARTS = (
+    ("energy", "result", EnergyBreakdown),
+    ("network", "energy", NetworkEnergy),
+    ("traffic", "result", TrafficSummary),
+    ("mapping", "result", Mapping),
+    ("layer", "result", None),
+)
+#: Integers at or past 2**53 do not convert to float64 exactly.
+_INT53 = 2**53
+
+
+def _gather(hits):
+    """``(floats (13, k), ints (15, k))`` arrays of the hits' audited
+    values -- or ``None`` unless every hit is a stock
+    :class:`LayerResult` holding a ``float`` in each float-typed field
+    and an ``int`` (not a ``bool``) that fits int64 in each
+    integer-typed one.  The gather reads one field of every hit per
+    C-level pass and allocates no per-hit containers."""
+    try:
+        if set(map(type, hits)) != {LayerResult}:
+            return None
+        owners = {"result": hits}
+        for name, owner, cls in _HIT_PARTS:
+            owners[name] = part = list(map(attrgetter(name), owners[owner]))
+            if cls is not None and set(map(type, part)) != {cls}:
+                return None
+        floats = [
+            list(map(attrgetter(attr), owners[owner]))
+            for _, owner, attr in _HIT_FLOAT_FIELDS
+        ]
+        ints = [
+            list(map(attrgetter(attr), owners[owner]))
+            for _, owner, attr in _HIT_INT_FIELDS
+        ]
+    except (AttributeError, ArithmeticError, TypeError):
+        return None  # unreadable: the scalar audit meets the same error
+    if set(map(type, chain.from_iterable(floats))) != {float}:
+        return None
+    if set(map(type, chain.from_iterable(ints))) != {int}:
+        return None
+    try:
+        return np.array(floats, dtype=np.float64), np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def preaudit_hits(specs, hits, layers) -> None:
+    """Judge the cache hits of a grid group's machines in one
+    :func:`_audit_grid` call and mark the clean ones.
+
+    ``hits[j]`` are results the cache served for the machine of
+    ``specs[j]``, and ``layers[j][i]`` is the layer ``hits[j][i]`` was
+    looked up for.  A hit is marked (:data:`~.invariants._PREAUDIT_ATTR`
+    set to its machine's spec) only when ``audit_layer_result(hit,
+    spec)`` returns no violation and its layer has the MAC count of the
+    layer it was looked up for, so the mark also holds for the copies
+    the runner rebinds to same-shape layers.  A hit the audit flags
+    stays unmarked, and so does one with an integer at or past 2**53.
+    When some hit cannot be gathered at all (a value that is not a
+    plain ``float`` or ``int``, an integer past int64, or an energy,
+    traffic or mapping object of another class), no hit of the group
+    is marked.  The scalar audit then decides them.
+
+    The machines must share a :func:`family_key` and have passed
+    :func:`grid_gap`, so the live-link floors of :func:`_comm_floors`
+    apply.  One call per group rather than per machine: the audit's
+    fixed cost would otherwise outweigh the scalar audit of a machine
+    with few hits.
+    """
+    gathered = _gather([hit for row in hits for hit in row])
+    if gathered is None:
+        return  # some hit cannot be judged: the scalar audit takes them all
+    floats, ints = gathered
+    # Rows are machines; a shorter row is padded with copies of its
+    # last hit, whose verdicts are dropped.
+    counts = np.array([len(row) for row in hits])
+    lane = np.arange(counts.max())
+    pick = (np.cumsum(counts) - counts)[:, None] + np.minimum(
+        lane, counts[:, None] - 1
+    )
+    cols = dict(zip((name for name, _, _ in _HIT_FLOAT_FIELDS), floats[:, pick]))
+    cols.update(zip((name for name, _, _ in _HIT_INT_FIELDS), ints[:, pick]))
+    links = _Cols()
+    links.gw, links.gi, links.out = cols["gw"], cols["gi"], cols["out"]
+    links.dread, links.dwrite = cols["dread"], cols["dwrite"]
+    with np.errstate(all="ignore"):
+        links.gb_send = links.gw + links.gi
+        floors = _comm_floors(specs, links)
+        dirty = _audit_grid(specs, cols, cols["macs"], cols["packet"], floors)
+    judged = ((ints > -_INT53) & (ints < _INT53)).all(axis=0)
+    # Machines of a group mostly look up the same layer objects.
+    looked_up = {id(layer): layer for row in layers for layer in row}
+    macs = {key: layer.macs for key, layer in looked_up.items()}
+    judged &= ints[-1] == np.array(
+        [macs[id(layer)] for row in layers for layer in row], dtype=np.float64
+    )
+    flags = (dirty[lane < counts[:, None]] | ~judged).tolist()
+    # A result served for two layers is marked only if clean for both.
+    flagged = {
+        id(hit)
+        for hit, flag in zip(chain.from_iterable(hits), flags)
+        if flag
+    }
+    start = 0
+    for spec, row in zip(specs, hits):
+        for hit, flag in zip(row, flags[start:start + len(row)]):
+            if not flag and id(hit) not in flagged:
+                hit.__dict__[_PREAUDIT_ATTR] = spec
+        start += len(row)
 
 
 # ----------------------------------------------------------------------

@@ -191,6 +191,7 @@ _FLOAT_STRUCT = struct.Struct(f"<{len(_FLOAT_ORDER)}d")
 #: Slices of the combined float vector, per owning dataclass.
 _N_LR_FLOATS = len(_LR_FLOAT_ORDER)
 _N_EB_FLOATS = len(_ENERGY_SCALAR_FIELDS)
+_N_FLOATS = len(_FLOAT_ORDER)
 
 #: Hot-path aliases of the per-class orders (module-global loads are
 #: cheaper than a dict subscript per unpacked object).
@@ -262,8 +263,10 @@ def layer_result_unpack(data: list[Any]) -> LayerResult:
     intermediate dicts, no ``__post_init__`` re-validation (the values
     already passed it when the entry was written).  Truncated or
     reordered input still fails loudly: ``zip(strict=True)`` raises
-    :class:`ValueError`, ``DataflowKind(...)`` rejects junk, and the
-    disk tier maps any of these to a cache miss.
+    :class:`ValueError`, and so does an exceptions list that is not
+    ``[index, value, ...]`` pairs over the float vector; the dataflow
+    lookup rejects junk with :class:`KeyError`, and the disk tier maps
+    any of these to a cache miss.
     """
     others, packed_layer, packed_mapping, packed_traffic, blob, exceptions = data
     try:
@@ -271,9 +274,17 @@ def layer_result_unpack(data: list[Any]) -> LayerResult:
     except (struct.error, ValueError, TypeError) as exc:
         raise ValueError(f"bad float blob: {exc}") from None
     if exceptions:
+        # ``[index, value, ...]`` pairs over the float vector: anything
+        # else (odd length, an index out of range or not an int) would
+        # raise IndexError or overwrite the wrong slot.
+        indexes = exceptions[::2]
+        if len(exceptions) % 2 or not all(
+            type(i) is int and 0 <= i < _N_FLOATS for i in indexes
+        ):
+            raise ValueError(f"bad float exceptions: {exceptions!r}")
         floats = list(floats)
-        for i in range(0, len(exceptions), 2):
-            floats[exceptions[i]] = exceptions[i + 1]
+        for i, value in zip(indexes, exceptions[1::2]):
+            floats[i] = value
 
     new = object.__new__
     layer_order = _LAYER_ORDER

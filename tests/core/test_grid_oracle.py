@@ -25,7 +25,9 @@ Coverage map:
   simulator with one ``grid_fallbacks`` entry while clean families
   still grid, results unchanged;
 * grid lanes are plain ``LayerResult`` objects that carry the
-  pre-audit marker, so grid-served campaigns skip the per-layer audit.
+  pre-audit marker, and disk hits earn it from the grid's array audit,
+  so grid-served campaigns skip the per-layer audit; a corrupted hit
+  still fails its job with the scalar audit's violations.
 """
 
 from __future__ import annotations
@@ -48,12 +50,14 @@ from oracle import (
     zoo_grid_families,
     zoo_machines,
 )
-from repro.core import invariants
+from repro.core import invariants, store
 from repro.core.batch import (
     NullCache,
     ResultCache,
     SweepJob,
     SweepRunner,
+    layer_cache_key,
+    simulator_fingerprint,
 )
 from repro.core.campaign import CampaignManifest
 from repro.core.grid import (
@@ -63,10 +67,12 @@ from repro.core.grid import (
     grid_gap,
     lane_covered,
 )
+from repro.core.invariants import audit_layer_result
 from repro.core.layer import ConvLayer, LayerSet
 from repro.core.metrics import LayerResult
 from repro.core.simulator import Simulator
 from repro.models.zoo import get_model
+from repro.serialization import layer_result_pack, layer_result_unpack
 from repro.spacx.architecture import spacx_simulator
 
 #: Granularity settings shared with the ablation figures (divisors
@@ -438,8 +444,8 @@ def test_grid_results_skip_the_per_layer_audit(tmp_path, monkeypatch):
     """Grid lanes carry the pre-audit marker, so the runner's audit of a
     grid-served campaign never walks its layers -- neither when the
     lanes are fresh nor when a rerun is served from the memory tier.
-    Hits unpacked from a disk tier carry no marker and are audited once
-    per unique lane of each job."""
+    Hits unpacked from a disk tier are judged by the grid's array audit
+    once per machine, so clean ones skip the per-layer audit too."""
     audited = []
     audit_layer_result = invariants.audit_layer_result
 
@@ -454,19 +460,64 @@ def test_grid_results_skip_the_per_layer_audit(tmp_path, monkeypatch):
         jobs = jobs or _jobs(list(zoo_machines().values()), models)
         audited.clear()
         runner = SweepRunner(max_workers=1, cache=cache, manifest=False)
-        results = runner.run(jobs)
+        runner.run(jobs)
         assert not runner.failures and not runner.grid_fallbacks
-        unique = sum(len({id(lane) for lane in r.layers}) for r in results)
-        return len(audited), unique, jobs
+        return len(audited), jobs
 
     assert audits(NullCache())[0] == 0
     memory = ResultCache()
-    count, _, jobs = audits(memory)
+    count, jobs = audits(memory)
     assert count == 0
     assert audits(memory, jobs)[0] == 0
     audits(ResultCache(cache_dir=tmp_path))
-    count, unique, _ = audits(ResultCache(cache_dir=tmp_path))
-    assert count == unique > 0
+    disk = ResultCache(cache_dir=tmp_path)
+    assert audits(disk)[0] == 0
+    assert disk.stats.disk_hits > 0
+
+
+def test_corrupt_disk_hit_fails_its_job_alone(tmp_path):
+    """A record corrupted under a valid frame (a negative communication
+    time) fails the one job that uses it with the scalar audit's
+    violation codes; every other job is served."""
+    machines = list(zoo_machines().values())
+    resnet, vgg = get_model("ResNet-50"), get_model("VGG-16")
+    jobs = _jobs(machines, [resnet, vgg])
+    SweepRunner(
+        max_workers=1, cache=ResultCache(cache_dir=tmp_path), manifest=False
+    ).run(jobs)
+
+    victim = machines[0]
+    resnet_shapes = {layer.shape_key for layer in resnet.unique_layers}
+    layer = next(
+        layer for layer in vgg.unique_layers
+        if layer.shape_key not in resnet_shapes
+    )
+    key = layer_cache_key(simulator_fingerprint(victim), layer, False)
+    shard = tmp_path / f"{key[0]}.jsonl"
+    entries = [json.loads(r) for r in store.parse_log(shard.read_bytes()).records]
+    (entry,) = [e for e in entries if e[1] == key]
+    good = layer_result_unpack(entry[2])
+    bad = replace(good, communication_time_s=-1e-3)
+    entry[2] = layer_result_pack(bad)
+    assert store.rewrite_log(
+        shard, [json.dumps(e, separators=(",", ":")).encode() for e in entries]
+    )
+    expected = {v.code for v in audit_layer_result(bad, victim.spec)}
+    assert "INV-TIME-NEG" in expected
+
+    runner = SweepRunner(
+        max_workers=1,
+        cache=ResultCache(cache_dir=tmp_path),
+        manifest=False,
+        on_error="skip",
+    )
+    results = runner.run(jobs)
+    failed = jobs.index(SweepJob(victim, vgg))
+    (failure,) = runner.failures
+    assert failure.index == failed
+    assert failure.error_type == "InvariantViolationError"
+    assert {v["code"] for v in failure.violations} == expected
+    assert [i for i, r in enumerate(results) if r is None] == [failed]
 
 
 def test_grid_lanes_are_plain_layer_results():

@@ -249,6 +249,36 @@ def test_corrupt_only_entry_is_a_miss(tmp_path, simulator, fingerprint):
     assert reader.stats.misses == 1 and reader.stats.disk_hits == 0
 
 
+@pytest.mark.parametrize(
+    "exceptions", [[99, 1.0], [0], [-1, 5.0], [True, 1.0]]
+)
+def test_malformed_float_exceptions_are_a_miss(
+    tmp_path, simulator, exceptions
+):
+    """A record whose float exceptions are not in-range ``[index,
+    value]`` pairs -- under a valid frame -- is a miss: the runner
+    recomputes it instead of raising or serving an overwritten slot."""
+    jobs = [SweepJob(simulator, model) for model in _tiny_models()]
+    SweepRunner(
+        max_workers=1, cache=ResultCache(cache_dir=tmp_path), manifest=False
+    ).run(jobs)
+    shard = sorted(tmp_path.glob("*.jsonl"))[0]
+    entries = [
+        json.loads(r) for r in store.parse_log(shard.read_bytes()).records
+    ]
+    entries[0][2][5] = exceptions
+    assert store.rewrite_log(shard, [json.dumps(e).encode() for e in entries])
+
+    cache = ResultCache(cache_dir=tmp_path)
+    results = SweepRunner(max_workers=1, cache=cache, manifest=False).run(jobs)
+    assert [r.layers for r in results] == [
+        simulator.simulate_model(job.model).layers for job in jobs
+    ]
+    assert cache.stats.misses == 1
+    with pytest.raises(ValueError, match="float exceptions"):
+        layer_result_unpack(entries[0][2])
+
+
 def test_legacy_unframed_shards_still_readable(tmp_path, simulator):
     """Pre-store caches (bare JSON lines) keep serving warm hits."""
     layer = _layer()
