@@ -6,7 +6,8 @@ parameters become ``(m, 1)`` integer columns, and NumPy broadcasting
 evaluates mapping, traffic, timing, energy and the invariant audit for
 the whole ``(machines x layers)`` grid in one pass.  A single machine
 is a one-row grid (:func:`~.vectorized.simulate_layers_vectorized`);
-:func:`bounds_grid` evaluates the DSE lower bounds the same way.
+:func:`bounds_grid` evaluates the DSE lower bounds and
+:func:`score_grid` the DSE scores the same way.
 
 **Bit-identity by construction.**  The mapping and traffic stages
 (:func:`~.vectorized._map_lanes`, :func:`~.vectorized._traffic_lanes`)
@@ -31,7 +32,9 @@ machine runs on the scalar simulator.
 columns converted with ``tolist()``.  Every campaign reads every lane
 it asked for, so nothing is deferred.  Lanes that pass the grid audit
 carry the pre-audit marker, so ``audit_model_result`` stays O(1) per
-model.  :func:`bounds_grid` builds no lanes at all.
+model.  :func:`bounds_grid` and :func:`score_grid` build no lanes at
+all: a search reads three numbers per candidate, which
+:func:`workload_score` reduces from the columns bit for bit.
 
 **One array audit.**  :func:`_audit_grid` evaluates every check of
 ``audit_layer_result(result, spec)`` on columns.  It judges the
@@ -44,7 +47,7 @@ job in Python.
 from __future__ import annotations
 
 from itertools import chain
-from operator import attrgetter, eq
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 try:  # pragma: no cover - numpy ships with the toolchain
@@ -83,6 +86,8 @@ __all__ = [
     "grid_gap",
     "lane_covered",
     "preaudit_hits",
+    "score_grid",
+    "workload_score",
 ]
 
 
@@ -490,28 +495,20 @@ class GridOutcome:
         self.lanes = lanes
 
 
-def evaluate_grid(
-    simulators: "Sequence[Simulator]",
-    layers: "Sequence[ConvLayer]",
-    *,
-    layer_by_layer: bool = False,
-) -> GridOutcome:
-    """Evaluate the full (machines x layers) grid in one NumPy pass.
+def _evaluate_columns(simulators, layers, layer_by_layer):
+    """Admission, lowering, timing, energy and audit of one grid call.
 
-    Every layer must pass :func:`lane_covered` (callers sieve with
-    it).  Results are bit-identical to the scalar oracle.  A machine
-    :func:`_admit` declines, or one whose strict simulator meets a
-    dirty audit lane, comes back as a ``None`` row with a reason.
+    Returns ``(kept, reasons, d, cols, dirty, packet)``: the admitted
+    row indexes (:func:`_admit` names why each other row was declined
+    in ``reasons``), the lowered mapping/traffic columns ``d``, every
+    lane column under the :func:`_build_lanes` names, the
+    ``(len(kept), n)`` audit mask and the kept machines' packet
+    latencies.  ``layers`` must be non-empty; when no row is admitted
+    everything after ``reasons`` is ``None``.
     """
-    n = len(layers)
-    if n == 0:
-        return GridOutcome(
-            [{} for _ in simulators], [None] * len(simulators), 0
-        )
-    by_machine: list = [None] * len(simulators)
     kept, reasons, shared = _admit(simulators, layers, layer_by_layer)
     if not kept:
-        return GridOutcome(by_machine, reasons, 0)
+        return kept, reasons, None, None, None, None
 
     sims = [simulators[j] for j in kept]
     specs = [s.spec for s in sims]
@@ -657,24 +654,148 @@ def evaluate_grid(
             "laser": laser_mj, "elec": electrical_mj,
         }
         dirty = _audit_grid(specs, cols, d.macs, _float_col(packet), floors)
-    dataflow = specs[0].dataflow
+    return kept, reasons, d, cols, dirty, packet
+
+
+def evaluate_grid(
+    simulators: "Sequence[Simulator]",
+    layers: "Sequence[ConvLayer]",
+    *,
+    layer_by_layer: bool = False,
+) -> GridOutcome:
+    """Evaluate the full (machines x layers) grid in one NumPy pass.
+
+    Every layer must pass :func:`lane_covered` (callers sieve with
+    it).  Results are bit-identical to the scalar oracle.  A machine
+    :func:`_admit` declines, or one whose strict simulator meets a
+    dirty audit lane, comes back as a ``None`` row with a reason.
+    """
+    n = len(layers)
+    if n == 0:
+        return GridOutcome(
+            [{} for _ in simulators], [None] * len(simulators), 0
+        )
+    by_machine: list = [None] * len(simulators)
+    kept, reasons, d, cols, dirty, packet = _evaluate_columns(
+        simulators, layers, layer_by_layer
+    )
+    if not kept:
+        return GridOutcome(by_machine, reasons, 0)
+    dataflow = simulators[kept[0]].spec.dataflow
     pe_forwarding = bool(d.pe_forwarding)
     shape_keys = [layer.shape_key for layer in layers]
     lanes = 0
-    for jj, sim in enumerate(sims):
+    for jj, j in enumerate(kept):
+        sim = simulators[j]
         dirty_row = dirty[jj].tolist()
         if sim.strict and any(dirty_row):
             # The scalar simulator reproduces the exact raise and its
             # side effects.
-            reasons[kept[jj]] = "strict invariant bailout"
+            reasons[j] = "strict invariant bailout"
             continue
         row = _build_lanes(
             _row_lists(cols, jj, n), layers, sim.spec, packet[jj],
             dataflow, pe_forwarding, dirty_row,
         )
-        by_machine[kept[jj]] = dict(zip(shape_keys, row))
+        by_machine[j] = dict(zip(shape_keys, row))
         lanes += n
     return GridOutcome(by_machine, reasons, lanes)
+
+
+def score_grid(
+    simulators: "Sequence[Simulator]",
+    layers: "Sequence[ConvLayer]",
+    occurrences: "Sequence[Sequence[int]]",
+    *,
+    layer_by_layer: bool = False,
+) -> list:
+    """Score each row's workload over a (machines x layers) grid
+    without building a lane.
+
+    ``occurrences[j]`` is row ``j``'s workload as indexes into
+    ``layers``, one per layer occurrence in network order, duplicates
+    included.  Entry ``j`` of the result is its :func:`workload_score`
+    triple, equal bit for bit to scoring the ``ModelResult`` the
+    runner would stitch from :func:`evaluate_grid`'s lanes -- or
+    ``None`` when :func:`_admit` declines the row, the workload is
+    empty, or one of its lanes fails the array audit (strict or not:
+    the runner then reproduces the raise or the job failure).  Rows
+    may repeat a simulator; each machine is evaluated once.  Every
+    layer must pass :func:`lane_covered`.
+    """
+    scores: list = [None] * len(simulators)
+    machine_of: dict[int, int] = {}
+    machines: list = []
+    for simulator in simulators:
+        if machine_of.setdefault(id(simulator), len(machines)) == len(machines):
+            machines.append(simulator)
+    if not layers:
+        return scores
+    kept, _, d, cols, dirty, _ = _evaluate_columns(
+        machines, layers, layer_by_layer
+    )
+    if not kept:
+        return scores
+    shape = dirty.shape
+    with np.errstate(all="ignore"):
+        exec_rows = np.broadcast_to(cols["comp"] + cols["exposed"], shape)
+    exec_rows = exec_rows.tolist()
+    cycle_rows = np.broadcast_to(cols["cycles"], shape).tolist()
+    energies = np.stack(
+        [np.broadcast_to(cols[name], shape) for name in _ENERGY_COLS]
+    )
+    macs = d.macs.tolist()
+    row_of = {m: jj for jj, m in enumerate(kept)}
+    dirty_rows = dirty.any(axis=1).tolist()
+    for j, (simulator, occ) in enumerate(zip(simulators, occurrences)):
+        jj = row_of.get(machine_of[id(simulator)])
+        if jj is None or not occ:
+            continue
+        if dirty_rows[jj] and bool(dirty[jj, occ].any()):
+            continue
+        scores[j] = workload_score(
+            occ, exec_rows[jj], energies[:, jj], macs, cycle_rows[jj],
+            simulator.spec.mapping_parameters(),
+        )
+    return scores
+
+
+def workload_score(occ, exec_s, energy, macs, cycles, params) -> tuple:
+    """``(execution_time_s, energy_mj, mean_utilization)`` of one
+    workload on one machine: what the DSE search ranks a candidate by.
+
+    Lane ``i`` has execution time ``exec_s[i]``, energy components
+    ``energy[c][i]`` (the nine of :data:`_ENERGY_COLS`, in that order)
+    and ``macs[i]`` / ``cycles[i]`` as Python ints; ``occ`` lists the
+    lane of each layer occurrence in network order, and ``params`` are
+    the machine's mapping parameters.  Each reduction replays the
+    ``ModelResult`` / ``Mapping`` expression it stands for, so the
+    triple is bit-identical to reading those objects:
+
+    * time: the builtin ``sum`` over occurrences, as
+      ``ModelResult.execution_time_s`` (Python 3.12 compensates a float
+      ``sum``, so no other summation may stand in);
+    * energy: each component folded from ``0.0`` in occurrence order,
+      as ``ModelResult.energy`` -- a running sum is that left fold --
+      then associated as ``EnergyBreakdown.total_mj``;
+    * utilization: ``Mapping.utilization`` per lane (0.0 at zero
+      peak), averaged over occurrences.
+    """
+    time_s = sum(map(exec_s.__getitem__, occ))
+    parts = np.asarray(energy, dtype=np.float64)[:, occ]
+    mac, pe, gb, dram, eo, oe, heat, laser, elec = np.add.accumulate(
+        np.hstack([np.zeros((len(parts), 1)), parts]), axis=1
+    )[:, -1].tolist()
+    energy_mj = (((mac + pe) + gb) + dram) + (
+        (((eo + oe) + heat) + laser) + elec
+    )
+    total_pes, width = params.total_pes, params.mac_vector_width
+    utilization = [
+        m / peak if (peak := c * total_pes * width) else 0.0
+        for m, c in zip(macs, cycles)
+    ]
+    mean = sum(map(utilization.__getitem__, occ)) / len(occ) if occ else 0.0
+    return time_s, energy_mj, mean
 
 
 #: Energy columns in the audit's summation order.

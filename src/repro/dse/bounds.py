@@ -165,26 +165,39 @@ def frontier_bounds(
 
     from ..core import grid as grid_mod
 
-    cover_memo: dict[int, bool] = {}
+    #: One walk per distinct workload: ``(layer, shape key,
+    #: multiplicity, covered)`` per unique layer, in ``unique_layers``
+    #: order, shared by the union and by every pair's accumulation.
+    walks: dict[int, list] = {}
 
-    def covered(layer) -> bool:
-        flag = cover_memo.get(id(layer))
-        if flag is None:
-            flag = cover_memo[id(layer)] = grid_mod.lane_covered(layer)
-        return flag
+    def walk(model) -> list:
+        steps = walks.get(id(model))
+        if steps is None:
+            steps = walks[id(model)] = [
+                (
+                    layer,
+                    layer.shape_key,
+                    model.multiplicity(layer),
+                    grid_mod.lane_covered(layer),
+                )
+                for layer in model.unique_layers
+            ]
+        return steps
 
-    groups: dict[tuple, tuple[dict, dict]] = {}
+    groups: dict[tuple, tuple[dict, dict, set]] = {}
     for simulator, model in pairs:
-        machines, union = groups.setdefault(
-            grid_mod.family_key(simulator, layer_by_layer), ({}, {})
+        machines, union, models = groups.setdefault(
+            grid_mod.family_key(simulator, layer_by_layer), ({}, {}, set())
         )
         machines.setdefault(id(simulator), simulator)
-        for layer in model.unique_layers:
-            if covered(layer):
-                union.setdefault(layer.shape_key, layer)
+        if id(model) not in models:
+            models.add(id(model))
+            for layer, shape, _, covered in walk(model):
+                if covered:
+                    union.setdefault(shape, layer)
     #: machine id -> shape key -> (time floor, energy floor)
     floors: dict[int, dict] = {}
-    for machines, union in groups.values():
+    for machines, union, _ in groups.values():
         rows, _ = grid_mod.bounds_grid(
             list(machines.values()),
             list(union.values()),
@@ -199,9 +212,8 @@ def frontier_bounds(
         row = floors.get(id(simulator), {})
         time_floor = 0.0
         energy_floor = 0.0
-        for layer in model.unique_layers:
-            count = model.multiplicity(layer)
-            pair = row.get(layer.shape_key) if covered(layer) else None
+        for layer, shape, count, covered in walk(model):
+            pair = row.get(shape) if covered else None
             if pair is None:
                 pair = layer_bounds(
                     simulator, layer, layer_by_layer=layer_by_layer

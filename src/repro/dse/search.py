@@ -1,22 +1,37 @@
 """The design-space search engine.
 
-One engine, three strategies, all dispatching surviving candidates
-through the existing :class:`~repro.core.batch.SweepRunner` -- so a
-search inherits process parallelism (the persistent warm-worker pool
-of :mod:`repro.core.pool`, whose workers stay warm across the pruned
-strategy's chunked evaluation loop), the content-addressed
-result cache, retries/timeouts, campaign resume and strict-mode
-invariant auditing without any code of its own:
+One engine, three strategies and two ways to score a candidate,
+chosen from what the engine can observe of its runner:
+
+* *lane-free* -- when the runner would persist nothing and stop for
+  nothing (vectorized, no budget, no manifest, no disk tier),
+  :func:`repro.core.grid.score_grid` scores candidates
+  straight from the kernel's columns: the three numbers a score reads,
+  bit-identical to reading a ``ModelResult``, with no ``LayerResult``
+  built and no runner call;
+* *through the* :class:`~repro.core.batch.SweepRunner` -- otherwise,
+  and for every evaluation holding a candidate the grid cannot score
+  (a declined machine, an uncovered layer, an empty workload, a lane
+  the array audit flags).  Such a search inherits process parallelism
+  (the persistent warm-worker pool of :mod:`repro.core.pool`), the
+  content-addressed result cache, retries/timeouts, campaign resume,
+  budgets and strict-mode invariant auditing without any code of its
+  own.  Only this route can fail a candidate.
+
+The strategies:
 
 * ``exhaustive`` -- evaluate every feasible candidate (ground truth);
 * ``pruned`` -- branch-and-bound: candidates are ordered by their
   admissible lower bound (:mod:`repro.dse.bounds`) and evaluated in
   runner-sized chunks; once the incumbent (best value seen) drops
-  below the next bound, everything remaining is pruned *without ever
-  touching the simulator*.  Because the bounds are admissible and the
+  below the next bound, everything remaining is pruned and never
+  reported as evaluated.  Because the bounds are admissible and the
   tie-break (objective value, candidate index) matches the exhaustive
   path exactly, the argmin is **bit-identical** to exhaustive search
-  -- only the evaluation count differs;
+  -- only the evaluation count differs.  Lane-free, the whole frontier
+  is scored in one pass up front and the chunked walk is replayed over
+  those scores; a score the walk never reaches is dropped, so it never
+  reaches the result;
 * ``halving`` -- successive halving: rungs evaluate survivors on
   growing *prefixes* of the workload's unique layers and keep the
   better half, then the finalists run the full workload.  A documented
@@ -37,10 +52,18 @@ that machine once.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
-from ..core.batch import SweepJob, SweepRunner
+from ..core import grid
+from ..core.batch import (
+    _GRID_LANE_BUDGET,
+    SweepJob,
+    SweepRunner,
+    _model_structure,
+)
+from ..core.budget import global_stop
 from ..core.layer import LayerSet
 from ..core.metrics import ModelResult
 from ..core.simulator import Simulator
@@ -72,6 +95,8 @@ STRATEGIES = ("exhaustive", "pruned", "halving")
 
 #: Pre-simulation feasibility filters, weakest to strongest.
 VALIDATION_MODES = ("none", "structural", "physics")
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -177,9 +202,10 @@ class SearchResult:
     #: (full-workload evaluations are ``n_evaluated``).
     n_proxy_evaluated: int = 0
     #: The runner's :class:`~repro.core.budget.CampaignOutcome` for the
-    #: last evaluation chunk (``None`` when the runner never ran).  When
-    #: ``outcome.stopped`` the search ended early under a budget or a
-    #: drain signal and ``best`` reflects only what was evaluated.
+    #: last evaluation this search sent through it (``None`` when every
+    #: candidate was scored lane-free).  When ``outcome.stopped`` the
+    #: search ended early under a budget or a drain signal and ``best``
+    #: reflects only what was evaluated.
     outcome: Any = None
 
     # -- accounting -----------------------------------------------------
@@ -417,51 +443,161 @@ class SearchEngine:
         workloads: list[LayerSet] | None = None,
         *,
         record: bool = True,
+        lane_free: list[tuple | None] | None = None,
     ) -> list[CandidateScore | None]:
-        """Run entries through the sweep runner and score survivors.
+        """Score entries: lane-free when :meth:`_score_lane_free`
+        scored every one of them, otherwise all of them through the
+        sweep runner in one ``runner.run`` call, exactly as without
+        the lane-free route.
 
         ``workloads`` overrides per-entry workloads (the halving
         strategy's proxy rungs); ``record=False`` keeps proxy scores
-        out of ``result.evaluated``.
+        out of ``result.evaluated``.  ``lane_free`` passes scores
+        computed ahead (the pruned strategy scores its whole frontier
+        in one pass).  Only a runner call can fail a candidate or set
+        ``result.outcome``.
         """
         if not entries:
             return []
-        jobs = [
-            SweepJob(
-                simulator=entry.simulator,
-                model=entry.workload if workloads is None else workloads[i],
-                layer_by_layer=self.layer_by_layer,
-            )
-            for i, entry in enumerate(entries)
-        ]
-        outputs = self.runner.run(jobs)
-        if record:
-            result.failures.extend(self.runner.failures)
-        scores: list[CandidateScore | None] = []
-        for entry, output in zip(entries, outputs):
-            if output is None:
-                scores.append(None)
-                continue
-            score = self._score(entry, output)
-            scores.append(score)
+        if lane_free is None:
+            lane_free = self._score_lane_free(entries, workloads)
+        if (
+            any(row is None for row in lane_free)
+            or self.runner.stopped
+            or global_stop() is not None
+        ):
+            jobs = [
+                SweepJob(
+                    simulator=entry.simulator,
+                    model=entry.workload if workloads is None else workloads[i],
+                    layer_by_layer=self.layer_by_layer,
+                )
+                for i, entry in enumerate(entries)
+            ]
+            outputs = self.runner.run(jobs)
+            result.outcome = self.runner.outcome
             if record:
-                result.evaluated.append(score)
+                result.failures.extend(self.runner.failures)
+            scores = [
+                None if output is None else self._score(entry, output)
+                for entry, output in zip(entries, outputs)
+            ]
+        else:
+            scores = [
+                self._candidate_score(entry, *row)
+                for entry, row in zip(entries, lane_free)
+            ]
+        if record:
+            result.evaluated.extend(s for s in scores if s is not None)
         return scores
+
+    def _score_lane_free(
+        self, entries: list[_Entry], workloads: list[LayerSet] | None = None
+    ) -> list[tuple | None]:
+        """Each entry's :func:`~repro.core.grid.workload_score` triple
+        from :func:`~repro.core.grid.score_grid`, which builds no
+        lanes; ``None`` marks an entry the grid cannot score.
+
+        Only for a runner that would persist nothing and stop for
+        nothing: vectorized, no budget, no manifest and no disk tier
+        (a repeat search must still be served from the shards).
+        Otherwise every slot is ``None``.  Entries are grouped by
+        :func:`~repro.core.grid.family_key`, and each group's union of
+        shapes is scored in machine chunks under the runner's lane
+        budget, as the runner's grid groups are; a chunk whose scoring
+        raises is left to the runner whole.
+        """
+        rows: list[tuple | None] = [None] * len(entries)
+        runner = self.runner
+        if (
+            not runner.vectorize
+            or runner.budget is not None
+            or runner.manifest is not None
+            or getattr(runner.cache, "cache_dir", None) is not None
+        ):
+            return rows
+        #: workload id -> its _model_structure, or None when it is
+        #: empty or holds a layer outside the grid's lane coverage.
+        structures: dict[int, tuple | None] = {}
+        gaps: dict[int, str | None] = {}
+        groups: dict[tuple, list[tuple[int, int]]] = {}
+        for k, entry in enumerate(entries):
+            simulator = entry.simulator
+            workload = entry.workload if workloads is None else workloads[k]
+            wid = id(workload)
+            if wid not in structures:
+                structure = _model_structure(workload)
+                unique = structure[0]
+                structures[wid] = (
+                    structure
+                    if unique and all(map(grid.lane_covered, unique))
+                    else None
+                )
+            if id(simulator) not in gaps:
+                gaps[id(simulator)] = grid.grid_gap(simulator)
+            if structures[wid] is not None and gaps[id(simulator)] is None:
+                key = grid.family_key(simulator, self.layer_by_layer)
+                groups.setdefault(key, []).append((k, wid))
+        for members in groups.values():
+            # The group's union of shapes, and each workload's layer
+            # occurrences as indexes into it.
+            lane_of: dict[tuple, int] = {}
+            layers: list = []
+            occurrences: dict[int, list[int]] = {}
+            for _, wid in members:
+                if wid in occurrences:
+                    continue
+                unique, shapes, occ = structures[wid]
+                for shape, layer in zip(shapes, unique):
+                    if shape not in lane_of:
+                        lane_of[shape] = len(layers)
+                        layers.append(layer)
+                lanes = [lane_of[shape] for shape in shapes]
+                occurrences[wid] = list(map(lanes.__getitem__, occ))
+            per_chunk = max(1, _GRID_LANE_BUDGET // len(layers))
+            for start in range(0, len(members), per_chunk):
+                chunk = members[start : start + per_chunk]
+                try:
+                    scored = grid.score_grid(
+                        [entries[k].simulator for k, _ in chunk],
+                        layers,
+                        [occurrences[wid] for _, wid in chunk],
+                        layer_by_layer=self.layer_by_layer,
+                    )
+                except Exception as exc:
+                    # The runner meets the same fault and reports it.
+                    logger.warning("lane-free scoring declined: %r", exc)
+                    continue
+                for (k, _), row in zip(chunk, scored):
+                    rows[k] = row
+        return rows
 
     def _score(self, entry: _Entry, output: ModelResult) -> CandidateScore:
         params = entry.simulator.spec.mapping_parameters()
         utilizations = [
             r.mapping.utilization(params) for r in output.layers
         ]
+        return self._candidate_score(
+            entry,
+            output.execution_time_s,
+            output.energy.total_mj,
+            sum(utilizations) / len(utilizations) if utilizations else 0.0,
+        )
+
+    @staticmethod
+    def _candidate_score(
+        entry: _Entry,
+        execution_time_s: float,
+        energy_mj: float,
+        mean_utilization: float,
+    ) -> CandidateScore:
         return CandidateScore(
             index=entry.candidate.index,
             config=entry.candidate.key,
-            execution_time_s=output.execution_time_s,
-            energy_mj=output.energy.total_mj,
+            execution_time_s=execution_time_s,
+            energy_mj=energy_mj,
             static_network_power_w=static_network_power_w(entry.simulator),
-            mean_utilization=(
-                sum(utilizations) / len(utilizations) if utilizations else 0.0
-            ),
+            mean_utilization=mean_utilization,
         )
 
     def lower_bound(self, entry: _Entry) -> float:
@@ -493,7 +629,6 @@ class SearchEngine:
             self._search_pruned(entries, result)
         else:
             self._search_halving(entries, result)
-        result.outcome = self.runner.outcome
         return result
 
     def _search_pruned(
@@ -517,8 +652,16 @@ class SearchEngine:
             self.objective,
             layer_by_layer=self.layer_by_layer,
         )
+        # Score the whole frontier up front, then replay the sequential
+        # cut over those scores: a score the walk never reaches is
+        # dropped, and an entry without one runs, with its chunk,
+        # through the runner when the walk reaches it.
+        lane_free = self._score_lane_free(entries)
         order = sorted(
-            ((bound, e.candidate.index, e) for bound, e in zip(bounds, entries)),
+            (
+                (bound, e.candidate.index, e, row)
+                for bound, e, row in zip(bounds, entries, lane_free)
+            ),
             key=lambda t: (t[0], t[1]),
         )
         chunk = max(1, self.runner.max_workers)
@@ -526,15 +669,17 @@ class SearchEngine:
         i = 0
         while i < len(order):
             take: list[_Entry] = []
+            ready: list[tuple | None] = []
             while i < len(order) and len(take) < chunk:
-                bound, _, entry = order[i]
+                bound, _, entry, row = order[i]
                 if bound > incumbent:
                     break
                 take.append(entry)
+                ready.append(row)
                 i += 1
             if not take:
                 break
-            for score in self._evaluate(take, result):
+            for score in self._evaluate(take, result, lane_free=ready):
                 if score is not None:
                     incumbent = min(
                         incumbent, score.objective(self.objective)
@@ -545,7 +690,7 @@ class SearchEngine:
                 # ``result.pruned`` and let ``result.outcome`` explain
                 # the shortfall.
                 return
-        for bound, _, entry in order[i:]:
+        for bound, _, entry, _ in order[i:]:
             result.pruned.append(
                 PrunedCandidate(
                     index=entry.candidate.index,

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import struct
+from itertools import chain
 from typing import Any
 
 from .core.dataflow import DataflowKind
@@ -200,6 +202,37 @@ _MAPPING_ORDER = _PACK_ORDER[Mapping]
 _TRAFFIC_ORDER = _PACK_ORDER[TrafficSummary]
 _NETWORK_ORDER = _PACK_ORDER[NetworkEnergy]
 
+#: Field annotations that name a plain type a packed value must hold
+#: exactly (so an ``int`` field takes no ``bool``).
+_FIELD_TYPES = {"int": int, "str": str, "bool": bool}
+
+
+def _field_types(cls: type, names: tuple[str, ...]) -> list:
+    """The type each of ``names`` must hold, from ``cls``'s annotations
+    (``None`` for a field rebuilt from its own packed form)."""
+    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+    return [
+        _FIELD_TYPES.get(getattr(annotations[name], "__name__", annotations[name]))
+        for name in names
+    ]
+
+
+_LAYER_TYPES = _field_types(ConvLayer, _LAYER_ORDER)
+_mapping_types = _field_types(Mapping, _MAPPING_ORDER)
+#: Picks the mapping's plain fields (its layer and dataflow are
+#: rebuilt and looked up instead).
+_MAPPING_PLAIN = operator.itemgetter(
+    *(i for i, expected in enumerate(_mapping_types) if expected)
+)
+#: A record's plain fields in the order :func:`layer_result_unpack`
+#: checks them: the result's, the layer's, the mapping's, the traffic's.
+_RECORD_TYPES = (
+    _field_types(LayerResult, _LR_OTHER_ORDER)
+    + _LAYER_TYPES
+    + [expected for expected in _mapping_types if expected]
+    + _field_types(TrafficSummary, _TRAFFIC_ORDER)
+)
+
 #: Enum lookup by value -- ``DataflowKind(value)`` walks the enum
 #: machinery (and an import-system hook for the error message) on
 #: every call; a dict hit is ~10x cheaper and raises ``KeyError`` on
@@ -264,9 +297,12 @@ def layer_result_unpack(data: list[Any]) -> LayerResult:
     already passed it when the entry was written).  Truncated or
     reordered input still fails loudly: ``zip(strict=True)`` raises
     :class:`ValueError`, and so does an exceptions list that is not
-    ``[index, value, ...]`` pairs over the float vector; the dataflow
-    lookup rejects junk with :class:`KeyError`, and the disk tier maps
-    any of these to a cache miss.
+    ``[index, value, ...]`` pairs over the float vector with ``int`` or
+    ``float`` values, and a plain field whose value is not exactly the
+    type its dataclass declares (an ``int`` count holding a ``bool``, a
+    ``float`` or a string, say); the dataflow lookup rejects junk with
+    :class:`KeyError`, and the disk tier maps any of these to a cache
+    miss.
     """
     others, packed_layer, packed_mapping, packed_traffic, blob, exceptions = data
     try:
@@ -278,12 +314,15 @@ def layer_result_unpack(data: list[Any]) -> LayerResult:
         # else (odd length, an index out of range or not an int) would
         # raise IndexError or overwrite the wrong slot.
         indexes = exceptions[::2]
-        if len(exceptions) % 2 or not all(
-            type(i) is int and 0 <= i < _N_FLOATS for i in indexes
+        values = exceptions[1::2]
+        if (
+            len(exceptions) % 2
+            or not all(type(i) is int and 0 <= i < _N_FLOATS for i in indexes)
+            or not all(type(v) is int or type(v) is float for v in values)
         ):
             raise ValueError(f"bad float exceptions: {exceptions!r}")
         floats = list(floats)
-        for i, value in zip(indexes, exceptions[1::2]):
+        for i, value in zip(indexes, values):
             floats[i] = value
 
     new = object.__new__
@@ -310,12 +349,21 @@ def layer_result_unpack(data: list[Any]) -> LayerResult:
         mapping_layer.__dict__.update(
             zip(layer_order, packed_mapping_layer, strict=True)
         )
+        if [type(value) for value in packed_mapping_layer] != _LAYER_TYPES:
+            raise ValueError(f"bad mapping layer: {packed_mapping_layer!r}")
         mapping_state["layer"] = mapping_layer
     state["mapping"] = mapping
 
     traffic = new(TrafficSummary)
     traffic.__dict__.update(zip(_TRAFFIC_ORDER, packed_traffic, strict=True))
     state["traffic"] = traffic
+    # Every part's length is checked above, so one comparison over the
+    # concatenation checks each plain field's type.
+    plain = chain(
+        others, packed_layer, _MAPPING_PLAIN(packed_mapping), packed_traffic
+    )
+    if [type(value) for value in plain] != _RECORD_TYPES:
+        raise ValueError("bad field types in a packed result")
 
     energy = new(EnergyBreakdown)
     energy_state = energy.__dict__

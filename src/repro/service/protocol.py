@@ -76,20 +76,26 @@ def canonical_json(payload: Any) -> str:
 
 
 def results_digest(results: Mapping[str, Mapping[str, Any]]) -> str:
-    """Canonical sha256 of a ``{model: {accelerator: ModelResult}}`` tree.
+    """Canonical sha256 of a ``{model: {accelerator: result}}`` tree.
 
     Mirrors the golden suite's sweep digest exactly: the tree is
     serialized through :func:`repro.serialization.model_result_to_dict`
     with sorted keys, so a service-run campaign and a direct in-process
     :class:`~repro.core.batch.SweepRunner` run of the same jobs hash
-    identically.
+    identically.  A result may be a ``ModelResult`` or its
+    ``model_result_to_dict`` form, so a caller that also persists the
+    dicts serializes each result once.
     """
     from ..serialization import model_result_to_dict
 
     canonical = json.dumps(
         {
             model: {
-                accelerator: model_result_to_dict(result)
+                accelerator: (
+                    result
+                    if isinstance(result, dict)
+                    else model_result_to_dict(result)
+                )
                 for accelerator, result in per_accelerator.items()
             }
             for model, per_accelerator in results.items()

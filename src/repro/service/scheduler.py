@@ -791,20 +791,21 @@ class CampaignService:
                 f"{len(missing)} job(s) failed ({', '.join(missing)})"
                 + (f": {failures}" if failures else ""),
             )
-        digest = results_digest(tree)
         from ..serialization import model_result_to_dict
 
+        serialized = {
+            model: {
+                machine: model_result_to_dict(result)
+                for machine, result in per_machine.items()
+            }
+            for model, per_machine in tree.items()
+        }
+        digest = results_digest(serialized)
         payload = {
             "kind": "sweep",
             "campaign": execution.exec_id,
             "digest": digest,
-            "results": {
-                model: {
-                    machine: model_result_to_dict(result)
-                    for machine, result in per_machine.items()
-                }
-                for model, per_machine in tree.items()
-            },
+            "results": serialized,
             "report": runner.campaign_report(as_dict=True),
         }
         return payload, digest, False, None

@@ -279,6 +279,55 @@ def test_malformed_float_exceptions_are_a_miss(
         layer_result_unpack(entries[0][2])
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        pytest.param((1, 1), "x", id="layer-c-str"),
+        pytest.param((1, 1), 64.0, id="layer-c-float"),
+        pytest.param((1, 1), True, id="layer-c-bool"),
+        pytest.param((2, 2), "x", id="mapping-compute-cycles-str"),
+        pytest.param((3, 0), "x", id="traffic-count-str"),
+        pytest.param((3, 0), None, id="traffic-count-null"),
+        pytest.param((0, 1), "x", id="delivered-bytes-str"),
+        pytest.param((5,), [0, "x"], id="exception-value-str"),
+        pytest.param((5,), [0, None], id="exception-value-null"),
+    ],
+)
+def test_wrong_typed_record_is_recomputed(tmp_path, simulator, path, value):
+    """A record holding a value of the wrong type for its field --
+    under a valid frame -- is a miss: the runner recomputes it and
+    returns what an uncached run returns, instead of raising out of
+    ``run``, failing the job or serving the wrong value."""
+    from repro.models.zoo import get_model
+    from repro.serialization import model_result_to_dict
+
+    job = SweepJob(simulator, get_model("VGG-16"))
+    SweepRunner(
+        max_workers=1, cache=ResultCache(cache_dir=tmp_path), manifest=False
+    ).run([job])
+    shard = sorted(tmp_path.glob("*.jsonl"))[0]
+    entries = [
+        json.loads(r) for r in store.parse_log(shard.read_bytes()).records
+    ]
+    target = entries[0][2]
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    assert store.rewrite_log(shard, [json.dumps(e).encode() for e in entries])
+
+    cache = ResultCache(cache_dir=tmp_path)
+    (result,) = SweepRunner(
+        max_workers=1, cache=cache, manifest=False, on_error="skip"
+    ).run([job])
+    assert result is not None
+    assert model_result_to_dict(result) == model_result_to_dict(
+        simulator.simulate_model(job.model)
+    )
+    assert cache.stats.misses == 1
+    with pytest.raises(ValueError):
+        layer_result_unpack(entries[0][2])
+
+
 def test_legacy_unframed_shards_still_readable(tmp_path, simulator):
     """Pre-store caches (bare JSON lines) keep serving warm hits."""
     layer = _layer()

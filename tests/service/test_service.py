@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+from unittest import mock
 from urllib.parse import urlsplit
 
 import pytest
@@ -102,6 +103,21 @@ class TestEndToEnd:
         report = payload["report"]
         assert report["jobs_total"] == 2
         assert report["jobs_failed"] == 0
+
+    def test_sweep_results_serialized_once(self, service, golden_digest):
+        """The digest is taken over the dicts ``results.json`` holds,
+        so each result goes through ``model_result_to_dict`` once."""
+        from repro import serialization
+
+        with mock.patch.object(
+            serialization,
+            "model_result_to_dict",
+            wraps=serialization.model_result_to_dict,
+        ) as spy:
+            ticket = service.submit(CAMPAIGN, tenant="alice")
+            final = service.wait(ticket["submission"], timeout_s=300)
+        assert final["digest"] == golden_digest
+        assert spy.call_count == 2  # one (model, machine) pair each
 
     def test_stream_yields_progress_then_terminal(self, http_service):
         _, url = http_service
