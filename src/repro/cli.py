@@ -76,8 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="kill any sweep job attempt that runs longer than SECONDS "
-        "(default: no timeout)",
+        help="kill any worker-pool job attempt that runs longer than "
+        "SECONDS; with --workers above 1 the pool runs the jobs the "
+        "grid kernel declines (default: no timeout)",
     )
     parser.add_argument(
         "--retries",
@@ -145,15 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the sweep engine's post-run invariant audit "
         "(enabled by default; violating results become job failures)",
-    )
-    parser.add_argument(
-        "--exec-plan",
-        choices=("auto", "pool", "serial"),
-        default=None,
-        help="campaign execution planner: 'auto' (the default) grids "
-        "every machine family's cache misses through the NumPy kernel "
-        "in-process, 'pool'/'serial' force per-job dispatch (also "
-        "$REPRO_SWEEP_PLAN); results are bit-identical in every plan",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -891,27 +883,15 @@ def _command_search(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    from .core.budget import CampaignBudget
     from .service.scheduler import CampaignService
     from .service.server import serve_forever
     from .service.tenants import TenantQuota, TenantRegistry
 
     # The global budget flags become the server-wide per-campaign
     # budget layer (tightest-wins with tenant quotas and per-request
-    # budgets); they are intentionally NOT handed to batch.configure's
-    # process defaults, because service runners compose budgets
-    # explicitly per campaign.
-    default_budget = None
-    if (
-        args.deadline is not None
-        or args.max_rss is not None
-        or args.max_failures is not None
-    ):
-        default_budget = CampaignBudget(
-            deadline_s=args.deadline,
-            max_rss_mb=args.max_rss,
-            max_failures=args.max_failures,
-        )
+    # budgets).  The command's run record carries them too, but the
+    # service's runner slots are built with budget=False and never
+    # read it: each campaign's composed budget is bound explicitly.
     registry = TenantRegistry(
         default_quota=TenantQuota(
             max_active=args.quota_active,
@@ -923,7 +903,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         runner_slots=args.runners,
         workers=args.workers,
         registry=registry,
-        default_budget=default_budget,
+        default_budget=batch.run_config().budget,
         resume=not args.fresh,
     )
     print(
@@ -1033,12 +1013,10 @@ def _command_status(args: argparse.Namespace) -> int:
             + (", draining" if stats["draining"] else "")
         )
         for slot, info in sorted(stats.get("slots", {}).items()):
-            line = f"slot {slot}: exec plan {info['exec_plan']}"
-            if info["grid_lanes"]:
-                line += (
-                    f", {info['grid_lanes']} grid lanes over "
-                    f"{info['grid_machines']} machine(s)"
-                )
+            line = (
+                f"slot {slot}: {info['grid_lanes']} grid lanes over "
+                f"{info['grid_machines']} machine(s)"
+            )
             if info["plan"]:
                 line += "; last campaign: " + "; ".join(info["plan"])
             print(line)
@@ -1117,24 +1095,22 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    budget = None
-    if (
-        args.deadline is not None
-        or args.max_rss is not None
-        or args.max_failures is not None
-    ):
-        try:
+    try:
+        budget = None
+        if (
+            args.deadline is not None
+            or args.max_rss is not None
+            or args.max_failures is not None
+        ):
             budget = CampaignBudget(
                 deadline_s=args.deadline,
                 max_rss_mb=args.max_rss,
                 max_failures=args.max_failures,
             )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    batch.clear_last_outcome()
-    try:
-        batch.configure(
+        # The command's run record: the environment with the global
+        # flags on top.  A malformed $REPRO_SWEEP_* / $REPRO_STORE_FSYNC
+        # value or flag fails every command the same way.
+        config = batch.RunConfig.from_env(
             workers=args.workers,
             cache_enabled=False if args.no_cache else None,
             cache_dir=args.cache_dir,
@@ -1143,17 +1119,16 @@ def main(argv: list[str] | None = None) -> int:
             on_error=args.on_error,
             resume=True if args.resume else None,
             audit=False if args.no_audit else None,
-            exec_plan=args.exec_plan,
             budget=budget,
             retry_quarantined=True if args.retry_quarantined else None,
         )
-        # Resolve the env-backed defaults up front: a malformed
-        # $REPRO_SWEEP_* / $REPRO_STORE_FSYNC value fails every
-        # command the same way.
-        batch.default_workers()
-        batch.default_exec_plan()
-        batch.default_cache()
         store.fsync_policy()
+    except ValueError as exc:  # ConfigError is one
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    batch.clear_last_outcome()
+    previous = batch.configure(config)
+    try:
         if args.drain_signal:
             with GracefulDrain():
                 rc = _COMMANDS[args.command](args)
@@ -1177,6 +1152,10 @@ def main(argv: list[str] | None = None) -> int:
             f"campaign stopped early: {outcome.describe()}", file=sys.stderr
         )
         return EXIT_BUDGET_STOPPED
+    finally:
+        # The record lives for this command only: a later main() call,
+        # or library code after this one returns, sees what it saw.
+        batch.configure(previous)
     outcome = batch.last_campaign_outcome()
     if rc == 0 and outcome is not None and outcome.stopped:
         print(

@@ -89,10 +89,9 @@ __all__ = [
     "SweepRunner",
     "CampaignBudget",
     "CampaignOutcome",
+    "RunConfig",
     "configure",
-    "default_budget",
-    "default_exec_plan",
-    "default_workers",
+    "run_config",
     "default_cache",
     "default_manifest",
     "last_campaign_outcome",
@@ -107,7 +106,7 @@ _CRASH_KINDS = frozenset(
     {"WorkerCrashed", "TimeoutError", "MemoryBudgetExceeded"}
 )
 
-#: Valid campaign execution plans (see :func:`default_exec_plan`).
+#: Valid campaign execution plans (see :attr:`SweepRunner.exec_plan`).
 _EXEC_PLANS = ("auto", "pool", "serial")
 
 #: Upper bound on (machines x union shapes) lanes evaluated per grid
@@ -380,7 +379,6 @@ class ResultCache:
         cache_dir: str | Path | None = None,
         *,
         disk_puts: bool = True,
-        fsync: bool = False,
     ):
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
@@ -388,7 +386,6 @@ class ResultCache:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.health = store.StorageHealth()
         self._disk_puts = disk_puts
-        self._fsync = fsync
         self._memory: OrderedDict[str, LayerResult] = OrderedDict()
         #: Parsed-but-not-yet-reconstructed disk payloads, per key.
         self._disk_index: dict[str, list] = {}
@@ -513,10 +510,7 @@ class ResultCache:
             separators=(",", ":"),
         ).encode()
         store.append_record(
-            self._shard_path(key[:1]),
-            payload,
-            fsync=self._fsync,
-            health=self.health,
+            self._shard_path(key[:1]), payload, health=self.health
         )
 
     @property
@@ -942,25 +936,41 @@ class SweepRunner:
         vectorize: bool | None = None,
         budget: "CampaignBudget | None | bool" = None,
         retry_quarantined: bool | None = None,
-        exec_plan: str | None = None,
+        exec_plan: str = "auto",
     ):
-        self.max_workers = default_workers() if max_workers is None else max_workers
+        # Every argument not given comes from the process record; the
+        # replace re-runs its validation over the explicit ones.
+        config = run_config()
+        explicit = {
+            name: value
+            for name, value in (
+                ("workers", max_workers),
+                ("timeout_s", timeout_s),
+                ("retries", retries),
+                ("on_error", on_error),
+                ("resume", resume),
+                ("audit", audit),
+                ("retry_quarantined", retry_quarantined),
+            )
+            if value is not None
+        }
+        if budget is not None:
+            explicit["budget"] = None if budget is False else budget
+        if explicit:
+            config = dataclasses.replace(config, **explicit)
+        self.max_workers = config.workers
         self.cache = default_cache() if cache is None else cache
-        self.timeout_s = _defaults.timeout_s if timeout_s is None else timeout_s
-        self.retries = _defaults.retries if retries is None else retries
-        _check_retry_policy(self.timeout_s, self.retries)
+        self.timeout_s = config.timeout_s
+        self.retries = config.retries
         self.backoff_s = backoff_s
-        on_error = _defaults.on_error if on_error is None else on_error
-        if on_error not in ("raise", "skip"):
-            raise ValueError("on_error must be 'raise' or 'skip'")
-        self.on_error = on_error
+        self.on_error = config.on_error
         if manifest is None:
             self.manifest = default_manifest()
         elif manifest is False:
             self.manifest = None
         else:
             self.manifest = manifest
-        self.resume = _defaults.resume if resume is None else resume
+        self.resume = config.resume
         self.progress = progress
         #: Post-run invariant audit of every accepted job result
         #: (:func:`repro.core.invariants.audit_model_result`).  A
@@ -968,7 +978,7 @@ class SweepRunner:
         #: it becomes a :class:`JobFailure` carrying the structured
         #: violations.  Audit failures are deterministic, so they are
         #: never retried.
-        self.audit = _defaults.audit if audit is None else audit
+        self.audit = config.audit
         #: Evaluate cache misses through the NumPy kernel
         #: (:func:`repro.core.grid.evaluate_grid`) -- bit-identical to
         #: the scalar path by construction, ~an order of magnitude
@@ -982,7 +992,7 @@ class SweepRunner:
         #: declines to the scalar simulator; ``"pool"``/``"serial"``
         #: force per-job dispatch.  All plans are bit-identical -- the
         #: planner only moves where the same floats are computed.
-        self.exec_plan = default_exec_plan() if exec_plan is None else exec_plan
+        self.exec_plan = exec_plan
         if self.exec_plan not in _EXEC_PLANS:
             raise ValueError(
                 f"exec_plan must be one of {_EXEC_PLANS}, "
@@ -1016,20 +1026,11 @@ class SweepRunner:
         self.used_fallback = False
         self.fallback_reason: str | None = None
         self.resumed_jobs = 0
-        #: Campaign budget (``None``: :func:`default_budget`; ``False``:
+        #: Campaign budget (``None``: the record's; ``False``:
         #: explicitly none, mirroring the ``manifest`` convention).
-        if budget is None:
-            self.budget = default_budget()
-        elif budget is False:
-            self.budget = None
-        else:
-            self.budget = budget
+        self.budget = config.budget
         #: Make jobs a prior run quarantined eligible again on resume.
-        self.retry_quarantined = (
-            _defaults.retry_quarantined
-            if retry_quarantined is None
-            else bool(retry_quarantined)
-        )
+        self.retry_quarantined = bool(config.retry_quarantined)
         #: Structured summary of the last :meth:`run` (also built when
         #: the run raised): see :class:`~repro.core.budget.CampaignOutcome`.
         self.outcome: "CampaignOutcome | None" = None
@@ -2332,13 +2333,24 @@ class SweepRunner:
 
 
 # ----------------------------------------------------------------------
-# Process-wide defaults (CLI / env knobs)
+# Process-wide run configuration (CLI / env knobs)
 # ----------------------------------------------------------------------
-@dataclass
-class _SweepDefaults:
-    workers: int | None = None
-    cache_enabled: bool | None = None
+@dataclass(frozen=True)
+class RunConfig:
+    """How campaigns run, never what they compute: the record every
+    :class:`SweepRunner` takes the arguments it is not given from.
+
+    :meth:`from_env` resolves it from the environment plus explicit
+    overrides (the CLI's global flags); :func:`configure` installs one
+    process-wide.  ``__post_init__`` is the one validation of the
+    retry policy, whether a value comes from a flag, the record or a
+    constructor argument.
+    """
+
+    workers: int = 1
+    cache_enabled: bool = True
     cache_dir: str | None = None
+    #: Per-attempt limit of pool attempts (None: unlimited).
     timeout_s: float | None = None
     retries: int = 0
     on_error: str = "raise"
@@ -2346,11 +2358,53 @@ class _SweepDefaults:
     audit: bool = True
     budget: "CampaignBudget | None" = None
     retry_quarantined: bool = False
-    exec_plan: str | None = None
+
+    def __post_init__(self) -> None:
+        # "not > 0" rather than "<= 0": a NaN timeout must not pass.
+        if self.timeout_s is not None and not self.timeout_s > 0:
+            raise ConfigError("timeout_s must be positive (or None)")
+        if self.retries < 0:
+            raise ConfigError("retries must be >= 0")
+        if self.on_error not in ("raise", "skip"):
+            raise ConfigError("on_error must be 'raise' or 'skip'")
+
+    @classmethod
+    def from_env(cls, **flags) -> "RunConfig":
+        """The environment's record with every non-``None`` flag on top.
+
+        The only reader of ``$REPRO_SWEEP_WORKERS`` (an integer, at
+        least 1), ``$REPRO_SWEEP_CACHE`` (``0`` or ``1``) and
+        ``$REPRO_SWEEP_CACHE_DIR``; a malformed value raises
+        :class:`~repro.errors.ConfigError` naming the variable.
+        """
+        raw = os.environ.get("REPRO_SWEEP_WORKERS", "1")
+        try:
+            workers = max(1, int(raw))
+        except ValueError:
+            raise ConfigError(
+                f"$REPRO_SWEEP_WORKERS must be an integer worker count, "
+                f"got {raw!r}"
+            ) from None
+        cache = os.environ.get("REPRO_SWEEP_CACHE", "1")
+        if cache.strip() not in ("0", "1"):
+            raise ConfigError(
+                f"$REPRO_SWEEP_CACHE must be 0 or 1, got {cache!r}"
+            )
+        fields = dict(
+            workers=workers,
+            cache_enabled=cache.strip() == "1",
+            cache_dir=os.environ.get("REPRO_SWEEP_CACHE_DIR") or None,
+        )
+        fields.update(
+            (name, value) for name, value in flags.items() if value is not None
+        )
+        return cls(**fields)
 
 
-_defaults = _SweepDefaults()
-_default_cache: "ResultCache | NullCache | None" = None
+#: The installed record (None: :func:`run_config` reads the environment).
+_CONFIG: RunConfig | None = None
+#: ``((cache_enabled, cache_dir), cache)`` of the shared default cache.
+_default_cache: "tuple[tuple, ResultCache | NullCache] | None" = None
 #: Outcome of the most recent SweepRunner.run() in this process --
 #: the CLI reads it after a command returns to decide whether the
 #: campaign was budget-stopped (exit code 3).
@@ -2368,105 +2422,22 @@ def clear_last_outcome() -> None:
     _LAST_OUTCOME = None
 
 
-def configure(
-    *,
-    workers: int | None = None,
-    cache_enabled: bool | None = None,
-    cache_dir: str | Path | None = None,
-    timeout_s: float | None = None,
-    retries: int | None = None,
-    on_error: str | None = None,
-    resume: bool | None = None,
-    audit: bool | None = None,
-    budget: "CampaignBudget | None | bool" = None,
-    retry_quarantined: bool | None = None,
-    exec_plan: str | None = None,
-) -> None:
-    """Set process-wide sweep defaults (used by the CLI's global flags).
+def configure(config: RunConfig | None) -> RunConfig | None:
+    """Install ``config`` process-wide and return the previous record.
 
-    Only the arguments actually passed are changed (``budget=False``
-    clears a previously-set default budget).  Cache-affecting changes
-    rebuild the shared default cache on next use.
+    ``None`` uninstalls it, so :func:`run_config` reads the
+    environment again.  Installing the returned record restores the
+    state before the call.
     """
-    global _default_cache
-    _check_retry_policy(timeout_s, retries)
-    if workers is not None:
-        _defaults.workers = workers
-    if cache_enabled is not None:
-        _defaults.cache_enabled = cache_enabled
-        _default_cache = None
-    if cache_dir is not None:
-        _defaults.cache_dir = str(cache_dir)
-        _default_cache = None
-    if timeout_s is not None:
-        _defaults.timeout_s = timeout_s
-    if retries is not None:
-        _defaults.retries = retries
-    if on_error is not None:
-        if on_error not in ("raise", "skip"):
-            raise ValueError("on_error must be 'raise' or 'skip'")
-        _defaults.on_error = on_error
-    if resume is not None:
-        _defaults.resume = resume
-    if audit is not None:
-        _defaults.audit = audit
-    if budget is not None:
-        _defaults.budget = None if budget is False else budget
-    if retry_quarantined is not None:
-        _defaults.retry_quarantined = retry_quarantined
-    if exec_plan is not None:
-        if exec_plan not in _EXEC_PLANS:
-            raise ValueError(
-                f"exec_plan must be one of {_EXEC_PLANS}, got {exec_plan!r}"
-            )
-        _defaults.exec_plan = exec_plan
+    global _CONFIG
+    previous, _CONFIG = _CONFIG, config
+    return previous
 
 
-def _check_retry_policy(timeout_s: float | None, retries: int | None) -> None:
-    """Reject a non-positive per-attempt timeout or a negative retry
-    count with :class:`~repro.errors.ConfigError` (``None``: unset)."""
-    if timeout_s is not None and not timeout_s > 0:
-        raise ConfigError("timeout_s must be positive (or None)")
-    if retries is not None and retries < 0:
-        raise ConfigError("retries must be >= 0")
-
-
-def default_budget() -> "CampaignBudget | None":
-    """The process-wide default campaign budget (None: unlimited)."""
-    return _defaults.budget
-
-
-def default_workers() -> int:
-    """Worker count: ``configure()`` > ``$REPRO_SWEEP_WORKERS`` > 1.
-
-    A non-integer env value raises :class:`~repro.errors.ConfigError`.
-    """
-    if _defaults.workers is not None:
-        return _defaults.workers
-    raw = os.environ.get("REPRO_SWEEP_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(
-            f"$REPRO_SWEEP_WORKERS must be an integer worker count, "
-            f"got {raw!r}"
-        ) from None
-
-
-def default_exec_plan() -> str:
-    """Execution-plan default: ``configure()`` > ``$REPRO_SWEEP_PLAN``
-    > ``"auto"``.  An unknown env value raises
-    :class:`~repro.errors.ConfigError`."""
-    if _defaults.exec_plan is not None:
-        return _defaults.exec_plan
-    raw = os.environ.get("REPRO_SWEEP_PLAN", "auto")
-    plan = raw.strip().lower()
-    if plan not in _EXEC_PLANS:
-        raise ConfigError(
-            f"$REPRO_SWEEP_PLAN must be one of {', '.join(_EXEC_PLANS)}, "
-            f"got {raw!r}"
-        )
-    return plan
+def run_config() -> RunConfig:
+    """The installed record, else the environment's
+    (:meth:`RunConfig.from_env`, parsed on every call)."""
+    return _CONFIG if _CONFIG is not None else RunConfig.from_env()
 
 
 def _close_pool(pool) -> None:
@@ -2480,39 +2451,31 @@ def _close_pool(pool) -> None:
 def default_cache() -> "ResultCache | NullCache":
     """The process-wide shared cache (amortises across experiments).
 
-    ``configure(cache_enabled=False)`` or ``$REPRO_SWEEP_CACHE=0``
-    yields a :class:`NullCache` (any env value but ``0``/``1`` raises
-    :class:`~repro.errors.ConfigError`); ``configure(cache_dir=..)``
-    or ``$REPRO_SWEEP_CACHE_DIR`` adds the disk tier.
+    A :class:`NullCache` when the record's ``cache_enabled`` is off,
+    else a :class:`ResultCache` with a disk tier under its
+    ``cache_dir`` (if any); rebuilt when either changes.
     """
     global _default_cache
-    if _default_cache is None:
-        enabled = _defaults.cache_enabled
-        if enabled is None:
-            raw = os.environ.get("REPRO_SWEEP_CACHE", "1")
-            if raw.strip() not in ("0", "1"):
-                raise ConfigError(
-                    f"$REPRO_SWEEP_CACHE must be 0 or 1, got {raw!r}"
-                )
-            enabled = raw.strip() == "1"
-        if not enabled:
-            _default_cache = NullCache()
-        else:
-            cache_dir = _defaults.cache_dir or os.environ.get(
-                "REPRO_SWEEP_CACHE_DIR"
-            )
-            _default_cache = ResultCache(cache_dir=cache_dir)
-    return _default_cache
+    config = run_config()
+    key = (config.cache_enabled, config.cache_dir)
+    if _default_cache is None or _default_cache[0] != key:
+        cache = (
+            ResultCache(cache_dir=config.cache_dir)
+            if config.cache_enabled
+            else NullCache()
+        )
+        _default_cache = (key, cache)
+    return _default_cache[1]
 
 
 def default_manifest() -> "CampaignManifest | None":
-    """A campaign manifest co-located with the configured disk cache.
+    """A campaign manifest co-located with the record's disk cache.
 
     ``None`` when no cache directory is configured (a manifest without
     a surviving result store would still resume correctly -- results
     are recomputed -- but adds bookkeeping for no benefit).
     """
-    cache_dir = _defaults.cache_dir or os.environ.get("REPRO_SWEEP_CACHE_DIR")
+    cache_dir = run_config().cache_dir
     if not cache_dir:
         return None
     from .campaign import CampaignManifest

@@ -138,7 +138,7 @@ class CampaignManifest:
     ``*.jsonl`` file path.
     """
 
-    def __init__(self, path: str | Path, *, fsync: bool = True):
+    def __init__(self, path: str | Path):
         path = Path(path)
         if path.suffix == ".jsonl":
             self.path = path
@@ -147,7 +147,6 @@ class CampaignManifest:
         self.campaign_id: str | None = None
         self.resumed = False
         self.health = store.StorageHealth()
-        self._fsync = fsync
         self._keys: list[str] = []
         self._done: set[int] = set()
         self._failed: set[int] = set()
@@ -247,9 +246,7 @@ class CampaignManifest:
         # Atomic header write (tmp + os.replace under the exclusive
         # lock): a reader never sees a half-started manifest, and a
         # same-campaign restart replaces its own ledger in one step.
-        store.rewrite_log(
-            str(self.path), [header], fsync=self._fsync, health=self.health
-        )
+        store.rewrite_log(str(self.path), [header], health=self.health)
 
     def _preserve_foreign(self) -> None:
         """Move aside an existing manifest from a *different* campaign.
@@ -302,7 +299,7 @@ class CampaignManifest:
             store.record_degradation(str(self.path), exc, self.health)
             return
         store.append_record(
-            str(self.path), payload, fsync=self._fsync, health=self.health
+            str(self.path), payload, fsync=True, health=self.health
         )
 
     def mark_done(self, index: int) -> None:

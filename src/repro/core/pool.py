@@ -132,7 +132,6 @@ def _pool_worker_main(
     job_conn,
     result_conn,
     close_conns,
-    cache_capacity,
     cache_dir=None,
     rlimit_as_mb=None,
 ):
@@ -168,9 +167,7 @@ def _pool_worker_main(
     # The campaign's disk tier (when present) is mounted read-only:
     # workers serve warm hits from shared shards, but only the parent
     # appends results, so N workers never write N duplicate entries.
-    cache = ResultCache(
-        capacity=cache_capacity, cache_dir=cache_dir, disk_puts=False
-    )
+    cache = ResultCache(cache_dir=cache_dir, disk_puts=False)
     fingerprints: dict = {}
     while True:
         try:
@@ -320,7 +317,6 @@ class WorkerPool:
         self,
         max_workers: int,
         *,
-        cache_capacity: int = 4096,
         cache_dir=None,
         context: multiprocessing.context.BaseContext | None = None,
         rss_limit_mb: float | None = None,
@@ -329,7 +325,6 @@ class WorkerPool:
         if max_workers < 1:
             raise ValueError("pool needs at least one worker")
         self.max_workers = max_workers
-        self.cache_capacity = cache_capacity
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.rss_limit_mb = rss_limit_mb
         self.rlimit_as_mb = rlimit_as_mb
@@ -353,7 +348,6 @@ class WorkerPool:
                 job_reader,
                 result_writer,
                 (job_writer, result_reader),
-                self.cache_capacity,
                 self.cache_dir,
                 self.rlimit_as_mb,
             ),

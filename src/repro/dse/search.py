@@ -313,7 +313,6 @@ class SearchEngine:
         runner: SweepRunner | None = None,
         layer_by_layer: bool = False,
         vectorize: bool | None = None,
-        budget: Any = None,
     ):
         if objective not in OBJECTIVES:
             raise ConfigError(
@@ -336,7 +335,7 @@ class SearchEngine:
         #: oracle mode; a caller-built runner keeps its own mode, so a
         #: conflicting request fails instead of being ignored.
         if runner is None:
-            runner = SweepRunner(vectorize=vectorize, budget=budget)
+            runner = SweepRunner(vectorize=vectorize)
         elif vectorize is not None and bool(vectorize) != runner.vectorize:
             raise ConfigError(
                 f"vectorize={vectorize} conflicts with the given runner "

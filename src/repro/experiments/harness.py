@@ -60,7 +60,6 @@ def run_models(
     models: Iterable[LayerSet] | None = None,
     *,
     layer_by_layer: bool = False,
-    workers: int | None = None,
     cache: "ResultCache | NullCache | None" = None,
     runner: SweepRunner | None = None,
 ) -> dict[str, dict[str, ModelResult]]:
@@ -68,16 +67,17 @@ def run_models(
 
     Returns ``{model name: {accelerator name: ModelResult}}`` in the
     paper's reporting order.  Jobs go through
-    :class:`repro.core.batch.SweepRunner`: by default serial with the
-    process-wide shared result cache (so a campaign of experiments
-    amortises repeated ``(machine, layer shape)`` pairs); ``workers >
-    1`` fans jobs out over processes with bit-identical results.  Pass
-    an explicit ``runner`` to inspect per-job timing stats afterwards.
+    :class:`repro.core.batch.SweepRunner`: by default with the
+    process record's worker count and the process-wide shared result
+    cache (so a campaign of experiments amortises repeated ``(machine,
+    layer shape)`` pairs); results are bit-identical for any worker
+    count.  Pass an explicit ``runner`` to choose the workers or to
+    inspect per-job timing stats afterwards.
     """
     if models is None:
         models = evaluation_models()
     if runner is None:
-        runner = SweepRunner(max_workers=workers, cache=cache)
+        runner = SweepRunner(cache=cache)
     return runner.run_models(simulators, models, layer_by_layer=layer_by_layer)
 
 

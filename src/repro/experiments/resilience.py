@@ -167,7 +167,6 @@ def availability_study(
     accelerators: Sequence[str] = EVALUATED_ACCELERATORS,
     scale: DeviceFailureScale = DeviceFailureScale(),
     runner: SweepRunner | None = None,
-    budget=None,
 ) -> list[AvailabilityPoint]:
     """Monte-Carlo availability vs per-device failure rate, per machine.
 
@@ -185,10 +184,11 @@ def availability_study(
     streams are untouched by the batching, so results are
     bit-identical to the previous inline evaluation order.
 
-    ``budget`` (a :class:`~repro.core.budget.CampaignBudget`) bounds
-    the study: when the runner stops (deadline, breaker, drain
-    signal) the study returns the points of the accelerators whose
-    batch completed and omits the rest, instead of raising.
+    The runner's budget (``runner=SweepRunner(budget=...)``, or the
+    process record's for a default runner) bounds the study: when the
+    runner stops (deadline, breaker, drain signal) the study returns
+    the points of the accelerators whose batch completed and omits
+    the rest, instead of raising.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -202,7 +202,7 @@ def availability_study(
     if runner is None:
         # The study is not a resumable campaign: no manifest, and the
         # runner's pool is torn down when the study returns.
-        runner = SweepRunner(manifest=False, budget=budget)
+        runner = SweepRunner(manifest=False)
 
     points: list[AvailabilityPoint] = []
     try:

@@ -604,7 +604,6 @@ class CampaignService:
                 "tenants": self.registry.to_dict(),
                 "slots": {
                     str(slot): {
-                        "exec_plan": runner.exec_plan,
                         "plan": [
                             decision.describe()
                             for decision in list(runner.plan_decisions)

@@ -1,11 +1,12 @@
 """Unit tests of the campaign execution planner's control surface.
 
 The bit-identity of every plan is proven in
-``test_grid_oracle.py``; these tests pin the *bookkeeping*: plan
-defaults and their precedence chain, validation, the
-:class:`PlanDecision` records, and how decisions surface in
-``campaign_report()`` (text and dict forms) -- the operator's only
-window into why a campaign ran the way it did.
+``test_grid_oracle.py``; these tests pin the *bookkeeping*: the run
+record (:class:`RunConfig`) every runner takes its defaults from and
+its one validation, the plan validation, the :class:`PlanDecision`
+records, and how decisions surface in ``campaign_report()`` (text and
+dict forms) -- the operator's only window into why a campaign ran the
+way it did.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import pytest
 
 from repro.core import batch, store
 from repro.core.batch import (
+    CampaignBudget,
     NullCache,
     PlanDecision,
+    RunConfig,
     SweepJob,
     SweepRunner,
-    default_exec_plan,
-    default_workers,
 )
 from repro.core.layer import ConvLayer, LayerSet
 from repro.errors import ConfigError
@@ -63,35 +64,63 @@ def test_plan_decision_describe():
 
 
 # ----------------------------------------------------------------------
-# Defaults: configure() > $REPRO_SWEEP_PLAN > "auto"
+# The run record: RunConfig, configure() and constructor arguments
 # ----------------------------------------------------------------------
-def test_default_exec_plan_chain(monkeypatch):
-    monkeypatch.setattr(batch._defaults, "exec_plan", None)
-    monkeypatch.delenv("REPRO_SWEEP_PLAN", raising=False)
-    assert default_exec_plan() == "auto"
-
-    monkeypatch.setenv("REPRO_SWEEP_PLAN", "Serial ")
-    assert default_exec_plan() == "serial"
-
-    # Input from outside the process fails closed: a typo (or the
-    # removed "grid" plan) names the variable and the accepted values.
-    for typo in ("gird", "grid"):
-        monkeypatch.setenv("REPRO_SWEEP_PLAN", typo)
-        with pytest.raises(ConfigError, match="REPRO_SWEEP_PLAN.*auto"):
-            default_exec_plan()
-
-    # configure() wins over the environment.
-    monkeypatch.setattr(batch._defaults, "exec_plan", "pool")
-    assert default_exec_plan() == "pool"
+@pytest.fixture
+def clean_env(monkeypatch):
+    """No installed record, no shared cache and none of the record's
+    variables set; all three come back after the test."""
+    monkeypatch.setattr(batch, "_CONFIG", None)
+    monkeypatch.setattr(batch, "_default_cache", None)
+    for name in (
+        "REPRO_SWEEP_WORKERS",
+        "REPRO_SWEEP_CACHE",
+        "REPRO_SWEEP_CACHE_DIR",
+    ):
+        monkeypatch.delenv(name, raising=False)
+    return monkeypatch
 
 
-def test_default_workers_rejects_non_integer_env(monkeypatch):
-    monkeypatch.setattr(batch._defaults, "workers", None)
-    monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("REPRO_SWEEP_WORKERS", "two")
+def test_from_env_reads_the_variables_and_flags_override(clean_env, tmp_path):
+    assert RunConfig.from_env() == RunConfig()
+    clean_env.setenv("REPRO_SWEEP_WORKERS", "3")
+    clean_env.setenv("REPRO_SWEEP_CACHE", "0")
+    clean_env.setenv("REPRO_SWEEP_CACHE_DIR", str(tmp_path))
+    config = RunConfig.from_env()
+    assert (config.workers, config.cache_enabled, config.cache_dir) == (
+        3,
+        False,
+        str(tmp_path),
+    )
+    # A runner built with no record installed reads the same values.
+    runner = SweepRunner()
+    assert runner.max_workers == 3
+    assert isinstance(runner.cache, NullCache)
+    assert runner.manifest.path.parent == tmp_path
+    # Flags win over the environment; None means "not given".
+    flagged = RunConfig.from_env(
+        workers=2, cache_enabled=True, cache_dir=None, retries=1
+    )
+    assert (
+        flagged.workers,
+        flagged.cache_enabled,
+        flagged.cache_dir,
+        flagged.retries,
+    ) == (2, True, str(tmp_path), 1)
+
+
+def test_default_workers_rejects_non_integer_env(clean_env):
+    clean_env.setenv("REPRO_SWEEP_WORKERS", "two")
     with pytest.raises(ConfigError, match="REPRO_SWEEP_WORKERS"):
-        default_workers()
+        RunConfig.from_env()
+    # With no record installed every construction parses the
+    # environment, so a malformed value fails even when every
+    # argument is explicit ...
+    with pytest.raises(ConfigError, match="REPRO_SWEEP_WORKERS"):
+        _runner()
+    # ... and an installed record is not read from it.
+    batch.configure(RunConfig())
+    assert _runner().max_workers == 1
 
 
 def test_fsync_policy_rejects_unknown_env(monkeypatch):
@@ -103,51 +132,121 @@ def test_fsync_policy_rejects_unknown_env(monkeypatch):
         store.fsync_policy()
 
 
-def test_default_cache_rejects_non_binary_env(monkeypatch):
-    monkeypatch.setattr(batch._defaults, "cache_enabled", None)
-    monkeypatch.setattr(batch, "_default_cache", None)
-    monkeypatch.setenv("REPRO_SWEEP_CACHE", "0")
+def test_default_cache_rejects_non_binary_env(clean_env):
+    clean_env.setenv("REPRO_SWEEP_CACHE", "0")
     assert isinstance(batch.default_cache(), NullCache)
     # "off" / "false" must not silently leave the cache on.
     for value in ("off", "false"):
-        monkeypatch.setattr(batch, "_default_cache", None)
-        monkeypatch.setenv("REPRO_SWEEP_CACHE", value)
+        clean_env.setenv("REPRO_SWEEP_CACHE", value)
         with pytest.raises(ConfigError, match="REPRO_SWEEP_CACHE.*0 or 1"):
             batch.default_cache()
+
+
+def test_default_cache_and_manifest_follow_the_record(clean_env, tmp_path):
+    shared = batch.default_cache()
+    assert batch.default_cache() is shared
+    assert shared.cache_dir is None and batch.default_manifest() is None
+    batch.configure(RunConfig(cache_dir=str(tmp_path)))
+    assert batch.default_cache().cache_dir == tmp_path
+    assert batch.default_manifest().path.parent == tmp_path
+    batch.configure(None)
+    assert batch.default_cache().cache_dir is None
 
 
 @pytest.mark.parametrize(
     "name, value",
     [
-        ("REPRO_SWEEP_PLAN", "grid"),
         ("REPRO_SWEEP_WORKERS", "x"),
         ("REPRO_STORE_FSYNC", "alway"),
         ("REPRO_SWEEP_CACHE", "off"),
     ],
 )
-def test_cli_exits_2_on_malformed_env(monkeypatch, capsys, name, value):
+def test_cli_exits_2_on_malformed_env(clean_env, capsys, name, value):
     from repro.cli import main
 
-    monkeypatch.setattr(batch._defaults, "exec_plan", None)
-    monkeypatch.setattr(batch._defaults, "workers", None)
-    monkeypatch.setattr(batch._defaults, "cache_enabled", None)
-    monkeypatch.setattr(batch, "_default_cache", None)
-    monkeypatch.setenv(name, value)
+    clean_env.setenv(name, value)
     assert main(["tables"]) == 2
     assert name in capsys.readouterr().err
 
 
-def test_runner_inherits_default_plan(monkeypatch):
-    monkeypatch.setattr(batch._defaults, "exec_plan", "serial")
-    assert _runner().exec_plan == "serial"
-    assert _runner(exec_plan="pool").exec_plan == "pool"
+def test_configure_installs_a_whole_record(clean_env):
+    first = RunConfig(retries=1)
+    assert batch.configure(first) is None
+    assert batch.run_config() is first
+    second = RunConfig(audit=False)
+    assert batch.configure(second) is first
+    # Nothing of the first record survives the second.
+    assert batch.run_config().retries == 0
+    assert batch.configure(None) is second
+    assert batch.run_config() == RunConfig.from_env()
 
 
-def test_configure_rejects_unknown_plan():
-    with pytest.raises(ValueError, match="exec_plan"):
-        batch.configure(exec_plan="turbo")
-    with pytest.raises(ValueError, match="exec_plan"):
-        batch.configure(exec_plan="grid")
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("timeout_s", 0.0),
+        ("timeout_s", -1.0),
+        ("timeout_s", float("nan")),
+        ("retries", -1),
+        ("on_error", "explode"),
+    ],
+)
+def test_bad_retry_policy_fails_alike_from_every_source(
+    clean_env, field, value
+):
+    with pytest.raises(ConfigError, match=field) as record:
+        RunConfig(**{field: value})
+    with pytest.raises(ConfigError, match=field) as flag:
+        RunConfig.from_env(**{field: value})
+    batch.configure(RunConfig())
+    with pytest.raises(ConfigError, match=field) as argument:
+        _runner(**{field: value})
+    assert str(record.value) == str(flag.value) == str(argument.value)
+    assert isinstance(argument.value, ValueError)
+
+
+def test_explicit_arguments_win_over_the_record(clean_env):
+    budget = CampaignBudget(deadline_s=60.0)
+    record = RunConfig(
+        workers=3,
+        timeout_s=5.0,
+        retries=2,
+        on_error="skip",
+        resume=True,
+        audit=False,
+        budget=budget,
+        retry_quarantined=True,
+    )
+    batch.configure(record)
+
+    def view(runner):
+        return (
+            runner.max_workers,
+            runner.timeout_s,
+            runner.retries,
+            runner.on_error,
+            runner.resume,
+            runner.audit,
+            runner.budget,
+            runner.retry_quarantined,
+        )
+
+    inherited = SweepRunner(cache=NullCache(), manifest=False)
+    assert view(inherited) == (3, 5.0, 2, "skip", True, False, budget, True)
+    explicit = SweepRunner(
+        1,
+        NullCache(),
+        timeout_s=9.0,
+        retries=0,
+        on_error="raise",
+        manifest=False,
+        resume=False,
+        audit=True,
+        budget=False,
+        retry_quarantined=False,
+    )
+    assert view(explicit) == (1, 9.0, 0, "raise", False, True, None, False)
+    assert batch.run_config() is record
 
 
 def test_runner_rejects_unknown_plan():

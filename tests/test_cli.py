@@ -1,23 +1,29 @@
 """Tests for the command-line interface."""
 
-import dataclasses
 import json
 
 import pytest
 
+from repro import cli
 from repro.core import batch
 from repro.cli import build_parser, main
 
 
 @pytest.fixture
-def restore_sweep_defaults():
-    """Snapshot/restore the process-wide sweep defaults that ``main``
-    mutates through ``batch.configure``."""
-    snapshot = dataclasses.replace(batch._defaults)
-    yield
-    for field in dataclasses.fields(snapshot):
-        setattr(batch._defaults, field.name, getattr(snapshot, field.name))
-    batch._default_cache = None  # drop any cache bound to a temp dir
+def seen_records(monkeypatch):
+    """The run record each command sees while it runs, in call order."""
+    seen = []
+
+    def spy(command):
+        def run(args):
+            seen.append(batch.run_config())
+            return command(args)
+
+        return run
+
+    for name, command in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, spy(command))
+    return seen
 
 
 class TestParser:
@@ -98,7 +104,7 @@ class TestBudgetFlags:
         assert not args.drain_signal
         assert not args.retry_quarantined
 
-    def test_budget_flags_configure_defaults(self, restore_sweep_defaults):
+    def test_budget_flags_configure_defaults(self, seen_records):
         assert (
             main(
                 [
@@ -116,21 +122,21 @@ class TestBudgetFlags:
             )
             == 0
         )
-        budget = batch._defaults.budget
+        [config] = seen_records
+        budget = config.budget
         assert budget is not None
         assert budget.deadline_s == 120.0
         assert budget.max_rss_mb == 512.0
         assert budget.max_failures == 7
-        assert batch._defaults.retry_quarantined is True
+        assert config.retry_quarantined is True
 
-    def test_no_budget_flags_leave_defaults_alone(
-        self, restore_sweep_defaults
-    ):
+    def test_no_budget_flags_leave_defaults_alone(self, seen_records):
         assert main(["layers", "--model", "VGG-16"]) == 0
-        assert batch._defaults.budget is None
-        assert batch._defaults.retry_quarantined is False
+        [config] = seen_records
+        assert config.budget is None
+        assert config.retry_quarantined is False
 
-    def test_expired_deadline_exits_3(self, capsys, restore_sweep_defaults):
+    def test_expired_deadline_exits_3(self, capsys):
         from repro.core.budget import EXIT_BUDGET_STOPPED
 
         code = main(
@@ -141,9 +147,7 @@ class TestBudgetFlags:
         assert "campaign stopped early" in err
         assert "deadline" in err
 
-    def test_stopped_report_exits_3_without_traceback(
-        self, capsys, restore_sweep_defaults, tmp_path
-    ):
+    def test_stopped_report_exits_3_without_traceback(self, capsys, tmp_path):
         # With every job skipped, the report renderer crashes on empty
         # row sets; the CLI must surface the budget stop (exit 3, one
         # stderr line), not the downstream symptom's traceback.
@@ -164,7 +168,7 @@ class TestBudgetFlags:
         assert "deadline" in err
         assert "Traceback" not in err
 
-    def test_negative_deadline_exits_2(self, capsys, restore_sweep_defaults):
+    def test_negative_deadline_exits_2(self, capsys):
         assert main(["--deadline", "-5", "layers", "--model", "VGG-16"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
@@ -179,9 +183,7 @@ class TestBudgetFlags:
             (["--retries", "-1"], "retries"),
         ],
     )
-    def test_bad_retry_policy_exits_2(
-        self, capsys, restore_sweep_defaults, flags, field
-    ):
+    def test_bad_retry_policy_exits_2(self, capsys, flags, field):
         argv = [*flags, "run", "--model", "ResNet-50", "--machine", "spacx"]
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -195,18 +197,14 @@ class TestBudgetFlags:
             (["--max-rss", "nan"], "max_rss_mb"),
         ],
     )
-    def test_nan_budget_exits_2(
-        self, capsys, restore_sweep_defaults, flags, field
-    ):
+    def test_nan_budget_exits_2(self, capsys, flags, field):
         argv = [*flags, "run", "--model", "ResNet-50", "--machine", "spacx"]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"error: {field}" in err
         assert "Traceback" not in err
 
-    def test_drain_signal_restores_handlers(
-        self, capsys, restore_sweep_defaults
-    ):
+    def test_drain_signal_restores_handlers(self, capsys):
         import signal
 
         before = signal.getsignal(signal.SIGINT)
@@ -243,9 +241,7 @@ class TestFaultsCommand:
         assert args.rates is None
         assert args.threshold == 1.5
 
-    def test_faults_runs_and_reports_all_machines(
-        self, capsys, restore_sweep_defaults
-    ):
+    def test_faults_runs_and_reports_all_machines(self, capsys):
         code = main(
             [
                 "faults",
@@ -266,9 +262,7 @@ class TestFaultsCommand:
         assert "avail %" in out
         assert "seed 5" in out
 
-    def test_faults_deterministic_across_invocations(
-        self, capsys, restore_sweep_defaults
-    ):
+    def test_faults_deterministic_across_invocations(self, capsys):
         argv = [
             "faults",
             "--model",
@@ -286,15 +280,13 @@ class TestFaultsCommand:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_faults_rejects_empty_rates(self, capsys, restore_sweep_defaults):
+    def test_faults_rejects_empty_rates(self, capsys):
         assert main(["faults", "--rates", ","]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
 
-    def test_faults_rejects_malformed_rates(
-        self, capsys, restore_sweep_defaults
-    ):
+    def test_faults_rejects_malformed_rates(self, capsys):
         assert main(["faults", "--rates", "0.1,banana"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
@@ -302,13 +294,13 @@ class TestFaultsCommand:
 
 
 class TestDoctorCommand:
-    def test_doctor_default_is_clean(self, capsys, restore_sweep_defaults):
+    def test_doctor_default_is_clean(self, capsys):
         assert main(["doctor", "--no-simulate"]) == 0
         out = capsys.readouterr().out
         assert "spacx: ok" in out
         assert "0 error(s)" in out
 
-    def test_doctor_with_simulation(self, capsys, restore_sweep_defaults):
+    def test_doctor_with_simulation(self, capsys):
         code = main(
             ["doctor", "--machine", "spacx", "--model", "MobileNetV2"]
         )
@@ -316,7 +308,7 @@ class TestDoctorCommand:
         out = capsys.readouterr().out
         assert "spacx [simulated]: ok" in out
 
-    def test_doctor_json_output(self, capsys, restore_sweep_defaults):
+    def test_doctor_json_output(self, capsys):
         import json
 
         code = main(
@@ -328,34 +320,26 @@ class TestDoctorCommand:
         assert payload["errors"] == 0
         assert any(r["subject"] == "simba" for r in payload["reports"])
 
-    def test_doctor_unknown_machine_exits_2(
-        self, capsys, restore_sweep_defaults
-    ):
+    def test_doctor_unknown_machine_exits_2(self, capsys):
         assert main(["doctor", "--machine", "nope"]) == 2
         err = capsys.readouterr().err
         assert "unknown machine" in err
         assert "Traceback" not in err
 
-    def test_doctor_unknown_model_exits_2(
-        self, capsys, restore_sweep_defaults
-    ):
+    def test_doctor_unknown_model_exits_2(self, capsys):
         assert main(["doctor", "--model", "AlexNet-9000"]) == 2
         err = capsys.readouterr().err
         assert "unknown model" in err
         assert "Traceback" not in err
 
-    def test_doctor_broken_config_exits_nonzero(
-        self, capsys, restore_sweep_defaults, tmp_path
-    ):
+    def test_doctor_broken_config_exits_nonzero(self, capsys, tmp_path):
         config = tmp_path / "broken.json"
         config.write_text('{"machine": "spacx", "laser_power_mw": -3}')
         assert main(["doctor", "--config", str(config)]) == 1
         out = capsys.readouterr().out
         assert "PHO-LASER" in out
 
-    def test_doctor_overdense_wdm_exits_nonzero(
-        self, capsys, restore_sweep_defaults, tmp_path
-    ):
+    def test_doctor_overdense_wdm_exits_nonzero(self, capsys, tmp_path):
         config = tmp_path / "dense.json"
         config.write_text(
             '{"machine": "spacx", "wavelengths_per_waveguide": 96}'
@@ -365,7 +349,7 @@ class TestDoctorCommand:
         assert "PHO-WDM-DENSITY" in out
 
     def test_doctor_config_crosstalk_breaks_link_budget(
-        self, capsys, restore_sweep_defaults, tmp_path
+        self, capsys, tmp_path
     ):
         config = tmp_path / "xtalk.json"
         config.write_text(
@@ -381,7 +365,7 @@ class TestDoctorCommand:
         "value", ["1" * 400, "NaN", "true"], ids=["huge-int", "nan", "bool"]
     )
     def test_doctor_non_numeric_crosstalk_is_a_finding(
-        self, capsys, restore_sweep_defaults, tmp_path, value
+        self, capsys, tmp_path, value
     ):
         config = tmp_path / "xtalk.json"
         config.write_text(
@@ -401,9 +385,7 @@ class TestDoctorCommand:
         ]
         assert codes == ["DOC-TYPE"]
 
-    def test_doctor_malformed_config_exits_2(
-        self, capsys, restore_sweep_defaults, tmp_path
-    ):
+    def test_doctor_malformed_config_exits_2(self, capsys, tmp_path):
         config = tmp_path / "malformed.json"
         config.write_text("this is not JSON {")
         assert main(["doctor", "--config", str(config)]) == 2
@@ -411,13 +393,11 @@ class TestDoctorCommand:
         assert "not valid JSON" in err
         assert "Traceback" not in err
 
-    def test_doctor_missing_config_exits_2(
-        self, capsys, restore_sweep_defaults, tmp_path
-    ):
+    def test_doctor_missing_config_exits_2(self, capsys, tmp_path):
         assert main(["doctor", "--config", str(tmp_path / "nope.json")]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
-    def test_doctor_all_static(self, capsys, restore_sweep_defaults):
+    def test_doctor_all_static(self, capsys):
         assert main(["doctor", "--all", "--no-simulate"]) == 0
         out = capsys.readouterr().out
         assert "spacx-ba: ok" in out
@@ -442,16 +422,14 @@ class TestSearchCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["search", "--strategy", "vibes"])
 
-    def test_tiny_preset_search(self, capsys, restore_sweep_defaults):
+    def test_tiny_preset_search(self, capsys):
         assert main(["search", "--space", "tiny"]) == 0
         out = capsys.readouterr().out
         assert "best (objective=execution_time, strategy=pruned)" in out
         assert "pruned" in out
         assert "candidate(s)" in out
 
-    def test_exhaustive_matches_pruned_best(
-        self, capsys, restore_sweep_defaults
-    ):
+    def test_exhaustive_matches_pruned_best(self, capsys):
         assert main(["search", "--space", "tiny", "--strategy", "pruned"]) == 0
         pruned = capsys.readouterr().out.splitlines()[-1]
         assert (
@@ -461,7 +439,7 @@ class TestSearchCommand:
         exhaustive = capsys.readouterr().out.splitlines()[-1]
         assert pruned.split("): ")[1] == exhaustive.split("): ")[1]
 
-    def test_json_schema(self, capsys, restore_sweep_defaults):
+    def test_json_schema(self, capsys):
         import json
 
         assert main(["search", "--space", "tiny", "--json"]) == 0
@@ -482,7 +460,7 @@ class TestSearchCommand:
         assert payload["ok"] is True
         assert payload["best"]["config"]["machine"] == "spacx"
 
-    def test_json_space_file(self, capsys, restore_sweep_defaults, tmp_path):
+    def test_json_space_file(self, capsys, tmp_path):
         import json
 
         space = tmp_path / "space.json"
@@ -500,24 +478,20 @@ class TestSearchCommand:
         assert payload["objective"] == "edp"  # JSON-space default
         assert payload["n_candidates"] == 2
 
-    def test_unknown_space_exits_2(self, capsys, restore_sweep_defaults):
+    def test_unknown_space_exits_2(self, capsys):
         assert main(["search", "--space", "warp"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
         assert "unknown space" in err
         assert "Traceback" not in err
 
-    def test_missing_space_file_exits_2(
-        self, capsys, restore_sweep_defaults, tmp_path
-    ):
+    def test_missing_space_file_exits_2(self, capsys, tmp_path):
         assert main(["search", "--space", str(tmp_path / "nope.json")]) == 2
         err = capsys.readouterr().err
         assert "cannot read space" in err
         assert "Traceback" not in err
 
-    def test_malformed_space_file_exits_2(
-        self, capsys, restore_sweep_defaults, tmp_path
-    ):
+    def test_malformed_space_file_exits_2(self, capsys, tmp_path):
         space = tmp_path / "broken.json"
         space.write_text("this is not JSON {")
         assert main(["search", "--space", str(space)]) == 2
@@ -525,9 +499,7 @@ class TestSearchCommand:
         assert "not valid JSON" in err
         assert "Traceback" not in err
 
-    def test_bad_dimension_exits_2(
-        self, capsys, restore_sweep_defaults, tmp_path
-    ):
+    def test_bad_dimension_exits_2(self, capsys, tmp_path):
         import json
 
         space = tmp_path / "space.json"
@@ -537,9 +509,7 @@ class TestSearchCommand:
         assert "unknown dimension" in err
         assert "Traceback" not in err
 
-    def test_nothing_feasible_exits_1(
-        self, capsys, restore_sweep_defaults, tmp_path
-    ):
+    def test_nothing_feasible_exits_1(self, capsys, tmp_path):
         import json
 
         space = tmp_path / "space.json"
@@ -558,9 +528,7 @@ class TestSearchCommand:
 
 
 class TestResilienceFlags:
-    def test_global_flags_feed_sweep_defaults(
-        self, capsys, restore_sweep_defaults
-    ):
+    def test_global_flags_feed_sweep_defaults(self, capsys, seen_records):
         code = main(
             [
                 "--timeout",
@@ -575,12 +543,13 @@ class TestResilienceFlags:
             ]
         )
         assert code == 0
-        assert batch._defaults.timeout_s == 30.0
-        assert batch._defaults.retries == 2
-        assert batch._defaults.on_error == "skip"
-        assert batch._defaults.resume is False
+        [config] = seen_records
+        assert config.timeout_s == 30.0
+        assert config.retries == 2
+        assert config.on_error == "skip"
+        assert config.resume is False
 
-    def test_resume_flag(self, capsys, restore_sweep_defaults, tmp_path):
+    def test_resume_flag(self, capsys, seen_records, tmp_path):
         code = main(
             [
                 "--cache-dir",
@@ -592,10 +561,47 @@ class TestResilienceFlags:
             ]
         )
         assert code == 0
-        assert batch._defaults.resume is True
+        [config] = seen_records
+        assert config.resume is True
         # The manifest was written next to the cache shards.
         assert (tmp_path / "campaign.jsonl").exists()
 
     def test_rejects_bad_on_error(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--on-error", "explode", "tables"])
+
+
+class TestRunRecord:
+    def test_flags_do_not_leak_into_later_calls(self, monkeypatch):
+        """A flag-less ``main()`` after a flagged one, and library code
+        after both return, see the environment's defaults."""
+        for name in (
+            "REPRO_SWEEP_WORKERS",
+            "REPRO_SWEEP_CACHE",
+            "REPRO_SWEEP_CACHE_DIR",
+        ):
+            monkeypatch.delenv(name, raising=False)
+        seen = []
+
+        def observe():
+            runner = batch.SweepRunner(cache=batch.NullCache(), manifest=False)
+            seen.append((runner.audit, runner.retries, runner.budget))
+
+        def layers(args):
+            observe()
+            return 0
+
+        monkeypatch.setitem(cli._COMMANDS, "layers", layers)
+        flagged = ["--no-audit", "--retries", "2", "--deadline", "100"]
+        assert main([*flagged, "layers", "--model", "VGG-16"]) == 0
+        assert main(["layers", "--model", "VGG-16"]) == 0
+        observe()
+        (audit, retries, budget), later, library = seen
+        assert (audit, retries, budget.deadline_s) == (False, 2, 100.0)
+        assert later == library == (True, 0, None)
+
+    def test_removed_exec_plan_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--exec-plan", "pool", "run", "--model", "ResNet-50"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: repro")
