@@ -246,6 +246,24 @@ def simulator_fingerprint(simulator: Simulator) -> str:
 _KEY_MEMO: dict[tuple, str] = {}
 _KEY_MEMO_LIMIT = 65536
 
+#: Serialises evict-plus-insert on the module-level FIFO memos
+#: (:data:`_KEY_MEMO`, ``vectorized._SHARED_MEMO``).  ``repro serve``'s
+#: runner slots share them: unlocked, two threads evicting at capacity
+#: could pick the same oldest key (``KeyError``) or iterate a dict the
+#: other is resizing (``RuntimeError``).
+_MEMO_LOCK = threading.Lock()
+
+
+def _memo_put(memo: dict, key, value, limit: int) -> None:
+    """Insert into a FIFO-bounded memo, dropping the single oldest
+    entry at ``limit`` (insertion order == age).  Lookups stay a plain
+    ``dict.get``; only this insert path takes the lock."""
+    with _MEMO_LOCK:
+        if len(memo) >= limit:
+            del memo[next(iter(memo))]
+        memo[key] = value
+
+
 #: Per-model dedup structure, computed once per :class:`LayerSet`
 #: object and dropped with it (weak keys -- ``LayerSet`` hashes by
 #: identity, so mutating-free reuse is safe by construction).
@@ -307,11 +325,7 @@ def layer_cache_key(
             f"|{shape!r}|{int(bool(layer_by_layer))}"
         )
         key = hashlib.sha256(payload.encode()).hexdigest()
-        if len(_KEY_MEMO) >= _KEY_MEMO_LIMIT:
-            # FIFO eviction: drop the single oldest entry instead of
-            # clearing the whole memo (insertion order == age).
-            del _KEY_MEMO[next(iter(_KEY_MEMO))]
-        _KEY_MEMO[memo_key] = key
+        _memo_put(_KEY_MEMO, memo_key, key, _KEY_MEMO_LIMIT)
     return key
 
 
@@ -358,15 +372,19 @@ class ResultCache:
     of :func:`repro.serialization.layer_result_pack`; unframed lines
     from pre-store caches are still accepted.  A shard is parsed
     wholesale on first touch (hundreds of tiny per-entry files would
-    make a warm start open-bound), appended-to with a single
-    ``O_APPEND`` write per new result, and duplicate keys resolve
-    last-wins.  A torn final line (killed writer) is skipped and
-    counted; corrupt mid-file lines are quarantined to
-    ``<shard>.quarantine`` rather than dropped; either way concurrent
-    writers sharing a directory degrade to extra misses, never to
-    wrong results.  Write errors (full disk, read-only mounts) raise
-    one deduped :class:`~repro.errors.ReproWarning` per shard and drop
-    the cache to memory-only for that shard, tracked in ``health``.
+    make a warm start open-bound), and duplicate keys resolve
+    last-wins.  Writes are group-committed: :meth:`put_many` lands
+    each shard's new entries with a single ``O_APPEND`` write carrying
+    all their frames, in put order, and the runner calls it once per
+    dispatch, before any job of that dispatch is marked done.  A torn
+    final line (killed writer) is skipped and counted, so a torn group
+    write loses only its incomplete last frame; corrupt mid-file lines
+    are quarantined to ``<shard>.quarantine`` rather than dropped;
+    either way concurrent writers sharing a directory degrade to extra
+    misses, never to wrong results.  Write errors (full disk,
+    read-only mounts, short writes) raise one deduped
+    :class:`~repro.errors.ReproWarning` per shard and drop the cache
+    to memory-only for that shard, tracked in ``health``.
 
     ``disk_puts=False`` makes the disk tier read-only: pool workers
     share the campaign's shards for warm starts without every worker
@@ -494,24 +512,34 @@ class ResultCache:
         except (KeyError, TypeError, ValueError):
             return None  # corrupt / stale entry: treat as a miss
 
-    def _disk_put(self, key: str, result: LayerResult) -> None:
-        if self.cache_dir is None or not self._disk_puts:
-            return
+    def _disk_put(self, shards: dict) -> None:
+        """Append each shard's ``(key, result)`` entries in one write."""
         from ..serialization import layer_result_pack
 
         # Positional entry (schema tag first): arrays parse measurably
         # faster than objects and drop three field-name strings per
-        # line from every warm start.  The store layer frames the line
-        # (CRC32 + length) and lands it with one O_APPEND write; a
-        # failed write degrades this shard to memory-only with one
-        # ReproWarning instead of vanishing silently.
-        payload = json.dumps(
-            [CACHE_SCHEMA_VERSION, key, layer_result_pack(result)],
-            separators=(",", ":"),
-        ).encode()
-        store.append_record(
-            self._shard_path(key[:1]), payload, health=self.health
-        )
+        # line from every warm start.  The store layer frames every
+        # line (CRC32 + length) and lands the shard's group with one
+        # O_APPEND write.  A failed or short write degrades the shard
+        # to memory-only with one ReproWarning instead of vanishing
+        # silently; later puts skip it, so no frame is ever appended
+        # onto a partial one.  Shards are encoded one at a time.
+        degraded = self.health.degraded
+        for shard, entries in shards.items():
+            path = self._shard_path(shard)
+            if path in degraded:
+                continue
+            store.append_record(
+                path,
+                *[
+                    json.dumps(
+                        [CACHE_SCHEMA_VERSION, key, layer_result_pack(result)],
+                        separators=(",", ":"),
+                    ).encode()
+                    for key, result in entries
+                ],
+                health=self.health,
+            )
 
     @property
     def storage_degraded(self) -> bool:
@@ -538,9 +566,27 @@ class ResultCache:
 
     def put(self, key: str, result: LayerResult) -> None:
         """Store a result in both tiers."""
-        self._puts += 1
-        self._memory_put(key, result)
-        self._disk_put(key, result)
+        self.put_many(((key, result),))
+
+    def put_many(self, items: Iterable[tuple[str, LayerResult]]) -> None:
+        """Store ``(key, result)`` pairs in both tiers.
+
+        The memory tier takes them one by one; the disk tier groups
+        them by shard, keeping their order, and writes each shard once
+        (:meth:`_disk_put`).  Callers pass everything one dispatch
+        computed before any of its jobs is marked done.
+        """
+        memory_put = self._memory_put
+        shards: dict[str, list] | None = (
+            {} if self.cache_dir is not None and self._disk_puts else None
+        )
+        for key, result in items:
+            self._puts += 1
+            memory_put(key, result)
+            if shards is not None:
+                shards.setdefault(key[:1], []).append((key, result))
+        if shards:
+            self._disk_put(shards)
 
     def clear(self) -> None:
         """Drop the memory tier (disk entries are left untouched)."""
@@ -570,6 +616,9 @@ class NullCache:
         return None
 
     def put(self, key: str, result: LayerResult) -> None:  # noqa: ARG002
+        pass
+
+    def put_many(self, items) -> None:  # noqa: ARG002
         pass
 
     def clear(self) -> None:
@@ -734,10 +783,9 @@ def _simulate_model_cached(
                 simulator.simulate_layer(layer, layer_by_layer=layer_by_layer)
                 for layer in layers
             ]
-        cache_put = cache.put
-        for i, key, layer_result in zip(missing_index, missing_keys, built):
-            cache_put(key, layer_result)
+        for i, layer_result in zip(missing_index, built):
             resolved[i] = layer_result
+        cache.put_many(zip(missing_keys, built))
     result.layers.extend(map(resolved.__getitem__, occ))
     if resolved:
         # Model-level pre-audit marker: when every unique layer result
@@ -1296,15 +1344,11 @@ class SweepRunner:
     def _seed_job(self, job: SweepJob, result: ModelResult) -> None:
         """Warm the parent cache from one completed job's results."""
         fingerprint = simulator_fingerprint(job.simulator)
-        seen: set[int] = set()
-        for layer_result in result.layers:
-            if id(layer_result) in seen:
-                continue
-            seen.add(id(layer_result))
-            key = layer_cache_key(
-                fingerprint, layer_result.layer, job.layer_by_layer
-            )
-            self.cache.put(key, layer_result)
+        unique = {id(r): r for r in result.layers}.values()
+        self.cache.put_many(
+            (layer_cache_key(fingerprint, r.layer, job.layer_by_layer), r)
+            for r in unique
+        )
 
     def _grid_declined(self, simulator: Simulator, reason: str) -> None:
         """Record one :attr:`grid_fallbacks` entry per declined machine."""
@@ -1654,7 +1698,11 @@ class SweepRunner:
             grid_mod.preaudit_hits(audit_specs, audit_hits, audit_layers)
 
         # One kernel launch per machine chunk over the union shapes.
+        # Every chunk's new lanes are staged and put in one call before
+        # the stitch, so each shard takes one write per group and every
+        # entry lands before its job is marked done.
         leftover: list[int] = []
+        staged: list = []  # (cache key, lane) in put order
         grid_rows = [j for j, miss in enumerate(missing) if miss]
         if grid_rows:
             union_layers = list(union.values())
@@ -1696,11 +1744,11 @@ class SweepRunner:
                         resolved[j] = lanes
                     else:
                         hits = resolved[j]
-                        cache_put = cache.put
                         for shape, ckey in missing[j].items():
                             lane = lanes[shape]
                             hits[shape] = lane
-                            cache_put(ckey, lane)
+                            staged.append((ckey, lane))
+        cache.put_many(staged)
 
         # Stitch per-job results from the shared lanes, in submission
         # order, and settle each job like any other route does.
@@ -2344,7 +2392,7 @@ class RunConfig:
     overrides (the CLI's global flags); :func:`configure` installs one
     process-wide.  ``__post_init__`` is the one validation of the
     retry policy, whether a value comes from a flag, the record or a
-    constructor argument.
+    constructor argument, and of the worker count.
     """
 
     workers: int = 1
@@ -2360,6 +2408,8 @@ class RunConfig:
     retry_quarantined: bool = False
 
     def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         # "not > 0" rather than "<= 0": a NaN timeout must not pass.
         if self.timeout_s is not None and not self.timeout_s > 0:
             raise ConfigError("timeout_s must be positive (or None)")
@@ -2379,11 +2429,12 @@ class RunConfig:
         """
         raw = os.environ.get("REPRO_SWEEP_WORKERS", "1")
         try:
-            workers = max(1, int(raw))
-        except ValueError:
+            # ``__post_init__`` holds the rule; this names the variable.
+            workers = cls(workers=int(raw)).workers
+        except ValueError:  # not an integer, or below 1
             raise ConfigError(
-                f"$REPRO_SWEEP_WORKERS must be an integer worker count, "
-                f"got {raw!r}"
+                f"$REPRO_SWEEP_WORKERS must be an integer worker count of "
+                f"at least 1, got {raw!r}"
             ) from None
         cache = os.environ.get("REPRO_SWEEP_CACHE", "1")
         if cache.strip() not in ("0", "1"):

@@ -12,11 +12,12 @@ the storage substrate that makes multi-hour, multi-process campaigns
 (ROADMAP item 4, the multi-tenant campaign service) safe:
 
 * **Framed records.**  Every record is one line,
-  ``=<crc32:8 hex><length:8 hex>:<payload>\\n``, written with a single
-  ``os.write`` to an ``O_APPEND`` descriptor.  Concurrent appenders
-  can therefore only interleave *whole* frames on a local filesystem,
-  and any byte-level damage -- torn writes, bit rot, interleaving on
-  exotic mounts -- is caught by the length/CRC check on read.
+  ``=<crc32:8 hex><length:8 hex>:<payload>\\n``, written -- alone or
+  with the rest of its group -- with a single ``os.write`` to an
+  ``O_APPEND`` descriptor.  Concurrent appenders can therefore only
+  interleave *whole* frames on a local filesystem, and any byte-level
+  damage -- torn writes, bit rot, interleaving on exotic mounts -- is
+  caught by the length/CRC check on read.
 * **Torn-tail vs corruption.**  A record that fails validation at the
   *end* of a file is a torn tail (the expected remains of a kill
   mid-append): it is skipped and counted, never fatal.  A record that
@@ -409,7 +410,7 @@ def quarantine_records(
     try:
         fd = _os_open(target, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
         try:
-            _os_write(fd, blob)
+            _write_whole(fd, blob)
         finally:
             os.close(fd)
     except OSError as exc:
@@ -617,26 +618,39 @@ class FileLock:
 # ----------------------------------------------------------------------
 # Writing
 # ----------------------------------------------------------------------
+def _write_whole(fd: int, blob: bytes) -> None:
+    """One ``os.write`` of ``blob``; a short write raises ``OSError``.
+
+    The remainder is never written after the fact: on an ``O_APPEND``
+    descriptor another appender could land between the two writes.
+    """
+    written = _os_write(fd, blob)
+    if written != len(blob):
+        raise OSError(f"short write: {written} of {len(blob)} bytes landed")
+
+
 def append_record(
     path,
-    payload: bytes,
-    *,
+    *payloads: bytes,
     fsync: bool = False,
     health: StorageHealth | None = None,
     lock: bool = True,
 ) -> bool:
-    """Append one framed record with a single ``O_APPEND`` write.
+    """Append framed records with a single ``O_APPEND`` write.
 
     Takes the file's advisory lock *shared* (so an in-progress atomic
     rewrite cannot swap the file out between our open and our write),
-    frames the payload, writes it in one ``os.write`` call and
-    optionally fsyncs, honouring the global policy.  Any ``OSError``
-    (ENOSPC, EIO, read-only mounts) is converted into a degradation
-    record plus one deduped warning; the caller keeps running
-    memory-only.  Returns ``True`` iff the record hit the file.
+    frames each payload, writes all the frames in one ``os.write`` call
+    and optionally fsyncs, honouring the global policy.  Concurrent
+    appenders therefore interleave only whole groups of frames, and a
+    write torn by a kill loses only its incomplete last frame.  Any
+    ``OSError`` (ENOSPC, EIO, read-only mounts) or short write is
+    converted into a degradation record plus one deduped warning; the
+    caller keeps running memory-only.  Returns ``True`` iff every
+    record hit the file.
     """
     path = str(path)
-    frame = frame_record(payload)
+    frames = b"".join(map(frame_record, payloads))
     do_fsync = resolve_fsync(fsync)
     guard = None
     try:
@@ -648,7 +662,7 @@ def append_record(
             guard.acquire(timeout_s=5.0, shared=True)
         fd = _os_open(path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
         try:
-            _os_write(fd, frame)
+            _write_whole(fd, frames)
             if do_fsync:
                 _os_fsync(fd)
         finally:
@@ -702,7 +716,7 @@ def rewrite_log(
         fd = _os_open(tmp, os.O_CREAT | os.O_WRONLY | os.O_TRUNC, 0o644)
         try:
             if blob:
-                _os_write(fd, blob)
+                _write_whole(fd, blob)
             if resolve_fsync(fsync):
                 _os_fsync(fd)
         finally:

@@ -363,12 +363,12 @@ def _shared_lower(layers) -> _SharedLower:
     shared = _SHARED_MEMO.get(key)
     if shared is not None:
         return shared
+    from .batch import _memo_put
+
     ints = np.array([_DIM_GET(l) for l in layers], dtype=np.int64)
     ints.setflags(write=False)
     shared = _shared_from_ints(ints)
-    if len(_SHARED_MEMO) >= _SHARED_MEMO_LIMIT:
-        _SHARED_MEMO.pop(next(iter(_SHARED_MEMO)))
-    _SHARED_MEMO[key] = shared
+    _memo_put(_SHARED_MEMO, key, shared, _SHARED_MEMO_LIMIT)
     return shared
 
 

@@ -52,6 +52,7 @@ from pathlib import Path
 from typing import Any
 
 from ..core import store
+from ..core.batch import RunConfig
 from ..core.budget import compose_budgets
 from ..core.campaign import read_manifest_events
 from ..errors import ConfigError, QuotaExceededError, ReproError
@@ -143,6 +144,10 @@ class CampaignService:
     ):
         if runner_slots < 1:
             raise ConfigError("runner_slots must be >= 1")
+        if workers is not None:
+            # The sweep engine's worker-count rule, checked here rather
+            # than later inside a runner slot's thread.
+            RunConfig(workers=workers)
         self.data_dir = Path(data_dir)
         self.cache_dir = self.data_dir / "cache"
         self.campaigns_dir = self.data_dir / "campaigns"
@@ -196,13 +201,6 @@ class CampaignService:
         finally:
             os.close(fd)
         os.replace(tmp, target)
-
-    def load_results(self, exec_id: str) -> dict | None:
-        target = self._campaign_dir(exec_id) / "results.json"
-        try:
-            return json.loads(target.read_bytes())
-        except (OSError, json.JSONDecodeError):
-            return None
 
     def _restore(self) -> None:
         """Rebuild submissions/executions from the ledger on startup.
@@ -525,8 +523,14 @@ class CampaignService:
         with self._lock:
             return self._status_locked(submission_id)
 
-    def results(self, submission_id: str) -> dict:
-        """The persisted results payload of a finished submission."""
+    def results_bytes(self, submission_id: str) -> bytes:
+        """The stored ``results.json`` bytes of a finished submission.
+
+        Served as stored: the file is written with ``sort_keys=True``,
+        so a parse-and-dump would reproduce it byte for byte.  The
+        bytes must still parse as a JSON object; a missing, truncated
+        or non-object file raises :class:`ResultsNotReadyError`.
+        """
         with self._lock:
             submission, execution = self._resolve(submission_id)
             state = execution.state
@@ -537,12 +541,22 @@ class CampaignService:
                 f"submission {submission_id!r} is {state}"
                 + (f": {error}" if error else "")
             )
-        payload = self.load_results(exec_id)
-        if payload is None:
+        target = self._campaign_dir(exec_id) / "results.json"
+        try:
+            data = target.read_bytes()
+            valid = isinstance(json.loads(data), dict)
+        except (OSError, ValueError):
+            valid = False
+        if not valid:
             raise ResultsNotReadyError(
-                f"results payload for {submission_id!r} is missing on disk"
+                f"results payload for {submission_id!r} is missing or "
+                "unreadable on disk"
             )
-        return payload
+        return data
+
+    def results(self, submission_id: str) -> dict:
+        """The persisted results payload of a finished submission."""
+        return json.loads(self.results_bytes(submission_id))
 
     def events_since(
         self,

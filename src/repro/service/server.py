@@ -109,7 +109,10 @@ class _Handler(BaseHTTPRequestHandler):
         logger.debug("%s - %s", self.address_string(), format % args)
 
     def _send_json(self, status: int, payload) -> None:
-        body = json.dumps(payload).encode()
+        self._send_bytes(status, json.dumps(payload).encode())
+
+    def _send_bytes(self, status: int, body: bytes) -> None:
+        """Send an encoded JSON body as it is."""
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -190,7 +193,7 @@ class _Handler(BaseHTTPRequestHandler):
                 and parts[:2] == ["v1", "campaigns"]
                 and parts[3] == "results"
             ):
-                self._send_json(200, self.service.results(parts[2]))
+                self._send_bytes(200, self.service.results_bytes(parts[2]))
             elif (
                 len(parts) == 4
                 and parts[:2] == ["v1", "campaigns"]

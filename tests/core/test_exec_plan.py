@@ -123,6 +123,34 @@ def test_default_workers_rejects_non_integer_env(clean_env):
     assert _runner().max_workers == 1
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_non_positive_workers_fail_alike_from_every_source(
+    clean_env, capsys, tmp_path, workers
+):
+    from repro.cli import main
+    from repro.service import CampaignService
+
+    # The record, a flag and a constructor argument share one rule ...
+    with pytest.raises(ConfigError, match="workers must be >= 1"):
+        RunConfig(workers=workers)
+    with pytest.raises(ConfigError, match="workers must be >= 1"):
+        RunConfig.from_env(workers=workers)
+    with pytest.raises(ConfigError, match="workers must be >= 1"):
+        _runner(max_workers=workers)
+    # ... the service checks it when built, not inside a slot thread ...
+    with pytest.raises(ConfigError, match="workers must be >= 1"):
+        CampaignService(tmp_path / "data", workers=workers)
+    # ... the CLI exits 2 instead of running serially ...
+    assert main(["--workers", str(workers), "tables"]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    # ... and the environment is refused, not clamped to 1.
+    clean_env.setenv("REPRO_SWEEP_WORKERS", str(workers))
+    with pytest.raises(ConfigError, match="REPRO_SWEEP_WORKERS.*at least 1"):
+        RunConfig.from_env()
+    assert main(["tables"]) == 2
+    assert "REPRO_SWEEP_WORKERS" in capsys.readouterr().err
+
+
 def test_fsync_policy_rejects_unknown_env(monkeypatch):
     monkeypatch.setenv("REPRO_STORE_FSYNC", "Always")
     assert store.fsync_policy() == "always"

@@ -352,6 +352,308 @@ class TestWriteDegradation:
         assert not runner.storage_degraded
         assert "storage:" not in runner.campaign_report()
 
+    def test_short_write_degrades_the_shard_without_gluing(
+        self, tmp_path, simulator, monkeypatch
+    ):
+        """A write that lands only part of a shard's group (ENOSPC part
+        way, EFBIG) is a degradation: one warning, the remainder is
+        never written, and later puts skip the shard, so no complete
+        frame is ever appended onto the partial one."""
+        layers = _layers_in_one_shard(simulator, 4)
+        keys, results = _keyed_results(simulator, layers)
+        cache = ResultCache(cache_dir=tmp_path)
+        real_write = store._os_write
+        calls = []
+
+        def short_write(fd, data):
+            calls.append(len(data))
+            return real_write(fd, data[: len(data) // 2])
+
+        monkeypatch.setattr(store, "_os_write", short_write)
+        with pytest.warns(ReproWarning, match="short write") as caught:
+            cache.put_many(zip(keys[:3], results[:3]))
+        assert len(caught) == 1 and len(calls) == 1
+        [shard] = tmp_path.glob("*.jsonl")
+        assert shard.stat().st_size == calls[0] // 2
+        assert str(shard) in cache.health.degraded
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache.put(keys[3], results[3])  # memory-only: no write
+        assert len(calls) == 1 and shard.stat().st_size == calls[0] // 2
+        assert [cache.get(key) for key in keys] == results
+        # The partial group reads as its complete frames plus one torn
+        # tail; nothing is quarantined.
+        monkeypatch.setattr(store, "_os_write", real_write)
+        reader = ResultCache(cache_dir=tmp_path, disk_puts=False)
+        served = [reader.get(key) for key in keys]
+        landed = len(store.parse_log(shard.read_bytes()).records)
+        assert 1 <= landed < 3
+        assert served[:landed] == results[:landed]
+        assert served[landed:] == [None] * (4 - landed)
+        assert reader.stats.torn_records == 1
+        assert not list(tmp_path.glob("*.quarantine"))
+
+    def test_short_rewrite_keeps_the_original_log(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "log.jsonl"
+        assert store.append_record(path, b'{"k":1}', b'{"k":2}')
+        before = path.read_bytes()
+        real_write = store._os_write
+        monkeypatch.setattr(
+            store, "_os_write", lambda fd, data: real_write(fd, data[:5])
+        )
+        with pytest.warns(ReproWarning, match="short write"):
+            assert not store.rewrite_log(path, [b'{"k":3}'])
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp.*"))  # no temporary left
+
+    def test_enospc_on_a_grid_sweep_warns_once_per_shard(
+        self, tmp_path, simulator
+    ):
+        sims = [simulator, spacx_simulator(ef_granularity=2)]
+        runner = SweepRunner(
+            max_workers=1,
+            cache=ResultCache(cache_dir=tmp_path),
+            manifest=False,
+        )
+        first, second = _models(3), _models(6)[3:]
+        baseline = SweepRunner(
+            max_workers=1, cache=NullCache(), manifest=False
+        ).run([SweepJob(s, m) for m in first + second for s in sims])
+        with WriteErrorInjector(errno.ENOSPC) as injector:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results = runner.run(
+                    [SweepJob(s, m) for m in first for s in sims]
+                )
+                # New shapes: only shards not degraded yet are tried.
+                results += runner.run(
+                    [SweepJob(s, m) for m in second for s in sims]
+                )
+                misses = runner.cache.stats.misses
+                again = runner.run(
+                    [SweepJob(s, m) for m in first + second for s in sims]
+                )
+        degraded = runner.cache.health.degraded
+        messages = [
+            str(w.message)
+            for w in caught
+            if issubclass(w.category, ReproWarning)
+        ]
+        assert len(messages) == len(degraded) > 1
+        assert all("storage degraded" in m for m in messages)
+        # One write attempt per degraded shard, over both campaigns.
+        assert injector.calls == len(degraded)
+        assert _plan_of(runner) == ["grid"]
+        # The memory tier still serves, and no partial bytes landed.
+        assert runner.cache.stats.misses == misses
+        assert results == again == baseline
+        assert all(p.stat().st_size == 0 for p in tmp_path.glob("*.jsonl"))
+
+
+def _layers_in_one_shard(simulator, n: int) -> list:
+    """``n`` distinct layers whose cache keys share one shard."""
+    fingerprint = batch.simulator_fingerprint(simulator)
+    by_shard: dict = {}
+    for c in range(1, 400):
+        layer = _layer(f"s{c}", c=c)
+        key = batch.layer_cache_key(fingerprint, layer, True)
+        group = by_shard.setdefault(key[:1], [])
+        group.append(layer)
+        if len(group) == n:
+            return group
+    raise AssertionError("no shard collected enough layers")
+
+
+def _keyed_results(simulator, layers) -> tuple[list, list]:
+    fingerprint = batch.simulator_fingerprint(simulator)
+    keys = [
+        batch.layer_cache_key(fingerprint, layer, True) for layer in layers
+    ]
+    results = [
+        simulator.simulate_layer(layer, layer_by_layer=True)
+        for layer in layers
+    ]
+    return keys, results
+
+
+def _plan_of(runner) -> list:
+    return sorted({decision.plan for decision in runner.plan_decisions})
+
+
+# ----------------------------------------------------------------------
+# Group commit: one write per shard per dispatch
+# ----------------------------------------------------------------------
+class _WriteCounter:
+    """Counts ``store._os_write`` calls (and passes them through)."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = store._os_write
+
+        def write(fd, data):
+            self.calls += 1
+            return real(fd, data)
+
+        monkeypatch.setattr(store, "_os_write", write)
+
+
+def _frames(directory: Path) -> dict:
+    """``{file name: framed records}`` of every log in a directory."""
+    return {
+        p.name: store.parse_log(p.read_bytes()).records
+        for p in sorted(directory.glob("*.jsonl"))
+    }
+
+
+class TestGroupCommit:
+    def test_cold_trio_sweep_writes_each_shard_once_per_dispatch(
+        self, tmp_path, monkeypatch
+    ):
+        """The paper trio over the paper suite with a manifest: 544
+        frames (531 cache entries, 13 manifest events), which took 544
+        writes when every entry landed on its own."""
+        from repro.experiments.harness import default_trio, run_models
+
+        counter = _WriteCounter(monkeypatch)
+        runner = SweepRunner(
+            max_workers=1,
+            cache=ResultCache(cache_dir=tmp_path),
+            manifest=CampaignManifest(tmp_path),
+        )
+        cold = run_models(default_trio(), runner=runner)
+        frames = _frames(tmp_path)
+        events = len(frames.pop("campaign.jsonl"))
+        entries = sum(map(len, frames.values()))
+        groups = len(runner.plan_decisions)
+        assert _plan_of(runner) == ["grid"]
+        assert (entries, events) == (runner.cache.stats.puts, 1 + 12)
+        assert entries + events == 544
+        # Manifest events stay one write each; the cache writes each
+        # shard at most once per grid group.
+        assert counter.calls - events <= 16 * groups
+        assert counter.calls <= 48
+        # A warm rerun serves the same results from disk.
+        reader = ResultCache(cache_dir=tmp_path)
+        warm = run_models(
+            default_trio(),
+            runner=SweepRunner(max_workers=1, cache=reader, manifest=False),
+        )
+        assert _digest(warm) == _digest(cold)
+        assert reader.stats.misses == 0
+
+    def test_put_many_keeps_item_order_within_each_shard(
+        self, tmp_path, simulator, monkeypatch
+    ):
+        layers = [_layer(f"o{c}", c=c) for c in range(1, 41)]
+        keys, results = _keyed_results(simulator, layers)
+        assert len({key[:1] for key in keys}) > 1  # spans shards
+        counter = _WriteCounter(monkeypatch)
+        cache = ResultCache(cache_dir=tmp_path)
+        cache.put_many(zip(keys, results))
+        frames = _frames(tmp_path)
+        assert counter.calls == len(frames)  # one write per shard
+        for name, records in frames.items():
+            stored = [json.loads(record)[1] for record in records]
+            assert stored == [k for k in keys if f"{k[:1]}.jsonl" == name]
+        # Entries land exactly as single puts would have framed them.
+        single = tmp_path / "single"
+        one_by_one = ResultCache(cache_dir=single)
+        for key, result in zip(keys, results):
+            one_by_one.put(key, result)
+        for name in frames:
+            grouped = (tmp_path / name).read_bytes()
+            assert (single / name).read_bytes() == grouped
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            {},
+            {"exec_plan": "serial"},
+            {"max_workers": 2, "exec_plan": "pool"},
+        ],
+        ids=["grid", "serial", "pool"],
+    )
+    def test_entries_land_before_their_job_is_marked_done(
+        self, tmp_path, simulator, route
+    ):
+        """When a job's done mark is written -- and so at every progress
+        callback, which follows it -- every cache key the job needs is
+        already in its shard file, so a kill loses only unmarked jobs."""
+        sims = [simulator, spacx_simulator(ef_granularity=2)]
+        jobs = [SweepJob(s, m) for m in _models(4) for s in sims]
+        manifest = CampaignManifest(tmp_path)
+        mark_done = manifest.mark_done
+        marked: list = []
+        missing: list = []
+
+        def checked_mark_done(index: int) -> None:
+            job = jobs[index]
+            fingerprint = batch.simulator_fingerprint(job.simulator)
+            on_disk = {
+                json.loads(record)[1]
+                for name, records in _frames(tmp_path).items()
+                if name != "campaign.jsonl"
+                for record in records
+            }
+            missing.extend(
+                key
+                for layer in job.model.unique_layers
+                if (key := batch.layer_cache_key(fingerprint, layer, False))
+                not in on_disk
+            )
+            marked.append(index)
+            mark_done(index)
+
+        manifest.mark_done = checked_mark_done
+        route = dict(route)
+        runner = SweepRunner(
+            max_workers=route.pop("max_workers", 1),
+            cache=ResultCache(cache_dir=tmp_path),
+            manifest=manifest,
+            progress=lambda stats: marked.remove(stats.index),
+            **route,
+        )
+        with runner:
+            runner.run(jobs)
+        assert len(runner.stats) == len(jobs)
+        assert marked == []  # every progress callback followed its mark
+        assert missing == []
+
+    def test_torn_group_write_loses_only_its_incomplete_frame(
+        self, tmp_path, simulator
+    ):
+        """Truncate a shard at every offset inside its last group write:
+        a fresh reader serves every complete frame, counts one torn
+        record (none at a frame boundary) and recomputes the rest equal
+        to the scalar oracle."""
+        from repro.core.batch import simulate_model_cached
+
+        layers = _layers_in_one_shard(simulator, 3)
+        keys, results = _keyed_results(simulator, layers)
+        writer = ResultCache(cache_dir=tmp_path)
+        writer.put(keys[0], results[0])
+        [shard] = tmp_path.glob("*.jsonl")
+        start = shard.stat().st_size
+        writer.put_many(zip(keys[1:], results[1:]))  # the last group
+        data = shard.read_bytes()
+        end_first = start + data[start:].index(b"\n") + 1
+        model = LayerSet("torn", layers)
+        oracle = simulator.simulate_model(model, layer_by_layer=True)
+        for cut in range(start + 1, len(data)):
+            shard.write_bytes(data[:cut])
+            reader = ResultCache(cache_dir=tmp_path, disk_puts=False)
+            served = simulate_model_cached(
+                simulator, model, layer_by_layer=True, cache=reader
+            )
+            complete = 1 + (cut >= end_first - 1) + (cut == len(data) - 1)
+            boundary = cut in (end_first - 1, end_first, len(data) - 1)
+            assert served == oracle, cut
+            assert reader.stats.disk_hits == complete, cut
+            assert reader.stats.torn_records == (0 if boundary else 1), cut
+            assert reader.stats.quarantined_records == 0, cut
+
 
 # ----------------------------------------------------------------------
 # Shard recovery (torn tails, quarantine)

@@ -14,6 +14,8 @@ Property-based (hypothesis) and example-based checks of the contracts
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,51 @@ def test_key_is_shape_addressed_and_mode_sensitive(fingerprint):
     assert key_a == layer_cache_key(fingerprint, b, False)
     assert key_a != layer_cache_key(fingerprint, c, False)
     assert key_a != layer_cache_key(fingerprint, a, True)
+
+
+def test_fifo_memos_survive_concurrent_eviction(fingerprint, monkeypatch):
+    """``repro serve``'s runner slots share the key memo and the
+    kernel's shared-lowering memo.  Four threads inserting distinct
+    shapes into both, each memo at capacity and the interpreter
+    switching threads as often as it can, must never raise: the
+    evict-plus-insert is atomic."""
+    from repro.core import vectorized
+
+    monkeypatch.setattr(batch, "_KEY_MEMO", {})
+    monkeypatch.setattr(batch, "_KEY_MEMO_LIMIT", 8)
+    monkeypatch.setattr(vectorized, "_SHARED_MEMO", {})
+    monkeypatch.setattr(vectorized, "_SHARED_MEMO_LIMIT", 4)
+    errors: list[BaseException] = []
+    start = threading.Barrier(4)
+
+    def insert(thread: int) -> None:
+        try:
+            start.wait(timeout=60)
+            for i in range(3000):
+                layer = ConvLayer(
+                    name="m", c=1 + thread, k=1 + i, r=1, s=1, h=1, w=1
+                )
+                layer_cache_key(fingerprint, layer, False)
+                vectorized._shared_lower([layer])
+        except BaseException as exc:  # noqa: BLE001 -- reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=insert, args=(t,)) for t in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(batch._KEY_MEMO) <= 8
+    assert len(vectorized._SHARED_MEMO) <= 4
 
 
 def test_fingerprint_tracks_every_numeric_spec_field(simulator):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import urllib.request
 from unittest import mock
 from urllib.parse import urlsplit
 
@@ -118,6 +119,48 @@ class TestEndToEnd:
             final = service.wait(ticket["submission"], timeout_s=300)
         assert final["digest"] == golden_digest
         assert spy.call_count == 2  # one (model, machine) pair each
+
+    def test_results_are_served_as_stored(self, http_service):
+        """The ``/results`` body is the stored ``results.json`` bytes,
+        identical to the parse-and-dump the route used to send."""
+        service, url = http_service
+        ticket = service.submit(CAMPAIGN, tenant="alice")
+        sub = ticket["submission"]
+        assert service.wait(sub, timeout_s=300)["state"] == "done"
+        with urllib.request.urlopen(
+            f"{url}/v1/campaigns/{sub}/results", timeout=30
+        ) as reply:
+            body = reply.read()
+            assert reply.headers["Content-Type"] == "application/json"
+        stored = service._campaign_dir(ticket["campaign"]) / "results.json"
+        assert body == stored.read_bytes() == service.results_bytes(sub)
+        assert body == json.dumps(service.results(sub)).encode()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data: data[: len(data) // 2],  # truncated
+            lambda data: b"[1, 2]",  # JSON, but not an object
+            None,  # missing
+        ],
+        ids=["truncated", "non-object", "missing"],
+    )
+    def test_unreadable_results_are_409(self, http_service, damage):
+        service, url = http_service
+        ticket = service.submit(CAMPAIGN, tenant="alice")
+        sub = ticket["submission"]
+        assert service.wait(sub, timeout_s=300)["state"] == "done"
+        stored = service._campaign_dir(ticket["campaign"]) / "results.json"
+        if damage is None:
+            stored.unlink()
+        else:
+            stored.write_bytes(damage(stored.read_bytes()))
+        with pytest.raises(ServiceError) as err:
+            ServiceClient(url, tenant="alice").results(sub)
+        assert err.value.status == 409
+        assert "missing or unreadable" in str(err.value)
+        with pytest.raises(ResultsNotReadyError):
+            service.results(sub)
 
     def test_stream_yields_progress_then_terminal(self, http_service):
         _, url = http_service
