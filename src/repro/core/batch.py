@@ -45,6 +45,7 @@ import functools
 import hashlib
 import json
 import logging
+import operator
 import os
 import random
 import threading
@@ -55,7 +56,7 @@ from collections import OrderedDict
 from enum import Enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only (campaign imports us)
     from .campaign import CampaignManifest
@@ -191,15 +192,60 @@ def _object_state(value, depth: int = 0):
     return repr(value)
 
 
-#: Fingerprints memoised per simulator *object* (weak: an entry dies
-#: with its simulator).  The stored component ids guard against the
-#: spec or an energy model being swapped out on a live simulator;
-#: in-place mutation of a model's attributes is not tracked -- specs
-#: are frozen and the energy models are treated as immutable
-#: parameter sets everywhere in this codebase.
-_FINGERPRINT_MEMO: "weakref.WeakKeyDictionary[Simulator, tuple[tuple[int, int, int], str]]" = (
+class _SimulatorMemo(NamedTuple):
+    """One simulator's fingerprint and the cache keys derived from it.
+
+    ``parts`` are the spec and energy models the fingerprint hashed,
+    never the simulator: a value pointing back at its weak key would
+    keep the entry alive forever.  The entry holds while the simulator
+    holds those very objects; ``is`` on live objects cannot be fooled
+    by a freed component's recycled address, as a stored ``id()`` can.
+    """
+
+    parts: tuple
+    fingerprint: str
+    keys: tuple  # shape key -> cache key, one dict per layer_by_layer
+
+
+#: The components a simulator's output depends on.
+_components = operator.attrgetter("spec", "compute_energy", "network_energy")
+
+#: Per-simulator-object memo (weak: an entry, keys included, dies with
+#: its simulator).  In-place mutation of a component is not tracked:
+#: specs are frozen and the energy models are treated as immutable.
+_SIMULATOR_MEMO: "weakref.WeakKeyDictionary[Simulator, _SimulatorMemo]" = (
     weakref.WeakKeyDictionary()
 )
+
+
+def _simulator_memo(
+    simulator: Simulator, fingerprint: str | None = None
+) -> _SimulatorMemo:
+    """The simulator's memo entry, rebuilt when a component changed.
+
+    ``fingerprint`` seeds a rebuilt entry with a value the caller
+    already knows (a pool worker's value-keyed memo) instead of
+    hashing the components again.
+    """
+    parts = _components(simulator)
+    entry = _SIMULATOR_MEMO.get(simulator)
+    if entry is not None and all(map(operator.is_, entry.parts, parts)):
+        return entry
+    if fingerprint is None:
+        payload = json.dumps(
+            {
+                "schema": CACHE_SCHEMA_VERSION,
+                "spec": _jsonable(parts[0]),
+                "compute_energy": _object_state(parts[1]),
+                "network_energy": _object_state(parts[2]),
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        fingerprint = hashlib.sha256(payload.encode()).hexdigest()
+    entry = _SimulatorMemo(parts, fingerprint, ({}, {}))
+    _SIMULATOR_MEMO[simulator] = entry
+    return entry
 
 
 def simulator_fingerprint(simulator: Simulator) -> str:
@@ -210,58 +256,7 @@ def simulator_fingerprint(simulator: Simulator) -> str:
     differ only in the attached energy models, so the fingerprint
     folds in the full state of both energy models as well.
     """
-    parts = (
-        id(simulator.spec),
-        id(simulator.compute_energy),
-        id(simulator.network_energy),
-    )
-    entry = _FINGERPRINT_MEMO.get(simulator)
-    if entry is not None and entry[0] == parts:
-        return entry[1]
-    payload = json.dumps(
-        {
-            "schema": CACHE_SCHEMA_VERSION,
-            "spec": _jsonable(simulator.spec),
-            "compute_energy": _object_state(simulator.compute_energy),
-            "network_energy": _object_state(simulator.network_energy),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    fingerprint = hashlib.sha256(payload.encode()).hexdigest()
-    try:
-        _FINGERPRINT_MEMO[simulator] = (parts, fingerprint)
-    except TypeError:
-        pass  # a simulator type without weakref support
-    return fingerprint
-
-
-#: Value-keyed memo of computed cache keys.  Bounded by FIFO
-#: eviction: at capacity the *oldest* entry is dropped (dicts preserve
-#: insertion order), so a long campaign sheds only its stalest keys
-#: one at a time instead of losing the entire hot memo mid-run.  Keys
-#: are tiny and the limit is far above any realistic campaign's
-#: distinct (machine, shape) count, so eviction is a rare single-dict
-#: operation rather than a recurring cold restart.
-_KEY_MEMO: dict[tuple, str] = {}
-_KEY_MEMO_LIMIT = 65536
-
-#: Serialises evict-plus-insert on the module-level FIFO memos
-#: (:data:`_KEY_MEMO`, ``vectorized._SHARED_MEMO``).  ``repro serve``'s
-#: runner slots share them: unlocked, two threads evicting at capacity
-#: could pick the same oldest key (``KeyError``) or iterate a dict the
-#: other is resizing (``RuntimeError``).
-_MEMO_LOCK = threading.Lock()
-
-
-def _memo_put(memo: dict, key, value, limit: int) -> None:
-    """Insert into a FIFO-bounded memo, dropping the single oldest
-    entry at ``limit`` (insertion order == age).  Lookups stay a plain
-    ``dict.get``; only this insert path takes the lock."""
-    with _MEMO_LOCK:
-        if len(memo) >= limit:
-            del memo[next(iter(memo))]
-        memo[key] = value
+    return _simulator_memo(simulator).fingerprint
 
 
 #: Per-model dedup structure, computed once per :class:`LayerSet`
@@ -309,24 +304,15 @@ def layer_cache_key(
     mirroring the de-duplication :meth:`Simulator.simulate_model`
     already performs within one model.
 
-    The key text is a flat ``|``-joined string (not JSON): this
-    function runs once per layer per lookup, and hashing a short
-    f-string is several times cheaper than ``json.dumps``.  Computed
-    keys are memoised by value -- a campaign asks for the same
-    ``(machine, shape)`` pair over and over, and the memo turns the
-    repeat cost into one small-tuple dict hit.
+    The key text is a flat ``|``-joined string (not JSON): hashing a
+    short f-string is several times cheaper than ``json.dumps``.
+    :meth:`ResultCache.lookup` memoises the keys per simulator object.
     """
-    shape = layer.shape_key
-    memo_key = (fingerprint, shape, layer_by_layer)
-    key = _KEY_MEMO.get(memo_key)
-    if key is None:
-        payload = (
-            f"{CACHE_SCHEMA_VERSION}|{fingerprint}"
-            f"|{shape!r}|{int(bool(layer_by_layer))}"
-        )
-        key = hashlib.sha256(payload.encode()).hexdigest()
-        _memo_put(_KEY_MEMO, memo_key, key, _KEY_MEMO_LIMIT)
-    return key
+    payload = (
+        f"{CACHE_SCHEMA_VERSION}|{fingerprint}"
+        f"|{layer.shape_key!r}|{int(bool(layer_by_layer))}"
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -345,15 +331,19 @@ class CacheStats:
     torn_records: int = 0
     #: Mid-file corrupt lines preserved in ``*.quarantine`` on load.
     quarantined_records: int = 0
+    #: Well-framed records whose payload failed to unpack; recomputed.
+    rejected_records: int = 0
 
     @property
     def skipped_records(self) -> int:
         """Disk records that failed validation and were not served."""
-        return self.torn_records + self.quarantined_records
+        return (
+            self.torn_records + self.quarantined_records + self.rejected_records
+        )
 
     @property
     def lookups(self) -> int:
-        """Total ``get`` calls."""
+        """Total keys probed (hits plus misses)."""
         return self.hits + self.misses
 
     @property
@@ -364,6 +354,11 @@ class CacheStats:
 
 class ResultCache:
     """Two-tier (memory LRU + optional disk) ``LayerResult`` cache.
+
+    :meth:`lookup` is the one probe the sweep engine makes: it resolves
+    a simulator's layer shapes to hits and to the cache keys of its
+    misses, memoising the keys on the simulator object (they die with
+    it).  Keys it does not find in memory go through :meth:`get`.
 
     Disk layout: 16 append-only shard files ``<cache_dir>/<key[0]>.jsonl``
     managed by :mod:`repro.core.store` -- each entry is one framed
@@ -379,7 +374,8 @@ class ResultCache:
     dispatch, before any job of that dispatch is marked done.  A torn
     final line (killed writer) is skipped and counted, so a torn group
     write loses only its incomplete last frame; corrupt mid-file lines
-    are quarantined to ``<shard>.quarantine`` rather than dropped;
+    are quarantined to ``<shard>.quarantine`` rather than dropped, and
+    a well-framed record that fails to unpack is counted as rejected;
     either way concurrent writers sharing a directory degrade to extra
     misses, never to wrong results.  Write errors (full disk,
     read-only mounts, short writes) raise one deduped
@@ -430,15 +426,10 @@ class ResultCache:
             puts=self._puts,
             torn_records=self.health.torn_records,
             quarantined_records=self.health.quarantined_records,
+            rejected_records=self.health.rejected_records,
         )
 
     # -- memory tier ---------------------------------------------------
-    def _memory_get(self, key: str) -> LayerResult | None:
-        result = self._memory.get(key)
-        if result is not None and self._lru_active:
-            self._memory.move_to_end(key)
-        return result
-
     def _memory_put(self, key: str, result: LayerResult) -> None:
         memory = self._memory
         memory[key] = result
@@ -510,7 +501,8 @@ class ResultCache:
         try:
             return layer_result_unpack(payload)
         except (KeyError, TypeError, ValueError):
-            return None  # corrupt / stale entry: treat as a miss
+            self.health.rejected_records += 1  # recomputed as a miss
+            return None
 
     def _disk_put(self, shards: dict) -> None:
         """Append each shard's ``(key, result)`` entries in one write."""
@@ -547,6 +539,48 @@ class ResultCache:
         return self.health.storage_degraded
 
     # -- public API ----------------------------------------------------
+    def lookup(
+        self,
+        simulator: Simulator,
+        need: "dict[tuple, ConvLayer]",
+        layer_by_layer: bool,
+    ) -> tuple[dict, dict]:
+        """Resolve ``need`` (shape key -> layer) for one machine.
+
+        Returns ``(hits, misses)``: shape key -> cached result, and
+        shape key -> the cache key a computed result goes under.  The
+        keys come from the simulator's memo entry; a memory-tier hit
+        is one dict probe (plus its LRU touch), and every other key
+        goes through :meth:`get`, which counts it and reads the disk.
+        """
+        entry = _simulator_memo(simulator)
+        keys = entry.keys[bool(layer_by_layer)]
+        memory = self._memory
+        memory_get = memory.get
+        hits: dict = {}
+        misses: dict = {}
+        memory_hits = 0
+        for shape, layer in need.items():
+            key = keys.get(shape)
+            if key is None:
+                # Unlocked: threads that race here store the same pure
+                # key, so a lost write only costs a recomputation.
+                keys[shape] = key = layer_cache_key(
+                    entry.fingerprint, layer, layer_by_layer
+                )
+            result = memory_get(key)
+            if result is not None:
+                memory_hits += 1
+                if self._lru_active:
+                    memory.move_to_end(key)
+                hits[shape] = result
+            elif (result := self.get(key)) is not None:
+                hits[shape] = result
+            else:
+                misses[shape] = key
+        self._hits += memory_hits
+        return hits, misses
+
     def get(self, key: str) -> LayerResult | None:
         """Look a key up (memory first, then disk; promotes to memory)."""
         result = self._memory.get(key)
@@ -611,6 +645,11 @@ class NullCache:
         """Current accounting (only misses can ever be non-zero)."""
         return CacheStats(misses=self._misses)
 
+    def lookup(self, simulator, need, layer_by_layer):  # noqa: ARG002
+        """Every shape misses; no key is computed (``put`` drops it)."""
+        self._misses += len(need)
+        return {}, dict.fromkeys(need)
+
     def get(self, key: str) -> LayerResult | None:  # noqa: ARG002
         self._misses += 1
         return None
@@ -668,19 +707,16 @@ def simulate_layer_cached(
     *,
     layer_by_layer: bool = True,
     cache: "ResultCache | NullCache | None" = None,
-    fingerprint: str | None = None,
 ) -> LayerResult:
     """``Simulator.simulate_layer`` through the content-addressed cache."""
     if cache is None:
         cache = default_cache()
-    if fingerprint is None:
-        fingerprint = simulator_fingerprint(simulator)
-    key = layer_cache_key(fingerprint, layer, layer_by_layer)
-    cached = cache.get(key)
-    if cached is not None:
-        return _rebind_layer(cached, layer)
+    shape = layer.shape_key
+    hits, misses = cache.lookup(simulator, {shape: layer}, layer_by_layer)
+    if hits:
+        return _rebind_layer(hits[shape], layer)
     result = simulator.simulate_layer(layer, layer_by_layer=layer_by_layer)
-    cache.put(key, result)
+    cache.put(misses[shape], result)
     return result
 
 
@@ -690,7 +726,7 @@ def simulate_model_cached(
     *,
     layer_by_layer: bool = False,
     cache: "ResultCache | NullCache | None" = None,
-    fingerprint: str | None = None,
+    vectorize: bool = True,
     on_fallback: Callable[[str], None] | None = None,
 ) -> ModelResult:
     """``Simulator.simulate_model`` through the content-addressed cache.
@@ -700,74 +736,23 @@ def simulate_model_cached(
     occurrence's name, so the output is indistinguishable from an
     uncached run.
 
-    Every unique shape is resolved against the cache first (one lookup
-    per unique shape, one put per miss); the misses are then evaluated
-    as one batch through the kernel's one-machine entry
+    The model's unique shapes are resolved in one
+    :meth:`ResultCache.lookup`; the misses are then evaluated as one
+    batch through the kernel's one-machine entry
     (:func:`repro.core.vectorized.simulate_layers_vectorized`), which
-    is bit-identical to the scalar path.  A machine the kernel declines
-    runs on the scalar simulator, and ``on_fallback(reason)`` hears
-    why.
+    is bit-identical to the scalar path, and put in one call.  A
+    machine the kernel declines runs on the scalar simulator, and
+    ``on_fallback(reason)`` hears why.  ``vectorize=False`` evaluates
+    the misses on the scalar simulator only (a :class:`SweepRunner`
+    built with ``vectorize=False``).
     """
-    return _simulate_model_cached(
-        simulator,
-        model,
-        layer_by_layer=layer_by_layer,
-        cache=cache,
-        fingerprint=fingerprint,
-        vectorize=True,
-        on_fallback=on_fallback,
-    )
-
-
-def _simulate_model_cached(
-    simulator: Simulator,
-    model: LayerSet,
-    *,
-    layer_by_layer: bool,
-    cache: "ResultCache | NullCache | None",
-    fingerprint: str | None,
-    vectorize: bool,
-    on_fallback: Callable[[str], None] | None = None,
-) -> ModelResult:
-    """:func:`simulate_model_cached` in either runner mode:
-    ``vectorize=False`` evaluates the misses on the scalar simulator
-    only (a :class:`SweepRunner` built with ``vectorize=False``)."""
     if cache is None:
         cache = default_cache()
-    if fingerprint is None:
-        fingerprint = simulator_fingerprint(simulator)
-    result = ModelResult(accelerator=simulator.spec.name, model=model.name)
-    unique, shapes, occ = _model_structure(model)
-    resolved: list[LayerResult | None] = [None] * len(unique)
-    missing_index: list[int] = []
-    missing_keys: list[str] = []
-    memo_get = _KEY_MEMO.get
-    cache_get = cache.get
-    # Memory-tier fast path: for the concrete ResultCache the common
-    # "already in memory" case is answered by one dict probe instead
-    # of a method call (stats stay exact -- the counters below mirror
-    # ``ResultCache.get``); any other cache object goes through its
-    # ``get`` untouched.
-    memory_get = cache._memory.get if type(cache) is ResultCache else None
-    for i, (layer, shape) in enumerate(zip(unique, shapes)):
-        key = memo_get((fingerprint, shape, layer_by_layer))
-        if key is None:
-            key = layer_cache_key(fingerprint, layer, layer_by_layer)
-        if memory_get is not None and (cached := memory_get(key)) is not None:
-            cache._hits += 1
-            if cache._lru_active:
-                cache._memory.move_to_end(key)
-        else:
-            cached = cache_get(key)
-        if cached is None:
-            missing_index.append(i)
-            missing_keys.append(key)
-        else:
-            if cached.layer.name != layer.name:
-                cached = _rebind_layer(cached, layer)
-            resolved[i] = cached
-    if missing_index:
-        layers = [unique[i] for i in missing_index]
+    unique, shapes, _ = _model_structure(model)
+    need = dict(zip(shapes, unique))
+    hits, misses = cache.lookup(simulator, need, layer_by_layer)
+    if misses:
+        layers = [need[shape] for shape in misses]
         if vectorize:
             # Looked up per call, so an instrumented entry is honoured.
             from . import vectorized
@@ -783,22 +768,33 @@ def _simulate_model_cached(
                 simulator.simulate_layer(layer, layer_by_layer=layer_by_layer)
                 for layer in layers
             ]
-        for i, layer_result in zip(missing_index, built):
-            resolved[i] = layer_result
-        cache.put_many(zip(missing_keys, built))
+        hits.update(zip(misses, built))
+        cache.put_many(zip(misses.values(), built))
+    return _stitch(simulator.spec, model, hits)
+
+
+def _stitch(
+    spec: AcceleratorSpec, model: LayerSet, by_shape: dict
+) -> ModelResult:
+    """One job's :class:`ModelResult` from shape-keyed layer results.
+
+    Each unique shape's result is rebound to the model's first layer
+    of that shape and shared by every occurrence, as
+    :meth:`Simulator.simulate_model` shares it.  When every unique
+    result carries the per-layer pre-audit marker for this exact spec
+    object, the model gets the marker too, and ``audit_model_result``
+    skips the whole per-occurrence walk; any scalar-fallback or
+    foreign-cache entry breaks the chain and the audit runs in full.
+    """
+    unique, shapes, occ = _model_structure(model)
+    resolved = [
+        _rebind_layer(by_shape[shape], layer)
+        for layer, shape in zip(unique, shapes)
+    ]
+    result = ModelResult(accelerator=spec.name, model=model.name)
     result.layers.extend(map(resolved.__getitem__, occ))
-    if resolved:
-        # Model-level pre-audit marker: when every unique layer result
-        # carries the kernel's per-layer marker for this exact spec
-        # object, ``audit_model_result`` can skip the whole
-        # per-occurrence walk.  Any scalar-fallback or foreign-cache
-        # entry breaks the chain and the audit runs in full.
-        spec = simulator.spec
-        for layer_result in resolved:
-            if layer_result.__dict__.get(_PREAUDIT_ATTR) is not spec:
-                break
-        else:
-            result.__dict__[_PREAUDIT_ATTR] = spec
+    if all(r.__dict__.get(_PREAUDIT_ATTR) is spec for r in resolved):
+        result.__dict__[_PREAUDIT_ATTR] = spec
     return result
 
 
@@ -1370,7 +1366,6 @@ class SweepRunner:
         if vectorize is None:
             vectorize = self.vectorize
         results: list[ModelResult | None] = []
-        fingerprints: dict[int, str] = {}
         # Resumed replays are exempt from stop checks: they are cheap
         # cache reads that materialise already-earned results.
         check_stop = mode != "resumed"
@@ -1381,21 +1376,17 @@ class SweepRunner:
                 # Budget/signal stop: remaining jobs stay pending in
                 # the manifest (no record), resumable later.
                 break
-            sim_id = id(job.simulator)
-            if sim_id not in fingerprints:
-                fingerprints[sim_id] = simulator_fingerprint(job.simulator)
             attempt = 1
             while True:
                 before = self.cache.stats
                 start = time.perf_counter()
                 result = error = None
                 try:
-                    result = _simulate_model_cached(
+                    result = simulate_model_cached(
                         job.simulator,
                         job.model,
                         layer_by_layer=job.layer_by_layer,
                         cache=self.cache,
-                        fingerprint=fingerprints[sim_id],
                         vectorize=vectorize,
                         on_fallback=functools.partial(
                             self._grid_declined, job.simulator
@@ -1603,11 +1594,11 @@ class SweepRunner:
         the whole (machines x shapes) grid in one kernel launch
         (chunked along the machine axis under :data:`_GRID_LANE_BUDGET`)
         and stitches per-job results from the shared lanes.  Each
-        machine probes the cache once per union shape it needs, and the
-        group's hits are audited in one array pass
-        (:func:`repro.core.grid.preaudit_hits`); per-job ``JobStats``
-        carry ``mode="grid"`` with zero cache counts (the probes are
-        charged to the runner-level cache stats).  Returns
+        machine resolves the union shapes it needs in one
+        :meth:`ResultCache.lookup`, and the group's hits are audited in
+        one array pass (:func:`repro.core.grid.preaudit_hits`); per-job
+        ``JobStats`` carry ``mode="grid"`` with zero cache counts (the
+        probes are charged to the runner-level cache stats).  Returns
         the sub-positions of jobs whose machine the kernel declined --
         they run on the scalar simulator, bit-identically.
         """
@@ -1617,10 +1608,6 @@ class SweepRunner:
         machines = list(group.values())
         t0 = time.perf_counter()
         cache = self.cache
-        null_fast = type(cache) is NullCache
-        memory_get = cache._memory.get if type(cache) is ResultCache else None
-        cache_get = cache.get
-        memo_get = _KEY_MEMO.get
 
         # Union shapes across the whole group + per-machine need maps.
         # Built from per-model shape dicts so the inner merge runs at
@@ -1642,58 +1629,29 @@ class SweepRunner:
             union.update(need)
             needs.append(need)
 
-        # Cache probes: hits resolve now, misses ride the grid.  Same
-        # stat accounting as one pass-1 probe per (machine, shape).
-        # Hits not yet audited against their machine's spec are judged
+        # Cache probes: hits resolve now, misses ride the grid.  Hits
+        # not yet audited against their machine's spec are judged
         # together by the grid's array audit; the clean ones carry the
         # pre-audit marker into the stitch below.
         resolved: list = []  # per machine: shape -> LayerResult, or None
-        missing: list = []  # per machine: shape -> cache key (None: NullCache)
+        missing: list = []  # per machine: shape -> cache key
         audit_specs: list = []  # per machine with unaudited hits: its spec,
         audit_hits: list = []  # the hits not yet marked for that spec,
         audit_layers: list = []  # and the layer each was looked up for
-        probes = 0
         for (simulator, positions), need in zip(machines, needs):
-            hits: dict = {}
-            miss: dict = {}
-            if null_fast:
-                probes += len(need)
-                miss = dict.fromkeys(need)
-            else:
-                fingerprint = simulator_fingerprint(simulator)
-                spec = simulator.spec
-                unaudited: list = []
-                looked_up: list = []
-                for shape, layer in need.items():
-                    ckey = memo_get((fingerprint, shape, layer_by_layer))
-                    if ckey is None:
-                        ckey = layer_cache_key(
-                            fingerprint, layer, layer_by_layer
-                        )
-                    if (
-                        memory_get is not None
-                        and (cached := memory_get(ckey)) is not None
-                    ):
-                        cache._hits += 1
-                        if cache._lru_active:
-                            cache._memory.move_to_end(ckey)
-                    else:
-                        cached = cache_get(ckey)
-                    if cached is None:
-                        miss[shape] = ckey
-                    else:
-                        hits[shape] = cached
-                        if cached.__dict__.get(_PREAUDIT_ATTR) is not spec:
-                            unaudited.append(cached)
-                            looked_up.append(layer)
-                if unaudited:
-                    audit_specs.append(spec)
-                    audit_hits.append(unaudited)
-                    audit_layers.append(looked_up)
+            hits, miss = cache.lookup(simulator, need, layer_by_layer)
+            spec = simulator.spec
+            unaudited = [
+                shape
+                for shape, hit in hits.items()
+                if hit.__dict__.get(_PREAUDIT_ATTR) is not spec
+            ]
+            if unaudited:
+                audit_specs.append(spec)
+                audit_hits.append([hits[shape] for shape in unaudited])
+                audit_layers.append([need[shape] for shape in unaudited])
             resolved.append(hits)
             missing.append(miss)
-        if null_fast and probes:
-            cache._misses += probes
         if audit_hits and self.audit:
             grid_mod.preaudit_hits(audit_specs, audit_hits, audit_layers)
 
@@ -1737,17 +1695,11 @@ class SweepRunner:
                         resolved[j] = None
                         continue
                     self.grid_machines += 1
-                    if null_fast:
-                        # No hits and nothing to put: the machine's
-                        # full lane map (a superset of its need) serves
-                        # the stitch directly.
-                        resolved[j] = lanes
-                    else:
-                        hits = resolved[j]
-                        for shape, ckey in missing[j].items():
-                            lane = lanes[shape]
-                            hits[shape] = lane
-                            staged.append((ckey, lane))
+                    hits = resolved[j]
+                    for shape, ckey in missing[j].items():
+                        lane = lanes[shape]
+                        hits[shape] = lane
+                        staged.append((ckey, lane))
         cache.put_many(staged)
 
         # Stitch per-job results from the shared lanes, in submission
@@ -1776,26 +1728,11 @@ class SweepRunner:
             if self._check_stop():
                 break
             job = sub[pos]
-            index = todo[pos]
-            spec = job.simulator.spec
             start = time.perf_counter()
-            lanes = resolved[j]
-            unique, shapes, occ = _model_structure(job.model)
-            result = ModelResult(accelerator=spec.name, model=job.model.name)
-            lane_list = [
-                _rebind_layer(lanes[shape], layer)
-                for layer, shape in zip(unique, shapes)
-            ]
-            marked = all(
-                lane.__dict__.get(_PREAUDIT_ATTR) is spec
-                for lane in lane_list
-            )
-            result.layers.extend(map(lane_list.__getitem__, occ))
-            if marked:
-                result.__dict__[_PREAUDIT_ATTR] = spec
+            result = _stitch(job.simulator.spec, job.model, resolved[j])
             # Each job is charged its share of the launch time.
             results[pos] = self._settle(
-                index, job, 1, start - share, "grid", result
+                todo[pos], job, 1, start - share, "grid", result
             )
         return leftover
 

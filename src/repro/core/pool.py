@@ -80,30 +80,24 @@ def adaptive_batch_size(n_ready: int, n_workers: int) -> int:
 # ----------------------------------------------------------------------
 # Worker-side body
 # ----------------------------------------------------------------------
-def _warm_fingerprint(simulator, memo: dict) -> str:
-    """Simulator fingerprint through the worker's cross-job memo.
+def _warm_fingerprint(simulator, memo: dict) -> None:
+    """Seed a job simulator's fingerprint from the worker's memo.
 
     Every job arrives as a fresh unpickled object, so the object-keyed
     memo in :mod:`repro.core.batch` never hits inside a worker.  Specs
     and energy models are frozen (hashable) dataclasses, so their
-    *values* key a worker-lifetime memo instead; anything unhashable
-    falls back to recomputing the hash.
+    *values* key a worker-lifetime memo instead, and the known value
+    seeds the simulator's own memo entry, which the cache lookup
+    reads.  Anything unhashable is left to the lookup to hash.
     """
-    from .batch import simulator_fingerprint
+    from .batch import _components, _simulator_memo
 
+    key = _components(simulator)
     try:
-        key = (
-            simulator.spec,
-            simulator.compute_energy,
-            simulator.network_energy,
-        )
-        fingerprint = memo.get(key)
+        known = memo.get(key)
     except TypeError:
-        return simulator_fingerprint(simulator)
-    if fingerprint is None:
-        fingerprint = simulator_fingerprint(simulator)
-        memo[key] = fingerprint
-    return fingerprint
+        return
+    memo[key] = _simulator_memo(simulator, known).fingerprint
 
 
 def _install_rlimit_as(limit_mb) -> None:
@@ -162,7 +156,7 @@ def _pool_worker_main(
         except OSError:  # pragma: no cover - platform-specific
             pass
     _install_rlimit_as(rlimit_as_mb)
-    from .batch import ResultCache, _attempt_error, _simulate_model_cached
+    from .batch import ResultCache, _attempt_error, simulate_model_cached
 
     # The campaign's disk tier (when present) is mounted read-only:
     # workers serve warm hits from shared shards, but only the parent
@@ -184,27 +178,26 @@ def _pool_worker_main(
         for task_id, job in items:
             start = time.perf_counter()
             try:
-                fingerprint = _warm_fingerprint(job.simulator, fingerprints)
-                hits_before = cache._hits
-                misses_before = cache._misses
+                _warm_fingerprint(job.simulator, fingerprints)
+                before = cache.stats
                 # Kernel declines are silent here (bit-identical
                 # results either way); the parent's in-process paths
                 # are where fallback reasons are surfaced.
-                result = _simulate_model_cached(
+                result = simulate_model_cached(
                     job.simulator,
                     job.model,
                     layer_by_layer=job.layer_by_layer,
                     cache=cache,
-                    fingerprint=fingerprint,
                     vectorize=vectorize,
                 )
+                after = cache.stats
                 result_conn.send(
                     (
                         "ok",
                         task_id,
                         result,
-                        cache._hits - hits_before,
-                        cache._misses - misses_before,
+                        after.hits - before.hits,
+                        after.misses - before.misses,
                         time.perf_counter() - start,
                     )
                 )

@@ -174,14 +174,16 @@ class StorageHealth:
     error seen there -- once a path appears the client is running
     memory-only for that file and results may need recomputation on
     the next run.  The remaining counters record recovered-from
-    events: they never imply data loss (torn tails are recomputable,
-    quarantined records are preserved verbatim), only that the
-    storage layer had to intervene.
+    events: they never imply data loss (torn tails and rejected
+    records are recomputed, quarantined records are preserved
+    verbatim), only that the storage layer had to intervene.
     """
 
     degraded: dict[str, str] = field(default_factory=dict)
     quarantined_records: int = 0
     torn_records: int = 0
+    #: Well-framed records whose payload failed to unpack (recomputed).
+    rejected_records: int = 0
     legacy_records: int = 0
     lock_acquires: int = 0
     lock_contention: int = 0
@@ -199,6 +201,7 @@ class StorageHealth:
             self.degraded
             or self.quarantined_records
             or self.torn_records
+            or self.rejected_records
             or self.lock_contention
             or self.stale_locks_broken
         )
@@ -209,6 +212,7 @@ class StorageHealth:
             self.degraded.setdefault(path, error)
         self.quarantined_records += other.quarantined_records
         self.torn_records += other.torn_records
+        self.rejected_records += other.rejected_records
         self.legacy_records += other.legacy_records
         self.lock_acquires += other.lock_acquires
         self.lock_contention += other.lock_contention
@@ -237,6 +241,10 @@ class StorageHealth:
             parts.append(f"{self.quarantined_records} record(s) quarantined")
         if self.torn_records:
             parts.append(f"{self.torn_records} torn record(s) skipped")
+        if self.rejected_records:
+            parts.append(
+                f"{self.rejected_records} rejected record(s) recomputed"
+            )
         if self.lock_contention:
             parts.append(f"lock contention x{self.lock_contention}")
         if self.stale_locks_broken:
@@ -252,6 +260,7 @@ class StorageHealth:
             "degraded": dict(self.degraded),
             "quarantined_records": self.quarantined_records,
             "torn_records": self.torn_records,
+            "rejected_records": self.rejected_records,
             "legacy_records": self.legacy_records,
             "lock_acquires": self.lock_acquires,
             "lock_contention": self.lock_contention,

@@ -43,6 +43,7 @@ make that possible:
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -323,6 +324,13 @@ class _SharedLower:
 _SHARED_MEMO: "dict[tuple, _SharedLower]" = {}
 _SHARED_MEMO_LIMIT = 64
 
+#: Serialises evict-plus-insert on :data:`_SHARED_MEMO`.  ``repro
+#: serve``'s runner slots share it: unlocked, two threads evicting at
+#: capacity could pick the same oldest key (``KeyError``) or iterate a
+#: dict the other is resizing (``RuntimeError``).  Lookups stay a
+#: plain ``dict.get``.
+_SHARED_MEMO_LOCK = threading.Lock()
+
 
 def _shared_from_ints(ints) -> _SharedLower:
     shared = _SharedLower()
@@ -363,12 +371,14 @@ def _shared_lower(layers) -> _SharedLower:
     shared = _SHARED_MEMO.get(key)
     if shared is not None:
         return shared
-    from .batch import _memo_put
-
     ints = np.array([_DIM_GET(l) for l in layers], dtype=np.int64)
     ints.setflags(write=False)
     shared = _shared_from_ints(ints)
-    _memo_put(_SHARED_MEMO, key, shared, _SHARED_MEMO_LIMIT)
+    with _SHARED_MEMO_LOCK:
+        # FIFO: at capacity the oldest entry (first inserted) goes.
+        if len(_SHARED_MEMO) >= _SHARED_MEMO_LIMIT:
+            del _SHARED_MEMO[next(iter(_SHARED_MEMO))]
+        _SHARED_MEMO[key] = shared
     return shared
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.batch import default_cache, simulate_layer_cached, simulator_fingerprint
+from ..core.batch import default_cache, simulate_layer_cached
 from ..core.layer import ConvLayer, LayerSet
 from ..models.zoo import paper_layer_labels
 from .harness import AcceleratorTrio, default_trio
@@ -62,26 +62,14 @@ def per_layer_comparison(
     if labelled_layers is None:
         labelled_layers = paper_layer_labels()
     cache = default_cache()
-    fingerprints = {
-        simulator.spec.name: simulator_fingerprint(simulator)
-        for simulator in trio
-    }
     rows: list[PerLayerRow] = []
     for label, layer in labelled_layers.items():
         simba_result = simulate_layer_cached(
-            trio.simba,
-            layer,
-            layer_by_layer=True,
-            cache=cache,
-            fingerprint=fingerprints[trio.simba.spec.name],
+            trio.simba, layer, layer_by_layer=True, cache=cache
         )
         for simulator in trio:
             result = simulate_layer_cached(
-                simulator,
-                layer,
-                layer_by_layer=True,
-                cache=cache,
-                fingerprint=fingerprints[simulator.spec.name],
+                simulator, layer, layer_by_layer=True, cache=cache
             )
             rows.append(
                 PerLayerRow(

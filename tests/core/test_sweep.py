@@ -112,29 +112,39 @@ def test_key_is_shape_addressed_and_mode_sensitive(fingerprint):
     assert key_a != layer_cache_key(fingerprint, a, True)
 
 
-def test_fifo_memos_survive_concurrent_eviction(fingerprint, monkeypatch):
-    """``repro serve``'s runner slots share the key memo and the
-    kernel's shared-lowering memo.  Four threads inserting distinct
-    shapes into both, each memo at capacity and the interpreter
-    switching threads as often as it can, must never raise: the
-    evict-plus-insert is atomic."""
+def test_fifo_memos_survive_concurrent_eviction(simulator, monkeypatch):
+    """``repro serve``'s runner slots share the kernel's FIFO
+    shared-lowering memo, and may resolve one simulator's shapes at
+    once.  Four threads, each with its own cache (as each slot has),
+    looking shapes up through ``ResultCache.lookup`` and inserting into
+    the lowering memo at capacity, with the interpreter switching
+    threads as often as it can, must never raise, and every key the
+    simulator's memo hands out must be the pure key."""
     from repro.core import vectorized
 
-    monkeypatch.setattr(batch, "_KEY_MEMO", {})
-    monkeypatch.setattr(batch, "_KEY_MEMO_LIMIT", 8)
     monkeypatch.setattr(vectorized, "_SHARED_MEMO", {})
     monkeypatch.setattr(vectorized, "_SHARED_MEMO_LIMIT", 4)
+    fingerprint = simulator_fingerprint(simulator)
     errors: list[BaseException] = []
+    wrong: list[tuple] = []
     start = threading.Barrier(4)
 
-    def insert(thread: int) -> None:
+    def resolve(thread: int) -> None:
         try:
+            cache = ResultCache()
             start.wait(timeout=60)
             for i in range(3000):
+                # Two threads per channel count: half the shapes are
+                # looked up by two threads at once.
                 layer = ConvLayer(
-                    name="m", c=1 + thread, k=1 + i, r=1, s=1, h=1, w=1
+                    name="m", c=1 + thread % 2, k=1 + i, r=1, s=1, h=1, w=1
                 )
-                layer_cache_key(fingerprint, layer, False)
+                _, misses = cache.lookup(
+                    simulator, {layer.shape_key: layer}, False
+                )
+                key = misses[layer.shape_key]
+                if key != layer_cache_key(fingerprint, layer, False):
+                    wrong.append((thread, i))
                 vectorized._shared_lower([layer])
         except BaseException as exc:  # noqa: BLE001 -- reported below
             errors.append(exc)
@@ -143,7 +153,7 @@ def test_fifo_memos_survive_concurrent_eviction(fingerprint, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         threads = [
-            threading.Thread(target=insert, args=(t,)) for t in range(4)
+            threading.Thread(target=resolve, args=(t,)) for t in range(4)
         ]
         for thread in threads:
             thread.start()
@@ -153,7 +163,7 @@ def test_fifo_memos_survive_concurrent_eviction(fingerprint, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(batch._KEY_MEMO) <= 8
+    assert wrong == []
     assert len(vectorized._SHARED_MEMO) <= 4
 
 

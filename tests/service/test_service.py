@@ -659,3 +659,45 @@ class TestHTTPBoundary:
         assert status == 408
         assert "not received" in body["error"]
         assert fields["connection"] == "close"
+
+
+def test_finished_campaigns_leave_no_cache_keys(tmp_path):
+    """A long-lived service builds fresh simulators per campaign; their
+    cache keys live in each simulator's memo entry, so once ten
+    campaigns have finished on two runner slots none of their
+    simulators -- and so none of their keys -- is still alive."""
+    import gc
+    import weakref
+
+    built: list = []
+    build = CampaignSpec.build_sweep_jobs
+
+    def recording(spec):
+        jobs, labels = build(spec)
+        built.extend(weakref.ref(job.simulator) for job in jobs)
+        return jobs, labels
+
+    service = CampaignService(tmp_path / "data", runner_slots=2)
+    with mock.patch.object(CampaignSpec, "build_sweep_jobs", recording):
+        service.start()
+        try:
+            tickets = [
+                service.submit(
+                    {
+                        "kind": "sweep",
+                        "machines": ["spacx", "simba"],
+                        "models": ["MobileNetV2"],
+                        "batch": batch_size,
+                    },
+                    tenant="alice",
+                )
+                for batch_size in range(1, 11)
+            ]
+            for ticket in tickets:
+                final = service.wait(ticket["submission"], timeout_s=300)
+                assert final["state"] == DONE
+            gc.collect()
+            assert len(built) == 20
+            assert [ref for ref in built if ref() is not None] == []
+        finally:
+            service.shutdown(timeout_s=60)
