@@ -1504,16 +1504,46 @@ class SweepRunner:
         through the grid kernel; jobs of machines the kernel declines
         run on the scalar simulator through the per-job dispatch --
         in worker processes whenever there are several workers, so a
-        crashing declined job cannot take the grid results with it."""
+        crashing declined job cannot take the grid results with it.
+
+        Every group's lanes are computed first and land in one
+        :meth:`ResultCache.put_many`, so each shard takes one write
+        per dispatch and every entry is on disk before any grid job
+        is marked done; the grid jobs are then stitched and settled in
+        group order.  A stop is checked before each group and before
+        each job's settle: the lanes already computed still land, and
+        the unsettled jobs stay pending in the manifest, to be served
+        as hits on resume.
+        """
         groups, leftover = self._plan_grid_groups(sub)
         results: list[ModelResult | None] = [None] * len(sub)
+        staged: list = []  # (cache key, lane) of every group, in put order
+        stitched: list = []  # (sub position, hits, launch share)
         for key, machines in groups.items():
             if self._check_stop():
-                # Remaining jobs stay pending in the manifest,
-                # resumable later -- same contract as the serial loop.
-                return results
-            leftover.extend(
-                self._run_grid_group(key, machines, sub, todo, results)
+                break
+            declined, jobs, elapsed = self._grid_group_lanes(
+                key, machines, sub, staged
+            )
+            leftover.extend(declined)
+            stitched.extend(
+                (pos, hits, elapsed / len(jobs)) for pos, hits in jobs
+            )
+        t0 = time.perf_counter()
+        self.cache.put_many(staged)
+        put_share = (
+            (time.perf_counter() - t0) / len(stitched) if stitched else 0.0
+        )
+        for pos, hits, share in stitched:
+            if self._check_stop():
+                break
+            job = sub[pos]
+            start = time.perf_counter()
+            result = _stitch(job.simulator.spec, job.model, hits)
+            # Each job is charged its share of its group's launch time
+            # and of the dispatch's one cache write.
+            results[pos] = self._settle(
+                todo[pos], job, 1, start - share - put_share, "grid", result
             )
         if leftover and not self._check_stop():
             leftover.sort()
@@ -1580,27 +1610,29 @@ class SweepRunner:
             entry[1].append(pos)
         return groups, leftover
 
-    def _run_grid_group(
+    def _grid_group_lanes(
         self,
         key: tuple,
         group: dict,
         sub: Sequence[SweepJob],
-        todo: Sequence[int],
-        results: "list[ModelResult | None]",
-    ) -> "list[int]":
-        """Execute one machine-family group through the grid kernel.
+        staged: list,
+    ) -> tuple:
+        """Resolve one machine-family group's lanes through the grid.
 
-        Lowers the union of the group's layer shapes once, evaluates
+        Lowers the union of the group's layer shapes once and evaluates
         the whole (machines x shapes) grid in one kernel launch
-        (chunked along the machine axis under :data:`_GRID_LANE_BUDGET`)
-        and stitches per-job results from the shared lanes.  Each
-        machine resolves the union shapes it needs in one
+        (chunked along the machine axis under :data:`_GRID_LANE_BUDGET`).
+        Each machine resolves the union shapes it needs in one
         :meth:`ResultCache.lookup`, and the group's hits are audited in
-        one array pass (:func:`repro.core.grid.preaudit_hits`); per-job
+        one array pass (:func:`repro.core.grid.preaudit_hits`).  New
+        lanes are appended to ``staged`` as ``(cache key, lane)`` for
+        the dispatch's one put.  Returns ``(declined, jobs, elapsed)``:
+        the sub-positions of jobs whose machine the kernel declined
+        (they run on the scalar simulator, bit-identically), ``(sub
+        position, shape -> result)`` for every job to stitch, in
+        submission order, and the seconds spent.  Stitched jobs'
         ``JobStats`` carry ``mode="grid"`` with zero cache counts (the
-        probes are charged to the runner-level cache stats).  Returns
-        the sub-positions of jobs whose machine the kernel declined --
-        they run on the scalar simulator, bit-identically.
+        probes are charged to the runner-level cache stats).
         """
         from . import grid as grid_mod
 
@@ -1656,11 +1688,8 @@ class SweepRunner:
             grid_mod.preaudit_hits(audit_specs, audit_hits, audit_layers)
 
         # One kernel launch per machine chunk over the union shapes.
-        # Every chunk's new lanes are staged and put in one call before
-        # the stitch, so each shard takes one write per group and every
-        # entry lands before its job is marked done.
+        # Every chunk's new lanes are staged for the dispatch's put.
         leftover: list[int] = []
-        staged: list = []  # (cache key, lane) in put order
         grid_rows = [j for j, miss in enumerate(missing) if miss]
         if grid_rows:
             union_layers = list(union.values())
@@ -1700,41 +1729,27 @@ class SweepRunner:
                         lane = lanes[shape]
                         hits[shape] = lane
                         staged.append((ckey, lane))
-        cache.put_many(staged)
 
-        # Stitch per-job results from the shared lanes, in submission
-        # order, and settle each job like any other route does.
-        stitched = [
-            (pos, j)
-            for j, (simulator, positions) in enumerate(machines)
-            if resolved[j] is not None
+        # The jobs to stitch from the shared lanes, in submission order
+        # (positions are unique, so the sort never compares the dicts).
+        jobs = sorted(
+            (pos, hits)
+            for hits, (simulator, positions) in zip(resolved, machines)
+            if hits is not None
             for pos in positions
-        ]
-        stitched.sort()
-        if stitched:
-            served = sum(1 for entry in resolved if entry is not None)
+        )
+        if jobs:
+            served = sum(1 for hits in resolved if hits is not None)
             self.plan_decisions.append(
                 PlanDecision(
                     plan="grid",
-                    jobs=len(stitched),
+                    jobs=len(jobs),
                     reason=f"{served} machine(s) x {len(union)} shape(s) "
                     "share one kernel family",
                     lanes=served * len(union),
                 )
             )
-        setup_elapsed = time.perf_counter() - t0
-        share = setup_elapsed / len(stitched) if stitched else 0.0
-        for pos, j in stitched:
-            if self._check_stop():
-                break
-            job = sub[pos]
-            start = time.perf_counter()
-            result = _stitch(job.simulator.spec, job.model, resolved[j])
-            # Each job is charged its share of the launch time.
-            results[pos] = self._settle(
-                todo[pos], job, 1, start - share, "grid", result
-            )
-        return leftover
+        return leftover, jobs, time.perf_counter() - t0
 
     # -- persistent warm-worker pool path ------------------------------
     def _ensure_pool(self):

@@ -93,6 +93,7 @@ __all__ = [
     "scan_directory",
     "scan_log",
     "warn_once",
+    "write_whole",
 ]
 
 #: ``=`` + 8 hex CRC32 chars + 8 hex length chars + ``:``.
@@ -419,7 +420,7 @@ def quarantine_records(
     try:
         fd = _os_open(target, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
         try:
-            _write_whole(fd, blob)
+            write_whole(fd, blob)
         finally:
             os.close(fd)
     except OSError as exc:
@@ -627,7 +628,7 @@ class FileLock:
 # ----------------------------------------------------------------------
 # Writing
 # ----------------------------------------------------------------------
-def _write_whole(fd: int, blob: bytes) -> None:
+def write_whole(fd: int, blob: bytes) -> None:
     """One ``os.write`` of ``blob``; a short write raises ``OSError``.
 
     The remainder is never written after the fact: on an ``O_APPEND``
@@ -671,7 +672,7 @@ def append_record(
             guard.acquire(timeout_s=5.0, shared=True)
         fd = _os_open(path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
         try:
-            _write_whole(fd, frames)
+            write_whole(fd, frames)
             if do_fsync:
                 _os_fsync(fd)
         finally:
@@ -725,7 +726,7 @@ def rewrite_log(
         fd = _os_open(tmp, os.O_CREAT | os.O_WRONLY | os.O_TRUNC, 0o644)
         try:
             if blob:
-                _write_whole(fd, blob)
+                write_whole(fd, blob)
             if resolve_fsync(fsync):
                 _os_fsync(fd)
         finally:

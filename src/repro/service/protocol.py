@@ -40,6 +40,7 @@ __all__ = [
     "CAMPAIGN_KINDS",
     "CampaignSpec",
     "canonical_json",
+    "encode_results",
     "results_digest",
 ]
 
@@ -75,20 +76,23 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def results_digest(results: Mapping[str, Mapping[str, Any]]) -> str:
-    """Canonical sha256 of a ``{model: {accelerator: result}}`` tree.
+def encode_results(
+    results: Mapping[str, Mapping[str, Any]],
+) -> tuple[bytes, str]:
+    """Canonical bytes and sha256 of a ``{model: {accelerator: result}}``
+    tree.
 
-    Mirrors the golden suite's sweep digest exactly: the tree is
-    serialized through :func:`repro.serialization.model_result_to_dict`
-    with sorted keys, so a service-run campaign and a direct in-process
-    :class:`~repro.core.batch.SweepRunner` run of the same jobs hash
-    identically.  A result may be a ``ModelResult`` or its
-    ``model_result_to_dict`` form, so a caller that also persists the
-    dicts serializes each result once.
+    The tree is serialized through
+    :func:`repro.serialization.model_result_to_dict` as sorted-keys
+    JSON; a result may be a ``ModelResult`` or its
+    ``model_result_to_dict`` form.  Returns ``(text, digest)``: the
+    ASCII text and the hex sha256 of it.  A caller that both digests
+    and persists a tree (the service's ``results.json``) encodes it
+    once.
     """
     from ..serialization import model_result_to_dict
 
-    canonical = json.dumps(
+    text = json.dumps(
         {
             model: {
                 accelerator: (
@@ -101,8 +105,19 @@ def results_digest(results: Mapping[str, Mapping[str, Any]]) -> str:
             for model, per_accelerator in results.items()
         },
         sort_keys=True,
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    ).encode()
+    return text, hashlib.sha256(text).hexdigest()
+
+
+def results_digest(results: Mapping[str, Mapping[str, Any]]) -> str:
+    """Canonical sha256 of a ``{model: {accelerator: result}}`` tree.
+
+    Mirrors the golden suite's sweep digest exactly (see
+    :func:`encode_results`), so a service-run campaign and a direct
+    in-process :class:`~repro.core.batch.SweepRunner` run of the same
+    jobs hash identically.
+    """
+    return encode_results(results)[1]
 
 
 def payload_digest(payload: Any) -> str:

@@ -56,7 +56,14 @@ from ..core.batch import RunConfig
 from ..core.budget import compose_budgets
 from ..core.campaign import read_manifest_events
 from ..errors import ConfigError, QuotaExceededError, ReproError
-from .protocol import CampaignSpec, payload_digest, results_digest
+# Sweeps digest through ``encode_results``; ``results_digest`` stays
+# importable here because ``perfbench/tracer.py`` looks it up by name.
+from .protocol import (  # noqa: F401
+    CampaignSpec,
+    encode_results,
+    payload_digest,
+    results_digest,
+)
 from .queue import FairQueue
 from .tenants import TenantRegistry
 
@@ -81,6 +88,22 @@ LEDGER_FILENAME = "submissions.jsonl"
 
 class ResultsNotReadyError(ReproError):
     """Results were requested for an execution that has not finished."""
+
+
+def _payload_bytes(payload: dict, results: bytes | None = None) -> bytes:
+    """``json.dumps(payload, sort_keys=True)``, encoded: the bytes of a
+    ``results.json``.
+
+    ``results``, when given, is the payload's ``"results"`` member
+    already encoded with sorted keys (:func:`encode_results`).  That
+    key sorts after every other key of a payload, so its text is
+    spliced in as the last member instead of dumping the tree again;
+    the bytes are the same as dumping the whole payload.
+    """
+    data = json.dumps(payload, sort_keys=True).encode()
+    if results is None:
+        return data
+    return b'%s, "results": %s}' % (data[:-1], results)
 
 
 @dataclass
@@ -187,20 +210,29 @@ class CampaignService:
             fsync=True,
         )
 
-    def _persist_results(self, execution: Execution, payload: dict) -> None:
-        """Write the results payload with atomic replace + fsync."""
+    def _persist_results(self, execution: Execution, data: bytes) -> None:
+        """Write ``results.json`` with atomic replace + fsync.
+
+        A failed or short write raises ``OSError`` after removing the
+        temporary file, so a truncated payload never replaces
+        ``results.json``, and the runner slot ends the execution
+        ``failed`` instead of ``done``.
+        """
         directory = self._campaign_dir(execution.exec_id)
         directory.mkdir(parents=True, exist_ok=True)
         target = directory / "results.json"
         tmp = directory / ".results.json.tmp"
-        data = json.dumps(payload, sort_keys=True).encode()
-        fd = os.open(tmp, os.O_CREAT | os.O_WRONLY | os.O_TRUNC, 0o644)
         try:
-            os.write(fd, data)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, target)
+            fd = os.open(tmp, os.O_CREAT | os.O_WRONLY | os.O_TRUNC, 0o644)
+            try:
+                store.write_whole(fd, data)
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            os.replace(tmp, target)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def _restore(self) -> None:
         """Rebuild submissions/executions from the ledger on startup.
@@ -749,15 +781,15 @@ class CampaignService:
         progress = self._progress_callback(execution)
         spec = execution.spec
         if spec.kind == "sweep":
-            payload, digest, stopped, error = self._execute_sweep(
+            data, digest, stopped, error = self._execute_sweep(
                 execution, runner, budget, progress
             )
         elif spec.kind == "faults":
-            payload, digest, stopped, error = self._execute_faults(
+            data, digest, stopped, error = self._execute_faults(
                 execution, runner, budget, progress
             )
         else:
-            payload, digest, stopped, error = self._execute_search(
+            data, digest, stopped, error = self._execute_search(
                 execution, runner, budget, progress
             )
         outcome = (
@@ -769,7 +801,7 @@ class CampaignService:
         if error is not None:
             self._finish(execution, FAILED, error=error, outcome=outcome)
             return
-        self._persist_results(execution, payload)
+        self._persist_results(execution, data)
         self._finish(execution, DONE, digest=digest, outcome=outcome)
 
     def _execute_sweep(self, execution, runner, budget, progress):
@@ -804,24 +836,15 @@ class CampaignService:
                 f"{len(missing)} job(s) failed ({', '.join(missing)})"
                 + (f": {failures}" if failures else ""),
             )
-        from ..serialization import model_result_to_dict
-
-        serialized = {
-            model: {
-                machine: model_result_to_dict(result)
-                for machine, result in per_machine.items()
-            }
-            for model, per_machine in tree.items()
-        }
-        digest = results_digest(serialized)
+        # The tree is encoded once: its digest and the file share it.
+        text, digest = encode_results(tree)
         payload = {
             "kind": "sweep",
             "campaign": execution.exec_id,
             "digest": digest,
-            "results": serialized,
             "report": runner.campaign_report(as_dict=True),
         }
-        return payload, digest, False, None
+        return _payload_bytes(payload, text), digest, False, None
 
     def _execute_faults(self, execution, runner, budget, progress):
         from ..experiments.resilience import availability_study
@@ -854,7 +877,7 @@ class CampaignService:
             "points": serialized,
             "report": runner.campaign_report(as_dict=True),
         }
-        return payload, digest, False, None
+        return _payload_bytes(payload), digest, False, None
 
     def _execute_search(self, execution, runner, budget, progress):
         from ..dse.presets import PRESETS
@@ -891,7 +914,7 @@ class CampaignService:
             "result": body,
             "report": runner.campaign_report(as_dict=True),
         }
-        return payload, digest, False, None
+        return _payload_bytes(payload), digest, False, None
 
     def _finish(
         self,

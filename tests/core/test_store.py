@@ -42,6 +42,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crashkit import CrashingSimulator, WriteErrorInjector
+from repro.baselines.simba import simba_simulator
 from repro.cli import main
 from repro.core import batch, store
 from repro.core.batch import NullCache, ResultCache, SweepJob, SweepRunner
@@ -526,14 +527,14 @@ class TestGroupCommit:
         frames = _frames(tmp_path)
         events = len(frames.pop("campaign.jsonl"))
         entries = sum(map(len, frames.values()))
-        groups = len(runner.plan_decisions)
+        assert len(runner.plan_decisions) == 2  # two grid groups
         assert _plan_of(runner) == ["grid"]
         assert (entries, events) == (runner.cache.stats.puts, 1 + 12)
         assert entries + events == 544
         # Manifest events stay one write each; the cache writes each
-        # shard at most once per grid group.
-        assert counter.calls - events <= 16 * groups
-        assert counter.calls <= 48
+        # shard at most once per dispatch, whatever the group count.
+        assert counter.calls - events <= 16
+        assert counter.calls <= 29
         # A warm rerun serves the same results from disk.
         reader = ResultCache(cache_dir=tmp_path)
         warm = run_models(
@@ -572,16 +573,24 @@ class TestGroupCommit:
             {},
             {"exec_plan": "serial"},
             {"max_workers": 2, "exec_plan": "pool"},
+            {"families": 2},
         ],
-        ids=["grid", "serial", "pool"],
+        ids=["grid", "serial", "pool", "grid-two-families"],
     )
     def test_entries_land_before_their_job_is_marked_done(
         self, tmp_path, simulator, route
     ):
         """When a job's done mark is written -- and so at every progress
         callback, which follows it -- every cache key the job needs is
-        already in its shard file, so a kill loses only unmarked jobs."""
-        sims = [simulator, spacx_simulator(ef_granularity=2)]
+        already in its shard file, so a kill loses only unmarked jobs.
+        Two SPACX machines are one grid family; SPACX and Simba are two,
+        whose lanes land in the dispatch's one write."""
+        route = dict(route)
+        families = route.pop("families", 1)
+        if families == 2:
+            sims = [simulator, simba_simulator()]
+        else:
+            sims = [simulator, spacx_simulator(ef_granularity=2)]
         jobs = [SweepJob(s, m) for m in _models(4) for s in sims]
         manifest = CampaignManifest(tmp_path)
         mark_done = manifest.mark_done
@@ -607,7 +616,6 @@ class TestGroupCommit:
             mark_done(index)
 
         manifest.mark_done = checked_mark_done
-        route = dict(route)
         runner = SweepRunner(
             max_workers=route.pop("max_workers", 1),
             cache=ResultCache(cache_dir=tmp_path),
@@ -620,6 +628,73 @@ class TestGroupCommit:
         assert len(runner.stats) == len(jobs)
         assert marked == []  # every progress callback followed its mark
         assert missing == []
+        if families == 2:
+            assert _plan_of(runner) == ["grid"]
+            assert len(runner.plan_decisions) == 2
+
+    def test_stop_inside_a_later_kernel_keeps_every_computed_lane(
+        self, tmp_path, monkeypatch
+    ):
+        """A stop requested from inside the second grid group's kernel
+        launch: the lanes both groups computed are on disk although no
+        job was marked done, and the resume serves every one of them as
+        a hit -- no kernel launch, no miss -- to the golden digest."""
+        from repro.core import grid
+        from repro.experiments.harness import default_trio, run_models
+
+        real_evaluate = grid.evaluate_grid
+        launches: list = []
+        computed: set = set()  # cache keys of every lane the kernel built
+
+        def evaluate(simulators, layers, **kwargs):
+            launches.append(len(simulators))
+            if len(launches) == 2:
+                runner.request_stop("signal", "stop inside the 2nd kernel")
+            outcome = real_evaluate(simulators, layers, **kwargs)
+            for simulator, lanes in zip(simulators, outcome.by_machine):
+                if lanes is not None:
+                    fingerprint = batch.simulator_fingerprint(simulator)
+                    computed.update(
+                        batch.layer_cache_key(fingerprint, layer, False)
+                        for layer in layers
+                    )
+            return outcome
+
+        monkeypatch.setattr(grid, "evaluate_grid", evaluate)
+        runner = SweepRunner(
+            max_workers=1,
+            cache=ResultCache(cache_dir=tmp_path),
+            manifest=CampaignManifest(tmp_path),
+        )
+        assert run_models(default_trio(), runner=runner) == {}
+        assert len(launches) == 2
+        assert runner.outcome.stop_reason == "signal"
+        assert runner.outcome.skipped == 12
+        assert runner.manifest.completed == 0
+        frames = _frames(tmp_path)
+        frames.pop("campaign.jsonl")
+        on_disk = {
+            json.loads(record)[1]
+            for records in frames.values()
+            for record in records
+        }
+        assert len(computed) == 531  # every entry of the sweep
+        assert on_disk == computed
+
+        launches.clear()
+        reader = ResultCache(cache_dir=tmp_path)
+        resumed = SweepRunner(
+            max_workers=1,
+            cache=reader,
+            manifest=CampaignManifest(tmp_path),
+            resume=True,
+        )
+        results = run_models(default_trio(), runner=resumed)
+        assert launches == []
+        assert reader.stats.misses == 0
+        assert resumed.outcome.done == 12
+        golden = json.loads(GOLDEN_DIGEST.read_text())
+        assert _digest(results) == golden["sha256"]
 
     def test_torn_group_write_loses_only_its_incomplete_frame(
         self, tmp_path, simulator

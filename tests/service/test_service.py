@@ -136,6 +136,72 @@ class TestEndToEnd:
         assert body == stored.read_bytes() == service.results_bytes(sub)
         assert body == json.dumps(service.results(sub)).encode()
 
+    def test_sweep_results_tree_is_dumped_once(
+        self, service, golden_digest, monkeypatch
+    ):
+        """The digest and ``results.json`` share one dump of the
+        results tree, and the file is still byte-identical to dumping
+        the whole payload with sorted keys."""
+        real_dumps = json.dumps
+        dumped: list = []
+
+        def dumps(obj, *args, **kwargs):
+            # The tree itself, or a payload holding it.
+            if isinstance(obj, dict) and "MobileNetV2" in obj.get(
+                "results", obj
+            ):
+                dumped.append(obj)
+            return real_dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", dumps)
+        ticket = service.submit(CAMPAIGN, tenant="alice")
+        final = service.wait(ticket["submission"], timeout_s=300)
+        monkeypatch.undo()
+        assert final["state"] == DONE
+        assert len(dumped) == 1
+        stored = service._campaign_dir(ticket["campaign"]) / "results.json"
+        data = stored.read_bytes()
+        payload = json.loads(data)
+        assert data == json.dumps(payload, sort_keys=True).encode()
+        assert list(payload) == [
+            "campaign", "digest", "kind", "report", "results"
+        ]
+        assert payload["digest"] == results_digest(payload["results"])
+        assert payload["digest"] == final["digest"] == golden_digest
+
+    def test_short_results_write_fails_the_execution(
+        self, service, golden_digest, monkeypatch
+    ):
+        """A ``results.json`` write that lands short (a disk filling up
+        mid-write) is an error, not a done campaign: the temporary file
+        is removed, no truncated file replaces ``results.json``, the
+        execution ends failed, and a resubmission runs it again."""
+        from repro.core import store
+
+        real_write = store._os_write
+
+        def short_write(fd, data):
+            if data.startswith(b"{"):  # the payload; store frames start "="
+                return real_write(fd, data[: len(data) // 2])
+            return real_write(fd, data)
+
+        monkeypatch.setattr(store, "_os_write", short_write)
+        ticket = service.submit(CAMPAIGN, tenant="alice")
+        final = service.wait(ticket["submission"], timeout_s=300)
+        monkeypatch.undo()
+        assert final["state"] == FAILED
+        assert "short write" in final["error"]
+        directory = service._campaign_dir(ticket["campaign"])
+        assert not (directory / "results.json").exists()
+        assert not (directory / ".results.json.tmp").exists()
+        with pytest.raises(ResultsNotReadyError):
+            service.results(ticket["submission"])
+        again = service.submit(CAMPAIGN, tenant="alice")
+        rerun = service.wait(again["submission"], timeout_s=300)
+        assert rerun["state"] == DONE
+        assert rerun["digest"] == golden_digest
+        assert service.results(again["submission"])["digest"] == golden_digest
+
     @pytest.mark.parametrize(
         "damage",
         [
