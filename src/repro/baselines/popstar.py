@@ -19,6 +19,8 @@ than SPACX's, which is the second energy effect the paper calls out.
 
 from __future__ import annotations
 
+import weakref
+
 from ..core.accelerator import KB, MB, AcceleratorSpec, LinkLatency
 from ..core.dataflow import DataflowKind
 from ..core.mapping import Mapping
@@ -65,6 +67,15 @@ def popstar_mrr_count(chiplets: int) -> int:
     return modulators + filters
 
 
+#: Per-model laser power, computed once: the model is bound to its
+#: configuration at construction.  Kept outside the instance, as
+#: ``spacx.power._MEMO`` is, so the simulator's fingerprint (which
+#: hashes ``vars(network_energy)``) does not change after a call.
+_LASER_W: "weakref.WeakKeyDictionary[PopstarNetworkEnergy, float]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 class PopstarNetworkEnergy:
     """Hybrid photonic-package / electrical-chiplet energy model."""
 
@@ -102,11 +113,15 @@ class PopstarNetworkEnergy:
 
     def laser_power_w(self) -> float:
         """Launch power of the crossbar's carriers (all rows lit)."""
-        per_wavelength_mw = self._laser.power_for_budget_mw(
-            self.crossbar_path_budget()
-        )
-        rows = self.chiplets + 1
-        return rows * POPSTAR_WAVELENGTHS * per_wavelength_mw * 1e-3
+        power = _LASER_W.get(self)
+        if power is None:
+            per_wavelength_mw = self._laser.power_for_budget_mw(
+                self.crossbar_path_budget()
+            )
+            rows = self.chiplets + 1
+            power = rows * POPSTAR_WAVELENGTHS * per_wavelength_mw * 1e-3
+            _LASER_W[self] = power
+        return power
 
     def network_energy(
         self,

@@ -7,7 +7,8 @@ evaluates mapping, traffic, timing, energy and the invariant audit for
 the whole ``(machines x layers)`` grid in one pass.  A single machine
 is a one-row grid (:func:`~.vectorized.simulate_layers_vectorized`);
 :func:`bounds_grid` evaluates the DSE lower bounds and
-:func:`score_grid` the DSE scores the same way.
+:func:`score_grid` the DSE scores the same way, and
+:func:`search_grid` both from one pass.
 
 **Bit-identity by construction.**  The mapping and traffic stages
 (:func:`~.vectorized._map_lanes`, :func:`~.vectorized._traffic_lanes`)
@@ -32,9 +33,10 @@ machine runs on the scalar simulator.
 columns converted with ``tolist()``.  Every campaign reads every lane
 it asked for, so nothing is deferred.  Lanes that pass the grid audit
 carry the pre-audit marker, so ``audit_model_result`` stays O(1) per
-model.  :func:`bounds_grid` and :func:`score_grid` build no lanes at
-all: a search reads three numbers per candidate, which
-:func:`workload_score` reduces from the columns bit for bit.
+model.  :func:`bounds_grid`, :func:`score_grid` and
+:func:`search_grid` build no lanes at all: a search reads three
+numbers per candidate, which :func:`workload_score` reduces from the
+columns bit for bit.
 
 **One array audit.**  :func:`_audit_grid` evaluates every check of
 ``audit_layer_result(result, spec)`` on columns.  It judges the
@@ -46,6 +48,7 @@ job in Python.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
@@ -87,6 +90,7 @@ __all__ = [
     "lane_covered",
     "preaudit_hits",
     "score_grid",
+    "search_grid",
     "workload_score",
 ]
 
@@ -393,9 +397,8 @@ def _grid_lower(specs, shared, layer_by_layer):
 
     Broadcasts the shared ``(n,)`` layer columns against per-machine
     ``(m, 1)`` parameter columns through the mapping and traffic
-    stages; shared setup of :func:`evaluate_grid` and
-    :func:`bounds_grid`.  Every spec must have passed the exactness
-    screen (:func:`_admit`).
+    stages; the setup every :class:`_GridPass` shares.  Every spec
+    must have passed the exactness screen (:func:`_admit`).
     """
     params = [spec.mapping_parameters() for spec in specs]
 
@@ -495,25 +498,71 @@ class GridOutcome:
         self.lanes = lanes
 
 
-def _evaluate_columns(simulators, layers, layer_by_layer):
-    """Admission, lowering, timing, energy and audit of one grid call.
+class _GridPass:
+    """One grid call's admission, lowering and floors stage.
 
-    Returns ``(kept, reasons, d, cols, dirty, packet)``: the admitted
-    row indexes (:func:`_admit` names why each other row was declined
-    in ``reasons``), the lowered mapping/traffic columns ``d``, every
-    lane column under the :func:`_build_lanes` names, the
-    ``(len(kept), n)`` audit mask and the kept machines' packet
-    latencies.  ``layers`` must be non-empty; when no row is admitted
-    everything after ``reasons`` is ``None``.
+    ``kept`` and ``reasons`` are :func:`_admit`'s.  When a row is kept,
+    the pass also holds the kept machines (``sims``, ``specs``), their
+    lowered mapping/traffic columns ``d`` and the floors stage: the
+    :func:`_comm_floors` triple, the computation seconds ``comp``
+    (cycles at the core clock), the active PE counts and the
+    :func:`_compute_energies` triple.  :func:`_pass_floors` turns these
+    into the DSE bounds; :func:`_pass_columns` builds the timing,
+    network-energy and audit stage on them.  Both read the same
+    arrays, so a bound and a lane never disagree about a shared input.
+    ``layers`` must be non-empty.
     """
-    kept, reasons, shared = _admit(simulators, layers, layer_by_layer)
-    if not kept:
-        return kept, reasons, None, None, None, None
 
-    sims = [simulators[j] for j in kept]
-    specs = [s.spec for s in sims]
-    d = _grid_lower(specs, shared, layer_by_layer)
+    __slots__ = (
+        "kept", "reasons", "sims", "specs", "d",
+        "comm_floors", "comp", "pes_active", "compute_mj",
+    )
 
+    def __init__(self, simulators, layers, layer_by_layer):
+        self.kept, self.reasons, shared = _admit(
+            simulators, layers, layer_by_layer
+        )
+        if not self.kept:
+            return
+        sims = self.sims = [simulators[j] for j in self.kept]
+        specs = self.specs = [s.spec for s in sims]
+        d = self.d = _grid_lower(specs, shared, layer_by_layer)
+        with np.errstate(all="ignore"):
+            self.comm_floors = _comm_floors(specs, d)
+            self.comp = d.cycles * _float_col([s.cycle_time_s for s in specs])
+            self.pes_active = d.ch_active * d.pe_active_per_chiplet
+            self.compute_mj = _compute_energies(
+                [s.compute_energy for s in sims], d, self.pes_active
+            )
+
+
+def _pass_floors(grid_pass) -> list:
+    """Each kept row's ``(time_floor_s, energy_floor_mj)`` pair per
+    layer, from a :class:`_GridPass` with kept rows: the mirror of
+    ``roofline.mapped_time_floor_s`` and the MAC + global buffer + DRAM
+    energy, as ``dse.bounds.layer_bounds`` derives them."""
+    gb_floor, ingress_floor, dram_floor = grid_pass.comm_floors
+    mac_mj, gb_mj, dram_mj = grid_pass.compute_mj
+    with np.errstate(all="ignore"):
+        floor = np.maximum(grid_pass.comp, gb_floor)
+        floor = np.maximum(floor, ingress_floor)
+        floor = np.maximum(floor, dram_floor)
+        energy = (mac_mj + gb_mj) + dram_mj
+    return [
+        list(zip(times, energies))
+        for times, energies in zip(floor.tolist(), energy.tolist())
+    ]
+
+
+def _pass_columns(grid_pass):
+    """Timing, network energy and audit of a :class:`_GridPass` with
+    kept rows: ``(cols, dirty, packet)``.
+
+    ``cols`` holds every lane column under the :func:`_build_lanes`
+    names, ``dirty`` is the ``(len(kept), n)`` audit mask and
+    ``packet`` the kept machines' packet latencies.
+    """
+    sims, specs, d = grid_pass.sims, grid_pass.specs, grid_pass.d
     split_chiplet = bool(
         specs[0].chiplet_weight_read_gbps
         and specs[0].chiplet_ifmap_read_gbps
@@ -526,9 +575,8 @@ def _evaluate_columns(simulators, layers, layer_by_layer):
         # --- communication (mirror of Simulator.communication_times,
         # per-spec scalars as (m, 1) columns; live links only)
         chiplets_active = np.maximum(1, d.ch_active)
-        pes_active = d.ch_active * d.pe_active_per_chiplet
-        pes_active_c = np.maximum(1, pes_active)
-        floors = _comm_floors(specs, d)
+        pes_active_c = np.maximum(1, grid_pass.pes_active)
+        floors = grid_pass.comm_floors
         gb_egress_s, gb_ingress_s, dram_s = floors
 
         chiplet_w = d.cw / chiplets_active
@@ -598,7 +646,7 @@ def _evaluate_columns(simulators, layers, layer_by_layer):
         busy = np.maximum(busy, dram_s)
         comm = busy + reconfiguration_s
 
-        comp = d.cycles * _float_col([s.cycle_time_s for s in specs])
+        comp = grid_pass.comp
         # Python's max(0.0, diff) keeps 0.0 when diff is NaN or -0.0;
         # np.maximum would propagate the NaN.  The select mirrors max.
         diff = comm - comp
@@ -607,7 +655,7 @@ def _evaluate_columns(simulators, layers, layer_by_layer):
 
         # --- energy (per-machine model coefficients as columns)
         models = [s.compute_energy for s in sims]
-        mac_mj, gb_mj, dram_mj = _compute_energies(models, d, pes_active)
+        mac_mj, gb_mj, dram_mj = grid_pass.compute_mj
         operand_reads = 2 * d.macs
         psum_accesses = np.where(d.psum_fanin > 1, 2 * d.psum, d.obytes)
         pe_buffer_mj = (
@@ -654,7 +702,7 @@ def _evaluate_columns(simulators, layers, layer_by_layer):
             "laser": laser_mj, "elec": electrical_mj,
         }
         dirty = _audit_grid(specs, cols, d.macs, _float_col(packet), floors)
-    return kept, reasons, d, cols, dirty, packet
+    return cols, dirty, packet
 
 
 def evaluate_grid(
@@ -676,13 +724,13 @@ def evaluate_grid(
             [{} for _ in simulators], [None] * len(simulators), 0
         )
     by_machine: list = [None] * len(simulators)
-    kept, reasons, d, cols, dirty, packet = _evaluate_columns(
-        simulators, layers, layer_by_layer
-    )
+    grid_pass = _GridPass(simulators, layers, layer_by_layer)
+    kept, reasons = grid_pass.kept, grid_pass.reasons
     if not kept:
         return GridOutcome(by_machine, reasons, 0)
+    cols, dirty, packet = _pass_columns(grid_pass)
     dataflow = simulators[kept[0]].spec.dataflow
-    pe_forwarding = bool(d.pe_forwarding)
+    pe_forwarding = bool(grid_pass.d.pe_forwarding)
     shape_keys = [layer.shape_key for layer in layers]
     lanes = 0
     for jj, j in enumerate(kept):
@@ -721,43 +769,79 @@ def score_grid(
     empty, or one of its lanes fails the array audit (strict or not:
     the runner then reproduces the raise or the job failure).  Rows
     may repeat a simulator; each machine is evaluated once.  Every
-    layer must pass :func:`lane_covered`.
+    layer must pass :func:`lane_covered`.  :func:`search_grid` with
+    every row reduced.
     """
-    scores: list = [None] * len(simulators)
+    if not layers:
+        return [None] * len(simulators)
+    _, scorers = search_grid(
+        simulators, layers, occurrences, layer_by_layer=layer_by_layer
+    )
+    return [None if scorer is None else scorer() for scorer in scorers]
+
+
+def search_grid(
+    simulators: "Sequence[Simulator]",
+    layers: "Sequence[ConvLayer]",
+    occurrences: "Sequence[Sequence[int]]",
+    *,
+    layer_by_layer: bool = False,
+) -> tuple[list, list]:
+    """Bounds and deferred scores of each row's workload, from one
+    grid pass.
+
+    Rows are as in :func:`score_grid`, and ``layers`` must be
+    non-empty.  Returns ``(floors, scorers)``: ``floors[j]`` is
+    :func:`bounds_grid`'s row for row ``j``'s machine (one
+    ``(time_floor_s, energy_floor_mj)`` pair per layer), or ``None``
+    when :func:`_admit` declines it; ``scorers[j]`` is a zero-argument
+    callable returning entry ``j`` of :func:`score_grid`, or ``None``
+    where that entry is ``None``.  The bounds and the scores share one
+    admission and one lowering, and every row's columns are computed
+    here in one vectorised step; a scorer runs :func:`workload_score`
+    only when called, so a branch-and-bound walk reduces only the rows
+    it reaches.
+    """
+    floors: list = [None] * len(simulators)
+    scorers: list = [None] * len(simulators)
     machine_of: dict[int, int] = {}
     machines: list = []
     for simulator in simulators:
         if machine_of.setdefault(id(simulator), len(machines)) == len(machines):
             machines.append(simulator)
-    if not layers:
-        return scores
-    kept, _, d, cols, dirty, _ = _evaluate_columns(
-        machines, layers, layer_by_layer
-    )
-    if not kept:
-        return scores
+    grid_pass = _GridPass(machines, layers, layer_by_layer)
+    if not grid_pass.kept:
+        return floors, scorers
+    cols, dirty, _ = _pass_columns(grid_pass)
+    rows = _pass_floors(grid_pass)
     shape = dirty.shape
     with np.errstate(all="ignore"):
-        exec_rows = np.broadcast_to(cols["comp"] + cols["exposed"], shape)
-    exec_rows = exec_rows.tolist()
-    cycle_rows = np.broadcast_to(cols["cycles"], shape).tolist()
+        exec_s = np.broadcast_to(cols["comp"] + cols["exposed"], shape)
+    cycles = np.broadcast_to(cols["cycles"], shape)
     energies = np.stack(
         [np.broadcast_to(cols[name], shape) for name in _ENERGY_COLS]
     )
-    macs = d.macs.tolist()
-    row_of = {m: jj for jj, m in enumerate(kept)}
+    macs = grid_pass.d.macs.tolist()
+
+    def score_row(jj, occ, params):
+        return workload_score(
+            occ, exec_s[jj].tolist(), energies[:, jj], macs,
+            cycles[jj].tolist(), params,
+        )
+
+    row_of = {m: jj for jj, m in enumerate(grid_pass.kept)}
     dirty_rows = dirty.any(axis=1).tolist()
     for j, (simulator, occ) in enumerate(zip(simulators, occurrences)):
         jj = row_of.get(machine_of[id(simulator)])
-        if jj is None or not occ:
+        if jj is None:
             continue
-        if dirty_rows[jj] and bool(dirty[jj, occ].any()):
+        floors[j] = rows[jj]
+        if not occ or (dirty_rows[jj] and bool(dirty[jj, occ].any())):
             continue
-        scores[j] = workload_score(
-            occ, exec_rows[jj], energies[:, jj], macs, cycle_rows[jj],
-            simulator.spec.mapping_parameters(),
+        scorers[j] = partial(
+            score_row, jj, occ, simulator.spec.mapping_parameters()
         )
-    return scores
+    return floors, scorers
 
 
 def workload_score(occ, exec_s, energy, macs, cycles, params) -> tuple:
@@ -1071,40 +1155,14 @@ def bounds_grid(
     model simply takes the scalar path, bit-identically); every layer
     must pass :func:`lane_covered`.  Each floor pair is bit-identical
     to the scalar ``layer_bounds`` derivation: the mapping, traffic,
-    transfer-floor and compute-energy columns are the ones
-    :func:`evaluate_grid` builds.
+    transfer-floor and compute-energy columns are the floors stage
+    :func:`evaluate_grid` builds its timing and energy on.
     """
-    n = len(layers)
-    if n == 0:
+    if not layers:
         return [[] for _ in simulators], [None] * len(simulators)
     rows: list = [None] * len(simulators)
-    kept, reasons, shared = _admit(simulators, layers, layer_by_layer)
-    if not kept:
-        return rows, reasons
-
-    sims = [simulators[j] for j in kept]
-    specs = [s.spec for s in sims]
-    d = _grid_lower(specs, shared, layer_by_layer)
-
-    with np.errstate(all="ignore"):
-        # --- time floor (mirror of roofline.mapped_time_floor_s)
-        gb_floor, ingress_floor, dram_floor = _comm_floors(specs, d)
-        comp_floor = d.cycles * _float_col(
-            [spec.cycle_time_s for spec in specs]
-        )
-        floor = np.maximum(comp_floor, gb_floor)
-        floor = np.maximum(floor, ingress_floor)
-        floor = np.maximum(floor, dram_floor)
-
-        # --- energy floor: MAC + global buffer + DRAM
-        pes_active = d.ch_active * d.pe_active_per_chiplet
-        mac_mj, gb_mj, dram_mj = _compute_energies(
-            [sim.compute_energy for sim in sims], d, pes_active
-        )
-        energy = (mac_mj + gb_mj) + dram_mj
-
-        floors_l = floor.tolist()
-        energy_l = energy.tolist()
-    for jj, j in enumerate(kept):
-        rows[j] = list(zip(floors_l[jj], energy_l[jj]))
-    return rows, reasons
+    grid_pass = _GridPass(simulators, layers, layer_by_layer)
+    if grid_pass.kept:
+        for j, row in zip(grid_pass.kept, _pass_floors(grid_pass)):
+            rows[j] = row
+    return rows, grid_pass.reasons

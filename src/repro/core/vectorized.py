@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import threading
-import weakref
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -95,16 +94,6 @@ _SUPPORTED_DATAFLOWS = (
 _NETWORK_LOWERERS: dict[type, Callable] = {}
 _BUILTINS_REGISTERED = False
 
-#: Per-model scalar coefficients for the stock lowerers.  A power model
-#: is configuration bound at construction (topology + parameters never
-#: change afterwards, exactly as the scalar ``network_energy`` path
-#: assumes), so the walk over link budgets that produces the static
-#: mW coefficients is pure per machine.  Campaigns re-enter a lowerer
-#: once per machine row of every grid launch, and the budget walk was
-#: dominating the lowering cost.  Keyed weakly on the model instance:
-#: a rebuilt model gets fresh coefficients, a dead one drops its entry.
-_LOWER_COEFFS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
 
 def register_network_lowerer(model_type: type, lowerer: Callable) -> None:
     """Register a vectorized network-energy lowering.
@@ -133,39 +122,26 @@ def _ensure_builtin_lowerers() -> None:
 
     def lower_spacx(model, tr, exec_s):
         # Mirrors SpacxPowerModel.network_energy: every term is
-        # (static coefficient) * execution time; the coefficients are
-        # the exact left-to-right products of the scalar expressions,
-        # computed once per model (the link-budget walk is pure
-        # per-machine work -- see _LOWER_COEFFS).
-        coeffs = _LOWER_COEFFS.get(model)
-        if coeffs is None:
-            coeffs = (
-                model.transceiver.tx_total_mw * model.active_tx_endpoints(),
-                model.transceiver.rx_total_mw * model.active_rx_endpoints(),
-                model.params.ring_heating_mw * model.idle_heated_mrrs(),
-                model.laser_power_w() * 1e3,
-            )
-            _LOWER_COEFFS[model] = coeffs
-        eo_c, oe_c, heat_c, laser_c = coeffs
+        # (static coefficient) * execution time, the coefficient being
+        # the exact left-to-right product of the scalar expression.  The
+        # model computes its laser power once.
         zeros = np.zeros(exec_s.shape)
         return (
-            eo_c * exec_s,
-            oe_c * exec_s,
-            heat_c * exec_s,
-            laser_c * exec_s,
+            (model.transceiver.tx_total_mw * model.active_tx_endpoints())
+            * exec_s,
+            (model.transceiver.rx_total_mw * model.active_rx_endpoints())
+            * exec_s,
+            (model.params.ring_heating_mw * model.idle_heated_mrrs()) * exec_s,
+            (model.laser_power_w() * 1e3) * exec_s,
             zeros,
         )
 
     def lower_popstar(model, tr, exec_s):
-        coeffs = _LOWER_COEFFS.get(model)
-        if coeffs is None:
-            coeffs = (
-                model.params.ring_heating_mw * popstar_mrr_count(model.chiplets),
-                model.laser_power_w() * 1e3,
-                CHIPLET_LINK.energy_pj_per_bit(model._chiplet_mesh.chiplet_hops),
-            )
-            _LOWER_COEFFS[model] = coeffs
-        heat_c, laser_c, chiplet_pj = coeffs
+        heat_c = model.params.ring_heating_mw * popstar_mrr_count(model.chiplets)
+        laser_c = model.laser_power_w() * 1e3
+        chiplet_pj = CHIPLET_LINK.energy_pj_per_bit(
+            model._chiplet_mesh.chiplet_hops
+        )
         package_bits = (tr.gb_send + tr.out) * 8
         eo = (package_bits * model.transceiver.eo_energy_pj_per_bit) * 1e-9
         oe = (package_bits * model.transceiver.oe_energy_pj_per_bit) * 1e-9

@@ -39,6 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.simulator import Simulator
 
 __all__ = [
+    "fold_bound",
     "frontier_bounds",
     "layer_bounds",
     "model_energy_lower_bound_mj",
@@ -127,6 +128,27 @@ def objective_lower_bound(
     )[0]
 
 
+def fold_bound(terms, objective: str) -> float:
+    """One workload's objective floor from its per-layer floors.
+
+    ``terms`` yields ``(multiplicity, (time_floor_s, energy_floor_mj))``
+    per unique layer, in ``unique_layers`` order.  The floors are
+    folded left to right from ``0.0`` as ``count * floor`` -- the order
+    and operations ``simulate_model`` accumulates with -- so every
+    caller gets the same bits for the same floors.
+    """
+    time_floor = 0.0
+    energy_floor = 0.0
+    for count, (time_s, energy_mj) in terms:
+        time_floor += count * time_s
+        energy_floor += count * energy_mj
+    if objective == "execution_time":
+        return time_floor
+    if objective == "energy":
+        return energy_floor
+    return time_floor * energy_floor
+
+
 def frontier_bounds(
     pairs,
     objective: str,
@@ -146,10 +168,9 @@ def frontier_bounds(
     and machines the grid declines take the scalar :func:`layer_bounds`.
 
     Grid floors match the scalar derivation lane-for-lane, and the
-    per-model accumulation runs in ``unique_layers`` order with the
-    same operations, so the output is bit-identical to the scalar
-    path and branch-and-bound prune decisions cannot depend on the
-    batching.
+    per-model accumulation is :func:`fold_bound`, so the output is
+    bit-identical to the scalar path and branch-and-bound prune
+    decisions cannot depend on the batching.
     """
     if objective not in _OBJECTIVES:
         raise ConfigError(
@@ -207,23 +228,17 @@ def frontier_bounds(
             if row is not None:
                 floors[sim_id] = dict(zip(union, row))
 
-    out = []
-    for simulator, model in pairs:
+    def terms(simulator, model):
         row = floors.get(id(simulator), {})
-        time_floor = 0.0
-        energy_floor = 0.0
         for layer, shape, count, covered in walk(model):
             pair = row.get(shape) if covered else None
             if pair is None:
                 pair = layer_bounds(
                     simulator, layer, layer_by_layer=layer_by_layer
                 )
-            time_floor += count * pair[0]
-            energy_floor += count * pair[1]
-        if objective == "execution_time":
-            out.append(time_floor)
-        elif objective == "energy":
-            out.append(energy_floor)
-        else:
-            out.append(time_floor * energy_floor)
-    return out
+            yield count, pair
+
+    return [
+        fold_bound(terms(simulator, model), objective)
+        for simulator, model in pairs
+    ]

@@ -5,7 +5,7 @@ chosen from what the engine can observe of its runner:
 
 * *lane-free* -- when the runner would persist nothing and stop for
   nothing (vectorized, no budget, no manifest, no disk tier),
-  :func:`repro.core.grid.score_grid` scores candidates
+  :func:`repro.core.grid.search_grid` scores candidates
   straight from the kernel's columns: the three numbers a score reads,
   bit-identical to reading a ``ModelResult``, with no ``LayerResult``
   built and no runner call;
@@ -28,10 +28,11 @@ The strategies:
   reported as evaluated.  Because the bounds are admissible and the
   tie-break (objective value, candidate index) matches the exhaustive
   path exactly, the argmin is **bit-identical** to exhaustive search
-  -- only the evaluation count differs.  Lane-free, the whole frontier
-  is scored in one pass up front and the chunked walk is replayed over
-  those scores; a score the walk never reaches is dropped, so it never
-  reaches the result;
+  -- only the evaluation count differs.  Lane-free, one grid pass per
+  family chunk yields both the bounds and the scores of the whole
+  frontier, and the chunked walk reduces a candidate's score only when
+  it reaches the candidate: a pruned candidate costs its share of the
+  vectorised pass, never a reduction;
 * ``halving`` -- successive halving: rungs evaluate survivors on
   growing *prefixes* of the workload's unique layers and keep the
   better half, then the finalists run the full workload.  A documented
@@ -69,6 +70,7 @@ from ..core.metrics import ModelResult
 from ..core.simulator import Simulator
 from ..errors import ConfigError
 from .bounds import (
+    fold_bound,
     frontier_bounds,
     objective_lower_bound,
     static_network_power_w,
@@ -442,26 +444,27 @@ class SearchEngine:
         workloads: list[LayerSet] | None = None,
         *,
         record: bool = True,
-        lane_free: list[tuple | None] | None = None,
+        lane_free: list | None = None,
     ) -> list[CandidateScore | None]:
-        """Score entries: lane-free when :meth:`_score_lane_free`
-        scored every one of them, otherwise all of them through the
-        sweep runner in one ``runner.run`` call, exactly as without
-        the lane-free route.
+        """Score entries: lane-free when :meth:`_lane_free` can score
+        every one of them, otherwise all of them through the sweep
+        runner in one ``runner.run`` call, exactly as without the
+        lane-free route.
 
         ``workloads`` overrides per-entry workloads (the halving
         strategy's proxy rungs); ``record=False`` keeps proxy scores
-        out of ``result.evaluated``.  ``lane_free`` passes scores
-        computed ahead (the pruned strategy scores its whole frontier
-        in one pass).  Only a runner call can fail a candidate or set
+        out of ``result.evaluated``.  ``lane_free`` passes the scorers
+        of a pass made ahead (the pruned strategy bounds and scores its
+        whole frontier in one pass); a scorer reduces its row only
+        here.  Only a runner call can fail a candidate or set
         ``result.outcome``.
         """
         if not entries:
             return []
         if lane_free is None:
-            lane_free = self._score_lane_free(entries, workloads)
+            lane_free, _ = self._lane_free(entries, workloads)
         if (
-            any(row is None for row in lane_free)
+            any(scorer is None for scorer in lane_free)
             or self.runner.stopped
             or global_stop() is not None
         ):
@@ -483,30 +486,45 @@ class SearchEngine:
             ]
         else:
             scores = [
-                self._candidate_score(entry, *row)
-                for entry, row in zip(entries, lane_free)
+                self._candidate_score(entry, *scorer())
+                for entry, scorer in zip(entries, lane_free)
             ]
         if record:
             result.evaluated.extend(s for s in scores if s is not None)
         return scores
 
-    def _score_lane_free(
-        self, entries: list[_Entry], workloads: list[LayerSet] | None = None
-    ) -> list[tuple | None]:
-        """Each entry's :func:`~repro.core.grid.workload_score` triple
-        from :func:`~repro.core.grid.score_grid`, which builds no
-        lanes; ``None`` marks an entry the grid cannot score.
+    def _lane_free(
+        self,
+        entries: list[_Entry],
+        workloads: list[LayerSet] | None = None,
+        *,
+        bound: bool = False,
+    ) -> tuple[list, list]:
+        """``(scorers, bounds)`` of the entries from one
+        :func:`~repro.core.grid.search_grid` pass per family chunk,
+        which builds no lanes.
+
+        ``scorers[k]`` is a zero-argument callable returning entry
+        ``k``'s :func:`~repro.core.grid.workload_score` triple, or
+        ``None`` when the grid cannot score it; the reduction runs only
+        when the scorer is called.  With ``bound``, ``bounds[k]`` is
+        entry ``k``'s objective lower bound, folded
+        (:func:`~repro.dse.bounds.fold_bound`) from the same pass's
+        floors, bit-identical to :func:`frontier_bounds`; ``None`` marks
+        an entry the pass cannot bound.
 
         Only for a runner that would persist nothing and stop for
         nothing: vectorized, no budget, no manifest and no disk tier
         (a repeat search must still be served from the shards).
         Otherwise every slot is ``None``.  Entries are grouped by
         :func:`~repro.core.grid.family_key`, and each group's union of
-        shapes is scored in machine chunks under the runner's lane
-        budget, as the runner's grid groups are; a chunk whose scoring
-        raises is left to the runner whole.
+        shapes is evaluated in machine chunks under the runner's lane
+        budget, as the runner's grid groups are; a chunk whose pass
+        raises is left to the runner (and to :func:`frontier_bounds`)
+        whole.
         """
-        rows: list[tuple | None] = [None] * len(entries)
+        scorers: list = [None] * len(entries)
+        bounds: list = [None] * len(entries)
         runner = self.runner
         if (
             not runner.vectorize
@@ -514,9 +532,9 @@ class SearchEngine:
             or runner.manifest is not None
             or getattr(runner.cache, "cache_dir", None) is not None
         ):
-            return rows
-        #: workload id -> its _model_structure, or None when it is
-        #: empty or holds a layer outside the grid's lane coverage.
+            return scorers, bounds
+        #: workload id -> (workload, its _model_structure), or None when
+        #: it is empty or holds a layer outside the grid's lane coverage.
         structures: dict[int, tuple | None] = {}
         gaps: dict[int, str | None] = {}
         groups: dict[tuple, list[tuple[int, int]]] = {}
@@ -528,7 +546,7 @@ class SearchEngine:
                 structure = _model_structure(workload)
                 unique = structure[0]
                 structures[wid] = (
-                    structure
+                    (workload, structure)
                     if unique and all(map(grid.lane_covered, unique))
                     else None
                 )
@@ -538,38 +556,49 @@ class SearchEngine:
                 key = grid.family_key(simulator, self.layer_by_layer)
                 groups.setdefault(key, []).append((k, wid))
         for members in groups.values():
-            # The group's union of shapes, and each workload's layer
-            # occurrences as indexes into it.
+            # The group's union of shapes; for each workload, the lanes
+            # and multiplicities of its unique layers and its layer
+            # occurrences, as indexes into the union.
             lane_of: dict[tuple, int] = {}
             layers: list = []
-            occurrences: dict[int, list[int]] = {}
+            walks: dict[int, tuple[list[int], list[int], list[int]]] = {}
             for _, wid in members:
-                if wid in occurrences:
+                if wid in walks:
                     continue
-                unique, shapes, occ = structures[wid]
+                workload, (unique, shapes, occ) = structures[wid]
                 for shape, layer in zip(shapes, unique):
                     if shape not in lane_of:
                         lane_of[shape] = len(layers)
                         layers.append(layer)
                 lanes = [lane_of[shape] for shape in shapes]
-                occurrences[wid] = list(map(lanes.__getitem__, occ))
+                walks[wid] = (
+                    lanes,
+                    list(map(workload.multiplicity, unique)),
+                    list(map(lanes.__getitem__, occ)),
+                )
             per_chunk = max(1, _GRID_LANE_BUDGET // len(layers))
             for start in range(0, len(members), per_chunk):
                 chunk = members[start : start + per_chunk]
                 try:
-                    scored = grid.score_grid(
+                    floors, scored = grid.search_grid(
                         [entries[k].simulator for k, _ in chunk],
                         layers,
-                        [occurrences[wid] for _, wid in chunk],
+                        [walks[wid][2] for _, wid in chunk],
                         layer_by_layer=self.layer_by_layer,
                     )
                 except Exception as exc:
                     # The runner meets the same fault and reports it.
                     logger.warning("lane-free scoring declined: %r", exc)
                     continue
-                for (k, _), row in zip(chunk, scored):
-                    rows[k] = row
-        return rows
+                for (k, wid), row, scorer in zip(chunk, floors, scored):
+                    scorers[k] = scorer
+                    if bound and row is not None:
+                        lanes, counts, _ = walks[wid]
+                        bounds[k] = fold_bound(
+                            zip(counts, map(row.__getitem__, lanes)),
+                            self.objective,
+                        )
+        return scorers, bounds
 
     def _score(self, entry: _Entry, output: ModelResult) -> CandidateScore:
         params = entry.simulator.spec.mapping_parameters()
@@ -642,24 +671,29 @@ class SearchEngine:
         evaluated, so the (value, index) tie-break sees the same set
         of minimisers exhaustive search would.
         """
-        # Bound the whole frontier in one grid-batched pass: dense
-        # same-family candidate sets lower once instead of per machine.
-        # Floors are bit-identical to per-entry lower_bound() calls, so
-        # the bound-sorted order -- and every prune decision -- is too.
-        bounds = frontier_bounds(
-            [(e.simulator, e.workload) for e in entries],
-            self.objective,
-            layer_by_layer=self.layer_by_layer,
+        # One grid pass per family chunk bounds and scores the whole
+        # frontier; an entry it cannot bound is bounded by
+        # frontier_bounds.  Floors are bit-identical to per-entry
+        # lower_bound() calls either way, so the bound-sorted order --
+        # and every prune decision -- is too.  The walk then reduces a
+        # score only when it reaches the entry; an entry without a
+        # scorer runs, with its chunk, through the runner.
+        scorers, bounds = self._lane_free(
+            entries, bound=self.objective != "static_power"
         )
-        # Score the whole frontier up front, then replay the sequential
-        # cut over those scores: a score the walk never reaches is
-        # dropped, and an entry without one runs, with its chunk,
-        # through the runner when the walk reaches it.
-        lane_free = self._score_lane_free(entries)
+        unbounded = [k for k, bound in enumerate(bounds) if bound is None]
+        if unbounded:
+            rest = frontier_bounds(
+                [(entries[k].simulator, entries[k].workload) for k in unbounded],
+                self.objective,
+                layer_by_layer=self.layer_by_layer,
+            )
+            for k, bound in zip(unbounded, rest):
+                bounds[k] = bound
         order = sorted(
             (
-                (bound, e.candidate.index, e, row)
-                for bound, e, row in zip(bounds, entries, lane_free)
+                (bound, e.candidate.index, e, scorer)
+                for bound, e, scorer in zip(bounds, entries, scorers)
             ),
             key=lambda t: (t[0], t[1]),
         )
@@ -668,13 +702,13 @@ class SearchEngine:
         i = 0
         while i < len(order):
             take: list[_Entry] = []
-            ready: list[tuple | None] = []
+            ready: list = []
             while i < len(order) and len(take) < chunk:
-                bound, _, entry, row = order[i]
+                bound, _, entry, scorer = order[i]
                 if bound > incumbent:
                     break
                 take.append(entry)
-                ready.append(row)
+                ready.append(scorer)
                 i += 1
             if not take:
                 break

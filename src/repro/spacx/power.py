@@ -24,6 +24,7 @@ waveguides once near the GB.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from ..core.mapping import Mapping
@@ -43,6 +44,20 @@ CHIPLET_PITCH_CM = 0.25
 PE_PITCH_CM = 0.05
 #: Waveguide stub between the GB and the first chiplet.
 GB_STUB_CM = 0.5
+
+#: Per-model memo: the X and Y path-budget items, then (once asked
+#: for) the laser power.  A power model is bound to its configuration
+#: at construction, so both are pure per instance; validation, the
+#: grid's network-energy lowerer and the static-power report all read
+#: them.  The table lives outside the instance because
+#: ``batch._object_state`` fingerprints a simulator from
+#: ``vars(network_energy)``: a memo kept on the model would change its
+#: cache keys after the first call.  Keyed weakly, so a rebuilt model
+#: starts afresh and a dead one drops its entry.  Two threads racing on
+#: a cold entry both compute it and store equal values.
+_MEMO: "weakref.WeakKeyDictionary[SpacxPowerModel, list]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 @dataclass(frozen=True)
@@ -105,10 +120,32 @@ class SpacxPowerModel:
         topo = self.topology
         return max(0, topo.n_chiplet_groups - 1) + max(0, topo.n_pe_groups - 1)
 
+    def _memo(self) -> list:
+        """``[x items, y items, laser power or None]`` of this model."""
+        memo = _MEMO.get(self)
+        if memo is None:
+            memo = _MEMO[self] = [
+                tuple(self._walk_x_path().items),
+                tuple(self._walk_y_path().items),
+                None,
+            ]
+        return memo
+
     def x_path_budget(self) -> LinkBudget:
         """Worst-case cross-chiplet broadcast path: GB to the last
         chiplet of a group, then along the local waveguide to the last
-        PE position's filter."""
+        PE position's filter.  A fresh budget on every call: the items
+        are walked once per model and shared (they are frozen), the
+        list is the caller's."""
+        return LinkBudget(self.params, list(self._memo()[0]))
+
+    def y_path_budget(self) -> LinkBudget:
+        """Worst-case single-chiplet broadcast path: GB to the last
+        chiplet's interface filter, then split across its PEs.  A fresh
+        budget on every call, as :meth:`x_path_budget`."""
+        return LinkBudget(self.params, list(self._memo()[1]))
+
+    def _walk_x_path(self) -> LinkBudget:
         topo = self.topology
         budget = LinkBudget(self.params)
         budget.add_laser_source()
@@ -129,9 +166,7 @@ class SpacxPowerModel:
         budget.add_receiver()
         return budget
 
-    def y_path_budget(self) -> LinkBudget:
-        """Worst-case single-chiplet broadcast path: GB to the last
-        chiplet's interface filter, then split across its PEs."""
+    def _walk_y_path(self) -> LinkBudget:
         topo = self.topology
         budget = LinkBudget(self.params)
         budget.add_laser_source()
@@ -155,20 +190,24 @@ class SpacxPowerModel:
     # Static power (Figures 19/20)
     # ------------------------------------------------------------------
     def laser_power_w(self) -> float:
-        """Total laser power across all waveguides and carriers."""
-        topo = self.topology
-        x_budget = self.x_path_budget()
-        y_budget = self.y_path_budget()
-        penalty = self._crosstalk_penalty_db()
-        if penalty:
-            x_budget._add("crosstalk penalty", penalty)
-            y_budget._add("crosstalk penalty", penalty)
-        per_x_mw = self._laser.power_for_budget_mw(x_budget)
-        per_y_mw = self._laser.power_for_budget_mw(y_budget)
-        per_waveguide_mw = (
-            topo.k_granularity * per_x_mw + topo.ef_granularity * per_y_mw
-        )
-        return topo.n_global_waveguides * per_waveguide_mw * 1e-3
+        """Total laser power across all waveguides and carriers
+        (computed once per model)."""
+        memo = self._memo()
+        if memo[2] is None:
+            topo = self.topology
+            x_budget = self.x_path_budget()
+            y_budget = self.y_path_budget()
+            penalty = self._crosstalk_penalty_db()
+            if penalty:
+                x_budget._add("crosstalk penalty", penalty)
+                y_budget._add("crosstalk penalty", penalty)
+            per_x_mw = self._laser.power_for_budget_mw(x_budget)
+            per_y_mw = self._laser.power_for_budget_mw(y_budget)
+            per_waveguide_mw = (
+                topo.k_granularity * per_x_mw + topo.ef_granularity * per_y_mw
+            )
+            memo[2] = topo.n_global_waveguides * per_waveguide_mw * 1e-3
+        return memo[2]
 
     def transceiver_power_w(self) -> float:
         """MRR heaters plus transmitter/receiver circuitry.

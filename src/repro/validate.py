@@ -64,6 +64,7 @@ __all__ = [
     "validate_photonic_parameters",
     "validate_wdm_density",
     "validate_link_budget",
+    "validate_power_model",
     "validate_spec",
     "validate_model",
     "validate_simulator",
@@ -451,12 +452,34 @@ def validate_link_budget(
 ) -> ValidationReport:
     """Check that the Eq. (2) laser link budget closes.
 
-    Rebuilds the worst-case X (cross-chiplet) and Y (single-chiplet)
-    path budgets through :class:`~repro.spacx.power.SpacxPowerModel`
-    and compares the required per-wavelength launch power against the
-    physical ceiling.  Also folds in the WDM density / crosstalk
-    bounds of :func:`validate_wdm_density`.
+    Builds the :class:`~repro.spacx.power.SpacxPowerModel` of this
+    topology and parameter set (pitch-constant geometry, no floorplan)
+    and checks it with :func:`validate_power_model`.
     """
+    return validate_power_model(
+        SpacxPowerModel(topology, params, crosstalk=crosstalk),
+        max_launch_power_mw=max_launch_power_mw,
+        subject=subject,
+    )
+
+
+def validate_power_model(
+    power_model: SpacxPowerModel,
+    *,
+    max_launch_power_mw: float = MAX_LAUNCH_POWER_PER_WAVELENGTH_MW,
+    subject: str | None = None,
+) -> ValidationReport:
+    """Check that a SPACX power model's Eq. (2) link budget closes.
+
+    Reads the model's own worst-case X (cross-chiplet) and Y
+    (single-chiplet) path budgets -- so an attached floorplan's
+    geometry counts -- and compares the required per-wavelength launch
+    power against the physical ceiling.  Also folds in the WDM density
+    / crosstalk bounds of :func:`validate_wdm_density`.
+    """
+    topology = power_model.topology
+    params = power_model.params
+    crosstalk = power_model.crosstalk
     if subject is None:
         subject = (
             f"spacx[M={topology.chiplets} N={topology.pes_per_chiplet} "
@@ -471,7 +494,6 @@ def validate_link_budget(
             subject=subject,
         )
     )
-    power_model = SpacxPowerModel(topology, params, crosstalk=crosstalk)
     try:
         penalty_db = power_model._crosstalk_penalty_db()
     except ValueError as exc:
@@ -716,22 +738,17 @@ def validate_simulator(simulator: Simulator, subject: str | None = None) -> Vali
 
     For photonic machines (anything whose network-energy model exposes
     the :class:`~repro.spacx.power.SpacxPowerModel` surface) the link
-    budget and WDM density checks run against the *attached* topology
-    and parameter set; electrical baselines get the spec checks only.
+    budget and WDM density checks run on the *attached* power model
+    (:func:`validate_power_model`): its topology, parameter set,
+    crosstalk model and floorplan, and the path budgets its laser power
+    comes from.  Electrical baselines get the spec checks only.
     """
     report = validate_spec(simulator.spec)
     if subject is not None:
         report.subject = subject
     network = simulator.network_energy
     if hasattr(network, "x_path_budget") and hasattr(network, "topology"):
-        report.merge(
-            validate_link_budget(
-                network.topology,
-                network.params,
-                crosstalk=getattr(network, "crosstalk", None),
-                subject=report.subject,
-            )
-        )
+        report.merge(validate_power_model(network, subject=report.subject))
     return report
 
 

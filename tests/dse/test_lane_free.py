@@ -4,7 +4,7 @@ kernel's columns, and every result equals the sweep runner's.
 * a Hypothesis property over random small spaces, every objective and
   strategy, one and two workers: the default engine's
   ``SearchResult.to_dict()`` equals that of an engine over the scalar
-  runner, and a pruned search drops the scores its walk never reaches;
+  runner, and a pruned search reduces only the rows its walk reaches;
 * failing candidates fail only when the walk reaches them, exactly as
   on the runner path;
 * routing: what keeps the runner, and that the lane-free route builds
@@ -105,17 +105,30 @@ def _spaces(draw):
     return dims
 
 
-class _ScoreSpy:
-    """Collects every row :func:`repro.core.grid.score_grid` scores."""
+class _ReduceSpy:
+    """Collects every row :func:`repro.core.grid.workload_score`
+    reduces to a score."""
 
     def __init__(self):
         self.rows: list = []
-        self._real = grid.score_grid
+        self._real = grid.workload_score
 
     def __call__(self, *args, **kwargs):
-        rows = self._real(*args, **kwargs)
-        self.rows.extend(rows)
-        return rows
+        row = self._real(*args, **kwargs)
+        self.rows.append(row)
+        return row
+
+
+def _triple(score) -> tuple:
+    """A ``CandidateScore`` (or its ``to_dict()``) as the reducer's
+    ``(execution_time_s, energy_mj, mean_utilization)``."""
+    if isinstance(score, dict):
+        return (
+            score["execution_time_s"],
+            score["energy_mj"],
+            score["mean_utilization"],
+        )
+    return (score.execution_time_s, score.energy_mj, score.mean_utilization)
 
 
 @settings(
@@ -134,9 +147,9 @@ def test_lane_free_search_equals_scalar_runner(dims, objective, strategy, worker
     # Cache-free runners: the reference is always the scalar oracle (no
     # lane another test cached), and the default engine takes the
     # lane-free route wherever the grid can score.
-    spy = _ScoreSpy()
+    spy = _ReduceSpy()
     runner = SweepRunner(max_workers=workers, cache=NullCache(), manifest=False)
-    with mock.patch.object(grid, "score_grid", spy):
+    with mock.patch.object(grid, "workload_score", spy):
         fast = _outcome(dims, objective, strategy, runner)
     slow = _outcome(
         dims,
@@ -151,23 +164,33 @@ def test_lane_free_search_equals_scalar_runner(dims, objective, strategy, worker
     )
     assert json.dumps(fast, sort_keys=True) == json.dumps(slow, sort_keys=True)
     if isinstance(fast, dict) and strategy == "pruned" and not runner.stats:
-        # Every feasible candidate was scored once, up front; the walk
-        # recorded the evaluated ones and dropped the pruned ones.
-        assert None not in spy.rows
-        assert len(spy.rows) == fast["n_feasible"]
-        assert len(spy.rows) - fast["n_evaluated"] == fast["n_pruned"]
+        # The walk reduced a row only when it evaluated the candidate:
+        # one reduction per evaluated candidate, none for a pruned one.
+        assert len(spy.rows) == fast["n_evaluated"]
+        assert sorted(spy.rows) == sorted(map(_triple, fast["evaluated"]))
         if fast["n_pruned"]:
-            event("pruned search dropped speculative scores")
+            event("pruned search reduced no pruned candidate's row")
 
 
 def test_pruned_search_drops_speculative_scores():
-    spy = _ScoreSpy()
-    with mock.patch.object(grid, "score_grid", spy):
+    spy = _ReduceSpy()
+    with mock.patch.object(grid, "workload_score", spy):
         result = _tiny_pruned()
-    assert len(spy.rows) == result.n_feasible == 4 and None not in spy.rows
-    assert result.n_pruned > 0
+    assert result.n_feasible == 4 and result.n_pruned > 0
     assert len(result.evaluated) == 4 - result.n_pruned
     assert result.failures == [] and result.outcome is None
+    # Rows reduced == candidates evaluated, and no pruned candidate's
+    # row was reduced (its exhaustive score never came out of the spy).
+    assert len(spy.rows) == result.n_evaluated
+    assert sorted(spy.rows) == sorted(map(_triple, result.evaluated))
+    exhaustive = SearchEngine(
+        SearchSpace.from_dict(_TINY),
+        objective="execution_time",
+        runner=SweepRunner(cache=NullCache(), manifest=False),
+    ).search("exhaustive")
+    by_index = {s.index: _triple(s) for s in exhaustive.evaluated}
+    for pruned in result.pruned:
+        assert by_index[pruned.index] not in spy.rows
 
 
 # ----------------------------------------------------------------------

@@ -95,8 +95,6 @@ class TestPruned:
         strategy matches the exhaustive argmin bit-for-bit while
         dispatching <= 60% of the candidates to the simulator."""
         for name, preset in PRESETS.items():
-            if name == "granularity-pareto":
-                continue  # exercised (heavier) in CI / benchmarks
             exhaustive = _engine(
                 preset.space(),
                 objective=preset.objective,

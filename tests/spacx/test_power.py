@@ -145,3 +145,68 @@ class TestCrosstalkRefinement:
             plain.topology, MODERATE_PARAMETERS, crosstalk=DEFAULT_CROSSTALK
         )
         assert refined.transceiver_power_w() == plain.transceiver_power_w()
+
+
+def _fresh(refinement):
+    """A new model of the 32 x 32 machine at e/f = 8, k = 16: plain,
+    with the default crosstalk model or with its floorplan."""
+    from repro.photonics.crosstalk import DEFAULT_CROSSTALK
+    from repro.spacx.floorplan import Floorplan
+
+    topo = _model().topology
+    if refinement == "crosstalk":
+        return SpacxPowerModel(
+            topo, MODERATE_PARAMETERS, crosstalk=DEFAULT_CROSSTALK
+        )
+    if refinement == "floorplan":
+        return SpacxPowerModel(
+            topo, MODERATE_PARAMETERS, floorplan=Floorplan(topo)
+        )
+    return SpacxPowerModel(topo, MODERATE_PARAMETERS)
+
+
+class TestMemoisedBudgets:
+    """A model walks its path budgets and computes its laser power
+    once; every call still hands out a budget of its own."""
+
+    @pytest.mark.parametrize("refinement", ["plain", "crosstalk", "floorplan"])
+    def test_memo_equals_a_fresh_walk(self, refinement):
+        model = _fresh(refinement)
+        laser = model.laser_power_w()
+        for _ in range(2):
+            fresh = _fresh(refinement)
+            assert model.x_path_budget().items == fresh._walk_x_path().items
+            assert model.y_path_budget().items == fresh._walk_y_path().items
+            assert model.laser_power_w() == laser == fresh.laser_power_w()
+
+    def test_a_returned_budget_is_the_callers(self):
+        model = _fresh("crosstalk")
+        expected_x = model._walk_x_path().items
+        expected_y = model._walk_y_path().items
+        for budget in (model.x_path_budget(), model.y_path_budget()):
+            budget.add_bends(3)
+            budget.items.pop(0)
+        # laser_power_w appends the crosstalk penalty to its own copies.
+        assert model.laser_power_w() == _fresh("crosstalk").laser_power_w()
+        assert model.x_path_budget().items == expected_x
+        assert model.y_path_budget().items == expected_y
+
+    @pytest.mark.parametrize(
+        "name", ["simba", "popstar", "spacx", "spacx-ba", "spacx-aggressive"]
+    )
+    def test_memo_leaves_fingerprints_alone(self, name):
+        # The memo lives outside the model: the fingerprint (and so the
+        # cache keys) must not depend on whether validation ran first.
+        from repro.core.batch import simulator_fingerprint
+        from repro.validate import machine_zoo, validate_simulator
+
+        factory = machine_zoo()[name]
+        before = simulator_fingerprint(factory())
+        simulator = factory()
+        state = dict(vars(simulator.network_energy))
+        validate_simulator(simulator)
+        laser = getattr(simulator.network_energy, "laser_power_w", None)
+        if laser is not None:
+            laser()
+        assert vars(simulator.network_energy) == state
+        assert simulator_fingerprint(simulator) == before

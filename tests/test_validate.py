@@ -235,6 +235,36 @@ class TestSimulatorAndZoo:
             report = validate_simulator(factory(), subject=name)
             assert report.clean, f"{name}: {report.describe()}"
 
+    def test_attached_floorplan_is_validated(self):
+        # 16 x 32 at k = 32, e/f = 1: the Y path needs 98.9 mW per
+        # wavelength on the pitch constants, 129.2 mW on the layout the
+        # attached model's laser power comes from.
+        from repro.dse.space import build_simulator
+        from repro.spacx.floorplan import Floorplan
+        from repro.spacx.power import SpacxPowerModel
+
+        simulator = build_simulator(
+            {
+                "machine": "spacx",
+                "chiplets": 16,
+                "pes_per_chiplet": 32,
+                "k_granularity": 32,
+                "ef_granularity": 1,
+            }
+        )
+        network = simulator.network_energy
+        assert validate_simulator(simulator).ok
+        simulator.network_energy = SpacxPowerModel(
+            network.topology,
+            network.params,
+            floorplan=Floorplan(network.topology),
+        )
+        (error,) = validate_simulator(simulator).errors
+        assert error.code == "PHO-LINK-BUDGET"
+        assert error.context["required_mw"] == pytest.approx(129.241)
+        # The topology-level check keeps judging the pitch constants.
+        assert validate_link_budget(network.topology, network.params).ok
+
     def test_validate_zoo_covers_machines_and_models(self):
         reports = validate_zoo(["spacx"], ["ResNet-50"])
         assert len(reports) == 2
