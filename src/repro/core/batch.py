@@ -266,16 +266,22 @@ _MODEL_STRUCT: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _model_structure(model: LayerSet) -> tuple:
-    """``(unique layers, their shape keys, occurrence -> unique index)``.
+    """``(unique layers, their shape keys, occurrence -> unique index,
+    lane coverage)``.
 
     ``unique`` holds the *first occurrence* of each distinct shape in
     network order (the object whose name a fresh simulation would
     report); ``occ[i]`` maps ``model.all_layers[i]`` to its slot in
-    ``unique``.  The cached-simulation hot paths walk shapes once per
-    model object instead of re-hashing every occurrence per job.
+    ``unique``; ``covered[i]`` tells whether ``unique[i]`` can enter a
+    grid batch (:func:`repro.core.grid.lane_covered`).  The
+    cached-simulation hot paths, the grid planner and the DSE frontier
+    pass walk shapes once per model object instead of re-hashing every
+    occurrence per job.
     """
     entry = _MODEL_STRUCT.get(model)
     if entry is None:
+        from .grid import lane_covered
+
         unique: list[ConvLayer] = []
         shapes: list[tuple] = []
         index: dict[tuple, int] = {}
@@ -290,7 +296,8 @@ def _model_structure(model: LayerSet) -> tuple:
                 unique.append(layer)
                 shapes.append(shape)
             append_occ(i)
-        _MODEL_STRUCT[model] = entry = (unique, shapes, occ)
+        covered = list(map(lane_covered, unique))
+        _MODEL_STRUCT[model] = entry = (unique, shapes, occ, covered)
     return entry
 
 
@@ -748,7 +755,7 @@ def simulate_model_cached(
     """
     if cache is None:
         cache = default_cache()
-    unique, shapes, _ = _model_structure(model)
+    unique, shapes, _, _ = _model_structure(model)
     need = dict(zip(shapes, unique))
     hits, misses = cache.lookup(simulator, need, layer_by_layer)
     if misses:
@@ -786,7 +793,7 @@ def _stitch(
     skips the whole per-occurrence walk; any scalar-fallback or
     foreign-cache entry breaks the chain and the audit runs in full.
     """
-    unique, shapes, occ = _model_structure(model)
+    unique, shapes, occ, _ = _model_structure(model)
     resolved = [
         _rebind_layer(by_shape[shape], layer)
         for layer, shape in zip(unique, shapes)
@@ -1573,7 +1580,6 @@ class SweepRunner:
 
         leftover: list[int] = []
         gaps: dict[int, str | None] = {}
-        uncovered: dict[int, ConvLayer | None] = {}
         groups: dict[tuple, dict] = {}
         for pos, job in enumerate(sub):
             simulator = job.simulator
@@ -1582,18 +1588,9 @@ class SweepRunner:
                 gaps[sim_id] = grid_mod.grid_gap(simulator)
             reason = gaps[sim_id]
             if reason is None:
-                model_id = id(job.model)
-                if model_id not in uncovered:
-                    uncovered[model_id] = next(
-                        (
-                            layer
-                            for layer in _model_structure(job.model)[0]
-                            if not grid_mod.lane_covered(layer)
-                        ),
-                        None,
-                    )
-                layer = uncovered[model_id]
-                if layer is not None:
+                unique, _, _, covered = _model_structure(job.model)
+                if not all(covered):
+                    layer = unique[covered.index(False)]
                     reason = (
                         f"layer {layer.name!r} is outside the grid's "
                         "lane coverage"
@@ -1653,7 +1650,7 @@ class SweepRunner:
                 model = sub[pos].model
                 shapes_map = model_shapes.get(id(model))
                 if shapes_map is None:
-                    unique, shapes, _ = _model_structure(model)
+                    unique, shapes, _, _ = _model_structure(model)
                     model_shapes[id(model)] = shapes_map = dict(
                         zip(shapes, unique)
                     )

@@ -5,10 +5,9 @@ The union of layer shapes is lowered **once** (the memoized
 parameters become ``(m, 1)`` integer columns, and NumPy broadcasting
 evaluates mapping, traffic, timing, energy and the invariant audit for
 the whole ``(machines x layers)`` grid in one pass.  A single machine
-is a one-row grid (:func:`~.vectorized.simulate_layers_vectorized`);
-:func:`bounds_grid` evaluates the DSE lower bounds and
-:func:`score_grid` the DSE scores the same way, and
-:func:`search_grid` both from one pass.
+is a one-row grid (:func:`~.vectorized.simulate_layers_vectorized`),
+and :func:`search_grid` evaluates the DSE floors and scores on the
+same arrays.
 
 **Bit-identity by construction.**  The mapping and traffic stages
 (:func:`~.vectorized._map_lanes`, :func:`~.vectorized._traffic_lanes`)
@@ -33,10 +32,9 @@ machine runs on the scalar simulator.
 columns converted with ``tolist()``.  Every campaign reads every lane
 it asked for, so nothing is deferred.  Lanes that pass the grid audit
 carry the pre-audit marker, so ``audit_model_result`` stays O(1) per
-model.  :func:`bounds_grid`, :func:`score_grid` and
-:func:`search_grid` build no lanes at all: a search reads three
-numbers per candidate, which :func:`workload_score` reduces from the
-columns bit for bit.
+model.  :func:`search_grid` builds no lanes at all: a search reads
+two floors per layer and three numbers per candidate, which
+:func:`workload_score` reduces from the columns bit for bit.
 
 **One array audit.**  :func:`_audit_grid` evaluates every check of
 ``audit_layer_result(result, spec)`` on columns.  It judges the
@@ -83,13 +81,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "GridOutcome",
-    "bounds_grid",
     "evaluate_grid",
     "family_key",
     "grid_gap",
     "lane_covered",
     "preaudit_hits",
-    "score_grid",
     "search_grid",
     "workload_score",
 ]
@@ -750,57 +746,31 @@ def evaluate_grid(
     return GridOutcome(by_machine, reasons, lanes)
 
 
-def score_grid(
-    simulators: "Sequence[Simulator]",
-    layers: "Sequence[ConvLayer]",
-    occurrences: "Sequence[Sequence[int]]",
-    *,
-    layer_by_layer: bool = False,
-) -> list:
-    """Score each row's workload over a (machines x layers) grid
-    without building a lane.
-
-    ``occurrences[j]`` is row ``j``'s workload as indexes into
-    ``layers``, one per layer occurrence in network order, duplicates
-    included.  Entry ``j`` of the result is its :func:`workload_score`
-    triple, equal bit for bit to scoring the ``ModelResult`` the
-    runner would stitch from :func:`evaluate_grid`'s lanes -- or
-    ``None`` when :func:`_admit` declines the row, the workload is
-    empty, or one of its lanes fails the array audit (strict or not:
-    the runner then reproduces the raise or the job failure).  Rows
-    may repeat a simulator; each machine is evaluated once.  Every
-    layer must pass :func:`lane_covered`.  :func:`search_grid` with
-    every row reduced.
-    """
-    if not layers:
-        return [None] * len(simulators)
-    _, scorers = search_grid(
-        simulators, layers, occurrences, layer_by_layer=layer_by_layer
-    )
-    return [None if scorer is None else scorer() for scorer in scorers]
-
-
 def search_grid(
     simulators: "Sequence[Simulator]",
     layers: "Sequence[ConvLayer]",
-    occurrences: "Sequence[Sequence[int]]",
+    occurrences: "Sequence[Sequence[int] | None]",
     *,
     layer_by_layer: bool = False,
 ) -> tuple[list, list]:
-    """Bounds and deferred scores of each row's workload, from one
-    grid pass.
+    """Floors and deferred scores of each row's workload, from one
+    grid pass that builds no lanes.
 
-    Rows are as in :func:`score_grid`, and ``layers`` must be
-    non-empty.  Returns ``(floors, scorers)``: ``floors[j]`` is
-    :func:`bounds_grid`'s row for row ``j``'s machine (one
-    ``(time_floor_s, energy_floor_mj)`` pair per layer), or ``None``
-    when :func:`_admit` declines it; ``scorers[j]`` is a zero-argument
-    callable returning entry ``j`` of :func:`score_grid`, or ``None``
-    where that entry is ``None``.  The bounds and the scores share one
-    admission and one lowering, and every row's columns are computed
-    here in one vectorised step; a scorer runs :func:`workload_score`
-    only when called, so a branch-and-bound walk reduces only the rows
-    it reaches.
+    Row ``j`` is ``simulators[j]`` (rows may repeat a machine; each is
+    evaluated once) running ``occurrences[j]``: one index into
+    ``layers`` per layer occurrence in network order.  Every layer
+    must pass :func:`lane_covered`, and ``layers`` must be non-empty.
+    ``floors[j]`` is one ``(time_floor_s, energy_floor_mj)`` pair per
+    layer, bit-identical to ``dse.bounds.layer_bounds``; ``scorers[j]``
+    is a zero-argument call returning the row's :func:`workload_score`
+    triple, bit for bit the score of the ``ModelResult`` the runner
+    would stitch from :func:`evaluate_grid`'s lanes, or ``None`` when
+    the array audit flags one of the workload's lanes (the runner then
+    reproduces the raise or the job failure).  Both are ``None`` for a
+    machine :func:`_admit` declines; a scorer is ``None`` for an empty
+    or ``None`` workload.  The scoring stage (:func:`_pass_columns`)
+    is built by the first scorer call, once per pass, and a scorer
+    reduces its row only when called.
     """
     floors: list = [None] * len(simulators)
     scorers: list = [None] * len(simulators)
@@ -812,35 +782,43 @@ def search_grid(
     grid_pass = _GridPass(machines, layers, layer_by_layer)
     if not grid_pass.kept:
         return floors, scorers
-    cols, dirty, _ = _pass_columns(grid_pass)
     rows = _pass_floors(grid_pass)
-    shape = dirty.shape
-    with np.errstate(all="ignore"):
-        exec_s = np.broadcast_to(cols["comp"] + cols["exposed"], shape)
-    cycles = np.broadcast_to(cols["cycles"], shape)
-    energies = np.stack(
-        [np.broadcast_to(cols[name], shape) for name in _ENERGY_COLS]
-    )
-    macs = grid_pass.d.macs.tolist()
+    stage: list = []  # the scoring stage, built by the first call
 
     def score_row(jj, occ, params):
+        if not stage:
+            cols, dirty, _ = _pass_columns(grid_pass)
+            shape = dirty.shape
+            with np.errstate(all="ignore"):
+                exec_s = cols["comp"] + cols["exposed"]
+            stage.append((
+                np.broadcast_to(exec_s, shape),
+                np.stack([
+                    np.broadcast_to(cols[name], shape) for name in _ENERGY_COLS
+                ]),
+                grid_pass.d.macs.tolist(),
+                np.broadcast_to(cols["cycles"], shape),
+                dirty,
+                dirty.any(axis=1).tolist(),
+            ))
+        exec_s, energies, macs, cycles, dirty, dirty_rows = stage[0]
+        if dirty_rows[jj] and bool(dirty[jj, occ].any()):
+            return None
         return workload_score(
             occ, exec_s[jj].tolist(), energies[:, jj], macs,
             cycles[jj].tolist(), params,
         )
 
     row_of = {m: jj for jj, m in enumerate(grid_pass.kept)}
-    dirty_rows = dirty.any(axis=1).tolist()
     for j, (simulator, occ) in enumerate(zip(simulators, occurrences)):
         jj = row_of.get(machine_of[id(simulator)])
         if jj is None:
             continue
         floors[j] = rows[jj]
-        if not occ or (dirty_rows[jj] and bool(dirty[jj, occ].any())):
-            continue
-        scorers[j] = partial(
-            score_row, jj, occ, simulator.spec.mapping_parameters()
-        )
+        if occ:
+            scorers[j] = partial(
+                score_row, jj, occ, simulator.spec.mapping_parameters()
+            )
     return floors, scorers
 
 
@@ -1133,36 +1111,3 @@ def preaudit_hits(specs, hits, layers) -> None:
             if not flag and id(hit) not in flagged:
                 hit.__dict__[_PREAUDIT_ATTR] = spec
         start += len(row)
-
-
-# ----------------------------------------------------------------------
-# Grid-batched lower bounds (DSE pruning)
-# ----------------------------------------------------------------------
-def bounds_grid(
-    simulators: "Sequence[Simulator]",
-    layers: "Sequence[ConvLayer]",
-    *,
-    layer_by_layer: bool = False,
-) -> tuple[list, list]:
-    """Batched ``dse.bounds.layer_bounds`` over a (machines x layers)
-    grid: ``(rows, reasons)`` where ``rows[j]`` is a list of
-    ``(time_floor_s, energy_floor_mj)`` tuples aligned with ``layers``,
-    or ``None`` with ``reasons[j]`` naming why machine ``j`` must take
-    the scalar path.
-
-    Rows are admitted exactly as in :func:`evaluate_grid` (strictly
-    more than the bounds need -- a machine without a lowerable network
-    model simply takes the scalar path, bit-identically); every layer
-    must pass :func:`lane_covered`.  Each floor pair is bit-identical
-    to the scalar ``layer_bounds`` derivation: the mapping, traffic,
-    transfer-floor and compute-energy columns are the floors stage
-    :func:`evaluate_grid` builds its timing and energy on.
-    """
-    if not layers:
-        return [[] for _ in simulators], [None] * len(simulators)
-    rows: list = [None] * len(simulators)
-    grid_pass = _GridPass(simulators, layers, layer_by_layer)
-    if grid_pass.kept:
-        for j, row in zip(grid_pass.kept, _pass_floors(grid_pass)):
-            rows[j] = row
-    return rows, grid_pass.reasons

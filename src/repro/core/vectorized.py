@@ -4,9 +4,9 @@ The analytical cost model is closed-form arithmetic over layer shapes
 (SCALE-Sim evaluates the same class of model the same way), so a batch
 of layers lowers naturally into dense parameter columns evaluated in
 one pass of array math.  The kernel is :func:`repro.core.grid.
-evaluate_grid` (and :func:`~repro.core.grid.bounds_grid` for the DSE
-floors): machines are rows, layer shapes are columns.  This module
-holds what every row shares:
+evaluate_grid` (and :func:`~repro.core.grid.search_grid` for the DSE
+floors and scores): machines are rows, layer shapes are columns.  This
+module holds what every row shares:
 
 * the **coverage registry** (:func:`coverage_gap`), which declares
   exactly which machine features the kernel understands -- anything

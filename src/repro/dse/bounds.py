@@ -23,12 +23,20 @@ auditor (:mod:`repro.core.invariants`):
 
 Model-level bounds sum per-layer floors over unique layers weighted
 by multiplicity -- exactly how ``simulate_model`` accumulates.
+
+A frontier of candidates is bounded in one :func:`frontier_pass`: one
+grid pass per machine family (chunked under the sweep runner's lane
+budget) gives every candidate's floors and, where the grid can score
+the whole workload, a deferred score for the search engine.
 """
 
 from __future__ import annotations
 
+import logging
+from itertools import chain
 from typing import TYPE_CHECKING
 
+from ..core import batch, grid
 from ..core.mapping import map_layer
 from ..core.roofline import mapped_time_floor_s, time_lower_bound
 from ..core.traffic import derive_traffic
@@ -41,6 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "fold_bound",
     "frontier_bounds",
+    "frontier_pass",
     "layer_bounds",
     "model_energy_lower_bound_mj",
     "model_time_lower_bound_s",
@@ -50,6 +59,8 @@ __all__ = [
 ]
 
 _OBJECTIVES = ("execution_time", "energy", "edp", "static_power")
+
+logger = logging.getLogger(__name__)
 
 
 def layer_bounds(
@@ -156,89 +167,118 @@ def frontier_bounds(
     layer_by_layer: bool = False,
 ) -> list[float]:
     """:func:`objective_lower_bound` over many ``(simulator, model)``
-    pairs, grid-batched.
+    pairs: the bounds of one :func:`frontier_pass`.  ``static_power``
+    bounds are exact powers and need no grid pass."""
+    if objective != "static_power":
+        return frontier_pass(
+            pairs, objective, layer_by_layer=layer_by_layer
+        )[0]
+    powers = [static_network_power_w(simulator) for simulator, _ in pairs]
+    return [0.0 if power is None else power for power in powers]
 
-    A dense design-space frontier bounds hundreds of same-family
-    machines against one workload.  This helper groups the pairs'
-    machines by :func:`~repro.core.grid.family_key`, evaluates each
-    group's union of covered layer shapes through one
-    :func:`~repro.core.grid.bounds_grid` pass (a lone machine is a
-    one-row grid), and accumulates every pair's floors from its
-    machine's row.  Lanes outside :func:`~repro.core.grid.lane_covered`
-    and machines the grid declines take the scalar :func:`layer_bounds`.
 
-    Grid floors match the scalar derivation lane-for-lane, and the
-    per-model accumulation is :func:`fold_bound`, so the output is
-    bit-identical to the scalar path and branch-and-bound prune
-    decisions cannot depend on the batching.
+def frontier_pass(
+    pairs,
+    objective: str,
+    *,
+    layer_by_layer: bool = False,
+) -> tuple[list[float], list]:
+    """``(bounds, scorers)`` of many ``(simulator, model)`` pairs.
+
+    The pairs are grouped by :func:`~repro.core.grid.family_key`, and
+    each family's union of covered shapes
+    (:func:`~repro.core.grid.lane_covered`) runs through one
+    :func:`~repro.core.grid.search_grid` per machine chunk, chunked
+    under the sweep runner's lane budget as its grid groups are.
+    ``bounds[k]`` is pair ``k``'s :func:`objective_lower_bound`, the
+    :func:`fold_bound` of its unique layers' floors: a covered layer
+    of an admitted machine takes them from the grid row, any other
+    layer (uncovered, declined machine, a chunk whose pass raised)
+    from the scalar :func:`layer_bounds`, bit for bit the same, so
+    prune decisions cannot depend on the batching.  ``scorers[k]`` is
+    the grid's deferred score of pair ``k`` when its model is
+    non-empty and fully covered and its machine admitted, else
+    ``None``; only a scorer call builds the pass's scoring stage.
     """
     if objective not in _OBJECTIVES:
         raise ConfigError(
             f"unknown objective {objective!r}; choose from {_OBJECTIVES}"
         )
     pairs = list(pairs)
+    #: model id -> its ``batch._model_structure`` plus multiplicities
+    walks: dict[int, tuple] = {}
+    #: family key -> machine id -> pair indexes
+    families: dict[tuple, dict] = {}
+    for k, (simulator, model) in enumerate(pairs):
+        if id(model) not in walks:
+            structure = batch._model_structure(model)
+            counts = list(map(model.multiplicity, structure[0]))
+            walks[id(model)] = (*structure, counts)
+        key = grid.family_key(simulator, layer_by_layer)
+        families.setdefault(key, {}).setdefault(id(simulator), []).append(k)
+
+    found: list = [None] * len(pairs)  # (grid row, the model's lanes)
+    scorers: list = [None] * len(pairs)
+    for machines in families.values():
+        # The family's union of covered shapes and, per model, the lane
+        # of each unique layer (None: uncovered) and, when every layer
+        # is covered, the lane of each occurrence.
+        union: dict[tuple, int] = {}
+        layers: list = []
+        lanes: dict[int, tuple] = {}
+        for k in chain.from_iterable(machines.values()):
+            model_id = id(pairs[k][1])
+            if model_id in lanes:
+                continue
+            unique, shapes, occ, covered, _ = walks[model_id]
+            own = []
+            for layer, shape, ok in zip(unique, shapes, covered):
+                if ok and shape not in union:
+                    union[shape] = len(layers)
+                    layers.append(layer)
+                own.append(union[shape] if ok else None)
+            lanes[model_id] = (
+                own, list(map(own.__getitem__, occ)) if all(covered) else None
+            )
+        if not layers:
+            continue
+        groups = list(machines.values())
+        per_chunk = max(1, batch._GRID_LANE_BUDGET // len(layers))
+        for start in range(0, len(groups), per_chunk):
+            chunk = list(
+                chain.from_iterable(groups[start : start + per_chunk])
+            )
+            try:
+                rows, scored = grid.search_grid(
+                    [pairs[k][0] for k in chunk],
+                    layers,
+                    [lanes[id(pairs[k][1])][1] for k in chunk],
+                    layer_by_layer=layer_by_layer,
+                )
+            except Exception as exc:
+                # Bounded on the scalar path; a runner evaluating these
+                # pairs meets the same fault and reports it.
+                logger.warning("frontier grid pass declined: %r", exc)
+                continue
+            for k, row, scorer in zip(chunk, rows, scored):
+                if row is not None:
+                    found[k] = (row, lanes[id(pairs[k][1])])
+                scorers[k] = scorer
+
     if objective == "static_power":
-        out = []
-        for simulator, _ in pairs:
-            power = static_network_power_w(simulator)
-            out.append(0.0 if power is None else power)
-        return out
-
-    from ..core import grid as grid_mod
-
-    #: One walk per distinct workload: ``(layer, shape key,
-    #: multiplicity, covered)`` per unique layer, in ``unique_layers``
-    #: order, shared by the union and by every pair's accumulation.
-    walks: dict[int, list] = {}
-
-    def walk(model) -> list:
-        steps = walks.get(id(model))
-        if steps is None:
-            steps = walks[id(model)] = [
-                (
-                    layer,
-                    layer.shape_key,
-                    model.multiplicity(layer),
-                    grid_mod.lane_covered(layer),
-                )
-                for layer in model.unique_layers
-            ]
-        return steps
-
-    groups: dict[tuple, tuple[dict, dict, set]] = {}
-    for simulator, model in pairs:
-        machines, union, models = groups.setdefault(
-            grid_mod.family_key(simulator, layer_by_layer), ({}, {}, set())
-        )
-        machines.setdefault(id(simulator), simulator)
-        if id(model) not in models:
-            models.add(id(model))
-            for layer, shape, _, covered in walk(model):
-                if covered:
-                    union.setdefault(shape, layer)
-    #: machine id -> shape key -> (time floor, energy floor)
-    floors: dict[int, dict] = {}
-    for machines, union, _ in groups.values():
-        rows, _ = grid_mod.bounds_grid(
-            list(machines.values()),
-            list(union.values()),
-            layer_by_layer=layer_by_layer,
-        )
-        for sim_id, row in zip(machines, rows):
-            if row is not None:
-                floors[sim_id] = dict(zip(union, row))
-
-    def terms(simulator, model):
-        row = floors.get(id(simulator), {})
-        for layer, shape, count, covered in walk(model):
-            pair = row.get(shape) if covered else None
-            if pair is None:
-                pair = layer_bounds(
-                    simulator, layer, layer_by_layer=layer_by_layer
-                )
-            yield count, pair
-
-    return [
-        fold_bound(terms(simulator, model), objective)
-        for simulator, model in pairs
-    ]
+        return frontier_bounds(pairs, objective), scorers
+    bounds = []
+    for (simulator, model), hit in zip(pairs, found):
+        unique, _, _, _, counts = walks[id(model)]
+        row, (own, occurrences) = hit or (None, ([None] * len(unique), None))
+        if occurrences is not None:  # every floor is on the grid row
+            floors = map(row.__getitem__, own)
+        else:
+            floors = (
+                layer_bounds(simulator, layer, layer_by_layer=layer_by_layer)
+                if lane is None
+                else row[lane]
+                for layer, lane in zip(unique, own)
+            )
+        bounds.append(fold_bound(zip(counts, floors), objective))
+    return bounds, scorers

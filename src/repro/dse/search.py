@@ -4,19 +4,20 @@ One engine, three strategies and two ways to score a candidate,
 chosen from what the engine can observe of its runner:
 
 * *lane-free* -- when the runner would persist nothing and stop for
-  nothing (vectorized, no budget, no manifest, no disk tier),
-  :func:`repro.core.grid.search_grid` scores candidates
-  straight from the kernel's columns: the three numbers a score reads,
-  bit-identical to reading a ``ModelResult``, with no ``LayerResult``
-  built and no runner call;
+  nothing (vectorized, no budget, no manifest, no disk tier), the
+  scorers of one :func:`repro.dse.bounds.frontier_pass` score
+  candidates straight from the kernel's columns: the three numbers a
+  score reads, bit-identical to reading a ``ModelResult``, with no
+  ``LayerResult`` built and no runner call;
 * *through the* :class:`~repro.core.batch.SweepRunner` -- otherwise,
   and for every evaluation holding a candidate the grid cannot score
   (a declined machine, an uncovered layer, an empty workload, a lane
-  the array audit flags).  Such a search inherits process parallelism
-  (the persistent warm-worker pool of :mod:`repro.core.pool`), the
-  content-addressed result cache, retries/timeouts, campaign resume,
-  budgets and strict-mode invariant auditing without any code of its
-  own.  Only this route can fail a candidate.
+  the array audit flags, a kernel fault).  Such a search inherits
+  process parallelism (the persistent warm-worker pool of
+  :mod:`repro.core.pool`), the content-addressed result cache,
+  retries/timeouts, campaign resume, budgets and strict-mode invariant
+  auditing without any code of its own.  Only this route can fail a
+  candidate.
 
 The strategies:
 
@@ -28,11 +29,12 @@ The strategies:
   reported as evaluated.  Because the bounds are admissible and the
   tie-break (objective value, candidate index) matches the exhaustive
   path exactly, the argmin is **bit-identical** to exhaustive search
-  -- only the evaluation count differs.  Lane-free, one grid pass per
-  family chunk yields both the bounds and the scores of the whole
-  frontier, and the chunked walk reduces a candidate's score only when
-  it reaches the candidate: a pruned candidate costs its share of the
-  vectorised pass, never a reduction;
+  -- only the evaluation count differs.  Every bound comes from one
+  :func:`~repro.dse.bounds.frontier_pass` over the frontier, whatever
+  the runner; lane-free, the same pass also yields the scores, and the
+  chunked walk reduces a candidate's score only when it reaches the
+  candidate: a pruned candidate costs its share of the vectorised
+  pass, never a reduction;
 * ``halving`` -- successive halving: rungs evaluate survivors on
   growing *prefixes* of the workload's unique layers and keep the
   better half, then the finalists run the full workload.  A documented
@@ -57,24 +59,13 @@ import logging
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..core import grid
-from ..core.batch import (
-    _GRID_LANE_BUDGET,
-    SweepJob,
-    SweepRunner,
-    _model_structure,
-)
+from ..core.batch import SweepJob, SweepRunner
 from ..core.budget import global_stop
 from ..core.layer import LayerSet
 from ..core.metrics import ModelResult
 from ..core.simulator import Simulator
 from ..errors import ConfigError
-from .bounds import (
-    fold_bound,
-    frontier_bounds,
-    objective_lower_bound,
-    static_network_power_w,
-)
+from .bounds import frontier_bounds, frontier_pass, static_network_power_w
 from .frontier import ParetoFrontier, build_frontier
 from .space import Candidate, SearchSpace, build_simulator, resolve_workload
 
@@ -437,6 +428,19 @@ class SearchEngine:
         return entries
 
     # -- evaluation -----------------------------------------------------
+    def _lane_free(self) -> bool:
+        """Whether candidates may be scored from the grid's columns:
+        only through a runner that would persist nothing and stop for
+        nothing -- vectorized, no budget, no manifest and no disk tier
+        (a repeat search must still be served from the shards)."""
+        runner = self.runner
+        return (
+            runner.vectorize
+            and runner.budget is None
+            and runner.manifest is None
+            and getattr(runner.cache, "cache_dir", None) is None
+        )
+
     def _evaluate(
         self,
         entries: list[_Entry],
@@ -444,37 +448,50 @@ class SearchEngine:
         workloads: list[LayerSet] | None = None,
         *,
         record: bool = True,
-        lane_free: list | None = None,
+        scorers: list | None = None,
     ) -> list[CandidateScore | None]:
-        """Score entries: lane-free when :meth:`_lane_free` can score
-        every one of them, otherwise all of them through the sweep
-        runner in one ``runner.run`` call, exactly as without the
+        """Score entries from the grid's columns when every one of them
+        has a scorer that answers, otherwise all of them through the
+        sweep runner in one ``runner.run`` call, exactly as without the
         lane-free route.
 
         ``workloads`` overrides per-entry workloads (the halving
         strategy's proxy rungs); ``record=False`` keeps proxy scores
-        out of ``result.evaluated``.  ``lane_free`` passes the scorers
-        of a pass made ahead (the pruned strategy bounds and scores its
-        whole frontier in one pass); a scorer reduces its row only
-        here.  Only a runner call can fail a candidate or set
-        ``result.outcome``.
+        out of ``result.evaluated``.  ``scorers`` passes the entries'
+        :func:`~repro.dse.bounds.frontier_pass` scorers when the caller
+        made the pass (the pruned strategy bounds its whole frontier in
+        one); otherwise a lane-free engine makes one here, and any
+        other makes none.  Only a runner call can fail a candidate or
+        set ``result.outcome``.
         """
         if not entries:
             return []
-        if lane_free is None:
-            lane_free, _ = self._lane_free(entries, workloads)
+        if workloads is None:
+            workloads = [entry.workload for entry in entries]
+        if scorers is None and self._lane_free():
+            _, scorers = frontier_pass(
+                [
+                    (entry.simulator, workload)
+                    for entry, workload in zip(entries, workloads)
+                ],
+                self.objective,
+                layer_by_layer=self.layer_by_layer,
+            )
+        scores = None
         if (
-            any(scorer is None for scorer in lane_free)
-            or self.runner.stopped
-            or global_stop() is not None
+            scorers is not None
+            and not self.runner.stopped
+            and global_stop() is None
         ):
+            scores = self._reduce(entries, scorers)
+        if scores is None:
             jobs = [
                 SweepJob(
                     simulator=entry.simulator,
-                    model=entry.workload if workloads is None else workloads[i],
+                    model=workload,
                     layer_by_layer=self.layer_by_layer,
                 )
-                for i, entry in enumerate(entries)
+                for entry, workload in zip(entries, workloads)
             ]
             outputs = self.runner.run(jobs)
             result.outcome = self.runner.outcome
@@ -484,121 +501,28 @@ class SearchEngine:
                 None if output is None else self._score(entry, output)
                 for entry, output in zip(entries, outputs)
             ]
-        else:
-            scores = [
-                self._candidate_score(entry, *scorer())
-                for entry, scorer in zip(entries, lane_free)
-            ]
         if record:
             result.evaluated.extend(s for s in scores if s is not None)
         return scores
 
-    def _lane_free(
-        self,
-        entries: list[_Entry],
-        workloads: list[LayerSet] | None = None,
-        *,
-        bound: bool = False,
-    ) -> tuple[list, list]:
-        """``(scorers, bounds)`` of the entries from one
-        :func:`~repro.core.grid.search_grid` pass per family chunk,
-        which builds no lanes.
-
-        ``scorers[k]`` is a zero-argument callable returning entry
-        ``k``'s :func:`~repro.core.grid.workload_score` triple, or
-        ``None`` when the grid cannot score it; the reduction runs only
-        when the scorer is called.  With ``bound``, ``bounds[k]`` is
-        entry ``k``'s objective lower bound, folded
-        (:func:`~repro.dse.bounds.fold_bound`) from the same pass's
-        floors, bit-identical to :func:`frontier_bounds`; ``None`` marks
-        an entry the pass cannot bound.
-
-        Only for a runner that would persist nothing and stop for
-        nothing: vectorized, no budget, no manifest and no disk tier
-        (a repeat search must still be served from the shards).
-        Otherwise every slot is ``None``.  Entries are grouped by
-        :func:`~repro.core.grid.family_key`, and each group's union of
-        shapes is evaluated in machine chunks under the runner's lane
-        budget, as the runner's grid groups are; a chunk whose pass
-        raises is left to the runner (and to :func:`frontier_bounds`)
-        whole.
-        """
-        scorers: list = [None] * len(entries)
-        bounds: list = [None] * len(entries)
-        runner = self.runner
-        if (
-            not runner.vectorize
-            or runner.budget is not None
-            or runner.manifest is not None
-            or getattr(runner.cache, "cache_dir", None) is not None
-        ):
-            return scorers, bounds
-        #: workload id -> (workload, its _model_structure), or None when
-        #: it is empty or holds a layer outside the grid's lane coverage.
-        structures: dict[int, tuple | None] = {}
-        gaps: dict[int, str | None] = {}
-        groups: dict[tuple, list[tuple[int, int]]] = {}
-        for k, entry in enumerate(entries):
-            simulator = entry.simulator
-            workload = entry.workload if workloads is None else workloads[k]
-            wid = id(workload)
-            if wid not in structures:
-                structure = _model_structure(workload)
-                unique = structure[0]
-                structures[wid] = (
-                    (workload, structure)
-                    if unique and all(map(grid.lane_covered, unique))
-                    else None
-                )
-            if id(simulator) not in gaps:
-                gaps[id(simulator)] = grid.grid_gap(simulator)
-            if structures[wid] is not None and gaps[id(simulator)] is None:
-                key = grid.family_key(simulator, self.layer_by_layer)
-                groups.setdefault(key, []).append((k, wid))
-        for members in groups.values():
-            # The group's union of shapes; for each workload, the lanes
-            # and multiplicities of its unique layers and its layer
-            # occurrences, as indexes into the union.
-            lane_of: dict[tuple, int] = {}
-            layers: list = []
-            walks: dict[int, tuple[list[int], list[int], list[int]]] = {}
-            for _, wid in members:
-                if wid in walks:
-                    continue
-                workload, (unique, shapes, occ) = structures[wid]
-                for shape, layer in zip(shapes, unique):
-                    if shape not in lane_of:
-                        lane_of[shape] = len(layers)
-                        layers.append(layer)
-                lanes = [lane_of[shape] for shape in shapes]
-                walks[wid] = (
-                    lanes,
-                    list(map(workload.multiplicity, unique)),
-                    list(map(lanes.__getitem__, occ)),
-                )
-            per_chunk = max(1, _GRID_LANE_BUDGET // len(layers))
-            for start in range(0, len(members), per_chunk):
-                chunk = members[start : start + per_chunk]
-                try:
-                    floors, scored = grid.search_grid(
-                        [entries[k].simulator for k, _ in chunk],
-                        layers,
-                        [walks[wid][2] for _, wid in chunk],
-                        layer_by_layer=self.layer_by_layer,
-                    )
-                except Exception as exc:
-                    # The runner meets the same fault and reports it.
-                    logger.warning("lane-free scoring declined: %r", exc)
-                    continue
-                for (k, wid), row, scorer in zip(chunk, floors, scored):
-                    scorers[k] = scorer
-                    if bound and row is not None:
-                        lanes, counts, _ = walks[wid]
-                        bounds[k] = fold_bound(
-                            zip(counts, map(row.__getitem__, lanes)),
-                            self.objective,
-                        )
-        return scorers, bounds
+    def _reduce(self, entries: list[_Entry], scorers: list) -> list | None:
+        """The entries' scores from their grid scorers, or ``None`` when
+        one of them has no scorer, declines (a lane the array audit
+        flags) or raises: the runner then evaluates them all."""
+        if any(scorer is None for scorer in scorers):
+            return None
+        scores = []
+        for entry, scorer in zip(entries, scorers):
+            try:
+                triple = scorer()
+            except Exception as exc:
+                # The runner meets the same fault and reports it.
+                logger.warning("lane-free scoring declined: %r", exc)
+                return None
+            if triple is None:
+                return None
+            scores.append(self._candidate_score(entry, *triple))
+        return scores
 
     def _score(self, entry: _Entry, output: ModelResult) -> CandidateScore:
         params = entry.simulator.spec.mapping_parameters()
@@ -626,15 +550,6 @@ class SearchEngine:
             energy_mj=energy_mj,
             static_network_power_w=static_network_power_w(entry.simulator),
             mean_utilization=mean_utilization,
-        )
-
-    def lower_bound(self, entry: _Entry) -> float:
-        """Admissible lower bound on one entry's objective value."""
-        return objective_lower_bound(
-            entry.simulator,
-            entry.workload,
-            self.objective,
-            layer_by_layer=self.layer_by_layer,
         )
 
     # -- strategies -----------------------------------------------------
@@ -671,25 +586,22 @@ class SearchEngine:
         evaluated, so the (value, index) tie-break sees the same set
         of minimisers exhaustive search would.
         """
-        # One grid pass per family chunk bounds and scores the whole
-        # frontier; an entry it cannot bound is bounded by
-        # frontier_bounds.  Floors are bit-identical to per-entry
-        # lower_bound() calls either way, so the bound-sorted order --
-        # and every prune decision -- is too.  The walk then reduces a
-        # score only when it reaches the entry; an entry without a
+        # One frontier pass bounds every entry, bit-identically to
+        # per-entry objective_lower_bound() calls, so the bound-sorted
+        # order -- and every prune decision -- does not depend on the
+        # runner.  Lane-free, the same pass scores: the walk reduces a
+        # score only when it reaches the entry, and an entry without a
         # scorer runs, with its chunk, through the runner.
-        scorers, bounds = self._lane_free(
-            entries, bound=self.objective != "static_power"
-        )
-        unbounded = [k for k, bound in enumerate(bounds) if bound is None]
-        if unbounded:
-            rest = frontier_bounds(
-                [(entries[k].simulator, entries[k].workload) for k in unbounded],
-                self.objective,
-                layer_by_layer=self.layer_by_layer,
+        pairs = [(entry.simulator, entry.workload) for entry in entries]
+        if self._lane_free():
+            bounds, scorers = frontier_pass(
+                pairs, self.objective, layer_by_layer=self.layer_by_layer
             )
-            for k, bound in zip(unbounded, rest):
-                bounds[k] = bound
+        else:
+            bounds = frontier_bounds(
+                pairs, self.objective, layer_by_layer=self.layer_by_layer
+            )
+            scorers = [None] * len(entries)
         order = sorted(
             (
                 (bound, e.candidate.index, e, scorer)
@@ -712,7 +624,7 @@ class SearchEngine:
                 i += 1
             if not take:
                 break
-            for score in self._evaluate(take, result, lane_free=ready):
+            for score in self._evaluate(take, result, scorers=ready):
                 if score is not None:
                     incumbent = min(
                         incumbent, score.objective(self.objective)

@@ -88,7 +88,14 @@ class Dimension:
         values = tuple(self.values)
         if not values:
             raise ConfigError(f"dimension {self.name!r} has no values")
-        if len(set(values)) != len(values):
+        try:
+            distinct = len(set(values))
+        except TypeError:
+            raise ConfigError(
+                f"dimension {self.name!r} holds an unhashable value: "
+                f"{values}"
+            ) from None
+        if distinct != len(values):
             raise ConfigError(
                 f"dimension {self.name!r} has duplicate values: {values}"
             )

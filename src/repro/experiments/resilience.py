@@ -40,6 +40,7 @@ from ..baselines.simba import simba_simulator
 from ..core.batch import SweepJob, SweepRunner, simulate_model_cached
 from ..core.faults import InfeasibleFaultError
 from ..core.layer import LayerSet
+from ..errors import ConfigError
 from ..spacx.architecture import spacx_simulator
 from ..spacx.faults import FaultDomain, degraded_configuration
 from .harness import EVALUATED_ACCELERATORS, format_table
@@ -80,8 +81,10 @@ class DeviceFailureScale:
             self.router,
             self.link,
         ):
-            if value < 0:
-                raise ValueError("rate multipliers must be >= 0")
+            if not value >= 0:  # NaN-safe
+                raise ConfigError(
+                    f"rate multipliers must be >= 0, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -190,10 +193,17 @@ def availability_study(
     the points of the accelerators whose batch completed and omits
     the rest, instead of raising.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if slowdown_threshold < 1.0:
-        raise ValueError("slowdown threshold must be >= 1")
+    # NaN-safe: ``not x >= bound`` also rejects NaN, which ``x < bound``
+    # lets through.  Every rate is checked before the first simulation.
+    if not samples >= 1:
+        raise ConfigError(f"need at least one sample, got {samples!r}")
+    if not slowdown_threshold >= 1.0:
+        raise ConfigError(
+            f"slowdown threshold must be >= 1, got {slowdown_threshold!r}"
+        )
+    for rate in rates:
+        if not rate >= 0:
+            raise ConfigError(f"failure rates must be >= 0, got {rate!r}")
     if model is None:
         from ..models.zoo import get_model
 
@@ -224,8 +234,6 @@ def availability_study(
             cells: list[tuple[float, list]] = []
             needed: dict[tuple[int, int], None] = {}
             for rate_index, rate in enumerate(rates):
-                if rate < 0:
-                    raise ValueError("failure rates must be >= 0")
                 rng = np.random.default_rng([seed, acc_index, rate_index])
                 cell: list[tuple[int, tuple[int, int] | None]] = []
                 for _ in range(samples):

@@ -320,8 +320,10 @@ def _normalize_search(raw: Mapping) -> dict:
         objective = raw.get("objective", preset.objective)
         validation = raw.get("validation", preset.validation)
     elif isinstance(space, Mapping):
-        SearchSpace.from_dict(space)  # validation only; raises ConfigError
-        space = {key: list(value) for key, value in space.items()}
+        # Normalized through the space itself (raises ConfigError), so
+        # every form SearchSpace.from_dict accepts -- scalar values, the
+        # {"dimensions": ...} wrapper -- means what it means there.
+        space = SearchSpace.from_dict(space).to_dict()["dimensions"]
         objective = raw.get("objective", "edp")
         validation = raw.get("validation", "physics")
     else:

@@ -61,11 +61,11 @@ from repro.core.batch import (
 )
 from repro.core.campaign import CampaignManifest
 from repro.core.grid import (
-    bounds_grid,
     evaluate_grid,
     family_key,
     grid_gap,
     lane_covered,
+    search_grid,
 )
 from repro.core.invariants import audit_layer_result
 from repro.core.layer import ConvLayer, LayerSet
@@ -142,9 +142,9 @@ def test_grid_declines_rows_of_a_foreign_family():
     assert outcome.reasons[0] is None
     assert outcome.by_machine[1] is None
     assert "family" in outcome.reasons[1]
-    rows, reasons = bounds_grid(fleet, layers)
-    assert reasons[0] is None and rows[1] is None
-    assert "family" in reasons[1]
+    floors, scorers = search_grid(fleet, layers, [range(len(layers))] * 2)
+    assert floors[0] is not None and scorers[0] is not None
+    assert floors[1] is None and scorers[1] is None
 
 
 def test_grid_drift_golden(golden):

@@ -191,7 +191,7 @@ class TestBoundsGrid:
     """The 2-D grid floor table equals the scalar per-layer floors."""
 
     def test_rows_match_layer_bounds(self, machines, workloads):
-        from repro.core.grid import bounds_grid, grid_gap, lane_covered
+        from repro.core.grid import grid_gap, lane_covered, search_grid
 
         group = [machines["simba"], machines["popstar"]]
         assert all(grid_gap(s) is None for s in group)
@@ -201,18 +201,8 @@ class TestBoundsGrid:
             if lane_covered(layer)
         ]
         assert layers
-        rows, reasons = bounds_grid(group, layers)
-        for simulator, row, reason in zip(group, rows, reasons):
-            assert reason is None
+        floors, _ = search_grid(group, layers, [None, None])
+        for simulator, row in zip(group, floors):
             assert row is not None
             for layer, (t, e) in zip(layers, row):
                 assert (t, e) == layer_bounds(simulator, layer)
-
-    def test_empty_layer_table(self, machines):
-        from repro.core.grid import bounds_grid
-
-        rows, reasons = bounds_grid(
-            [machines["simba"], machines["popstar"]], []
-        )
-        assert rows == [[], []]
-        assert reasons == [None, None]

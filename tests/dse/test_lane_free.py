@@ -384,6 +384,6 @@ def test_reducer_equals_model_result_on_every_zoo_model(machine):
             params,
         )
         assert _hex(from_result) == expected, (machine, name)
-        unique, _, occ = _model_structure(model)
-        (from_columns,) = grid.score_grid([simulator], unique, [occ])
-        assert _hex(from_columns) == expected, (machine, name)
+        unique, _, occ, _ = _model_structure(model)
+        _, (scorer,) = grid.search_grid([simulator], unique, [occ])
+        assert _hex(scorer()) == expected, (machine, name)

@@ -4,9 +4,10 @@
   answers exactly as an engine over the scalar oracle runner, pruned
   candidates' ``lower_bound`` included;
 * the work of one pruned campaign of the benchmark's shape (12 SPACX
-  candidates on the paper suite, ``edp``, ``physics``): one admission
-  and one lowering, one X and one Y path-budget walk per machine, and
-  one score reduction per evaluated candidate.
+  candidates on the paper suite, ``edp``, ``physics``): one admission,
+  one lowering and one scoring stage, one X and one Y path-budget walk
+  per machine, and one score reduction per evaluated candidate;
+  bounding those candidates alone builds no scoring stage.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import pytest
 from repro.core import grid
 from repro.core.batch import NullCache, SweepRunner
 from repro.dse import PRESETS, SearchEngine, SearchSpace
+from repro.dse.bounds import frontier_bounds
 from repro.dse.search import OBJECTIVES, STRATEGIES
+from repro.dse.space import build_simulator, resolve_workload
 from repro.errors import ConfigError
 from repro.spacx.power import SpacxPowerModel
 
@@ -100,6 +103,7 @@ def test_benchmark_campaign_does_each_step_once():
             for owner, name in (
                 (grid, "_admit"),
                 (grid, "_grid_lower"),
+                (grid, "_pass_columns"),
                 (grid, "workload_score"),
                 (SpacxPowerModel, "_walk_x_path"),
                 (SpacxPowerModel, "_walk_y_path"),
@@ -115,7 +119,26 @@ def test_benchmark_campaign_does_each_step_once():
         assert counts == {
             "_admit": 1,
             "_grid_lower": 1,
+            "_pass_columns": 1,
             "_walk_x_path": 12,
             "_walk_y_path": 12,
             "workload_score": result.n_evaluated,
         }
+
+
+def test_frontier_bounds_alone_builds_no_scoring_stage():
+    """Bounds need admission, lowering and floors only: the timing,
+    network-energy and audit stage waits for a scorer call."""
+    space = SearchSpace.from_dict(_BENCHMARK_SPACE)
+    pairs = [
+        (build_simulator(c.config), resolve_workload(c.config))
+        for c in space.candidates()
+    ]
+    assert len(pairs) == 12
+    counts: Counter = Counter()
+    with ExitStack() as stack:
+        for name in ("_admit", "_grid_lower", "_pass_columns"):
+            stack.enter_context(_counting(grid, name, counts))
+        bounds = frontier_bounds(pairs, "edp")
+    assert counts == {"_admit": 1, "_grid_lower": 1}
+    assert all(bound > 0 for bound in bounds)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.layer import ConvLayer, LayerSet
+from repro.errors import ConfigError
 from repro.experiments.resilience import (
     DEFAULT_FAILURE_RATES,
     AvailabilityPoint,
@@ -118,12 +119,22 @@ class TestStudy:
             availability_study(
                 model=workload, rates=(-0.1,), samples=2
             )
+        nan = float("nan")
+        with pytest.raises(ConfigError):
+            availability_study(model=workload, slowdown_threshold=nan)
+        with pytest.raises(ConfigError):
+            availability_study(model=workload, rates=(nan,), samples=2)
+        with pytest.raises(ConfigError):
+            # checked before the first simulation, however late it is
+            availability_study(model=workload, rates=(0.01, -1.0), samples=2)
         with pytest.raises(KeyError):
             availability_study(
                 model=workload, accelerators=("TPU",), samples=2
             )
         with pytest.raises(ValueError):
             DeviceFailureScale(router=-1.0)
+        with pytest.raises(ConfigError):
+            DeviceFailureScale(router=nan)
 
     def test_default_rates_are_sorted_probabilities(self):
         assert list(DEFAULT_FAILURE_RATES) == sorted(DEFAULT_FAILURE_RATES)

@@ -91,11 +91,34 @@ class TestValidationErrors:
             "not an object",
             {"kind": "sweep", "machines": ["spacx"], "models": ["MobileNetV2"], "budget": {"deadline_s": 0}},
             {"kind": "sweep", "machines": ["spacx"], "models": ["MobileNetV2"], "budget": {"max_rss_mb": 0}},
+            {"kind": "search", "space": {"machine": [["spacx"]]}},
+            {"kind": "search", "space": {"dimensions": {"machine": [{}]}}},
         ],
     )
     def test_invalid_campaigns_raise_config_error(self, raw):
         with pytest.raises(ConfigError):
             CampaignSpec.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            {"machine": ["spacx"], "k_granularity": 8},
+            {"machine": "spacx", "k_granularity": [8, 16]},
+            {"dimensions": {"machine": ["spacx"], "k_granularity": [8, 16]}},
+        ],
+    )
+    def test_inline_space_is_normalized_through_the_space(self, space):
+        """Every form ``SearchSpace.from_dict`` accepts normalizes to
+        the ``{name: [values]}`` it means there, so the submission
+        runs the space the file would and shares its content id."""
+        from repro.dse.space import SearchSpace
+
+        spec = CampaignSpec.from_dict({"kind": "search", "space": space})
+        dimensions = SearchSpace.from_dict(space).to_dict()["dimensions"]
+        assert spec.params["space"] == dimensions
+        assert spec.content_id == CampaignSpec.from_dict(
+            {"kind": "search", "space": dimensions}
+        ).content_id
 
     def test_search_preset_supplies_objective_and_validation(self):
         spec = CampaignSpec.from_dict({"kind": "search", "space": "tiny"})

@@ -716,6 +716,19 @@ class TestHTTPBoundary:
         assert str(server_mod.MAX_BODY_BYTES) in body["error"]
         assert fields["connection"] == "close"
 
+    def test_unhashable_space_value_is_400(self, http_service):
+        _, url = http_service
+        body = json.dumps(
+            {"kind": "search", "space": {"machine": [["spacx"]]}}
+        ).encode()
+        status, _, reply = _raw_post(
+            url,
+            f"Content-Length: {len(body)}\r\nConnection: close\r\n",
+            body,
+        )
+        assert status == 400
+        assert "unhashable" in reply["error"]
+
     def test_stalled_body_is_408(self, http_service, monkeypatch):
         monkeypatch.setattr(server_mod._Handler, "timeout", 0.5)
         _, url = http_service

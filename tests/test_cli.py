@@ -292,6 +292,22 @@ class TestFaultsCommand:
         assert "error:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--samples", "0"],
+            ["--threshold", "0.5"],
+            ["--rates=-1"],
+            ["--threshold", "nan"],
+            ["--rates", "nan"],
+        ],
+    )
+    def test_faults_rejects_out_of_range_arguments(self, capsys, argv):
+        assert main(["faults", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestDoctorCommand:
     def test_doctor_default_is_clean(self, capsys):
@@ -507,6 +523,14 @@ class TestSearchCommand:
         assert main(["search", "--space", str(space)]) == 2
         err = capsys.readouterr().err
         assert "unknown dimension" in err
+        assert "Traceback" not in err
+
+    def test_unhashable_dimension_value_exits_2(self, capsys, tmp_path):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"machine": [["spacx"]]}))
+        assert main(["search", "--space", str(space)]) == 2
+        err = capsys.readouterr().err
+        assert "unhashable" in err
         assert "Traceback" not in err
 
     def test_nothing_feasible_exits_1(self, capsys, tmp_path):
