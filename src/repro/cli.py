@@ -481,6 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    if args.batch < 1:
+        raise ConfigError(f"--batch must be >= 1, got {args.batch}")
     simulator = _MACHINES[args.machine]()
     model = get_model(args.model)
     if args.batch > 1:
@@ -824,6 +826,8 @@ def _load_search_space(token: str):
 def _command_search(args: argparse.Namespace) -> int:
     from .dse.search import SearchEngine
 
+    if args.top < 1:
+        raise ConfigError(f"--top must be >= 1, got {args.top}")
     space, preset = _load_search_space(args.space)
     objective = args.objective or (preset.objective if preset else "edp")
     validation = args.validation or (

@@ -372,10 +372,11 @@ class ResultCache:
     (CRC32 + length-prefixed) line holding the positional JSON array
     ``[schema, key, packed_result]`` with the result in the packed form
     of :func:`repro.serialization.layer_result_pack`; unframed lines
-    from pre-store caches are still accepted.  A shard is parsed
-    wholesale on first touch (hundreds of tiny per-entry files would
-    make a warm start open-bound), and duplicate keys resolve
-    last-wins.  Writes are group-committed: :meth:`put_many` lands
+    from pre-store caches are still accepted.  A shard is read
+    wholesale (:func:`~repro.core.store.read_log`) on first touch
+    (hundreds of tiny per-entry files would make a warm start
+    open-bound), and duplicate keys resolve last-wins.  Writes are
+    group-committed: :meth:`put_many` lands
     each shard's new entries with a single ``O_APPEND`` write carrying
     all their frames, in put order, and the runner calls it once per
     dispatch, before any job of that dispatch is marked done.  A torn
@@ -452,39 +453,11 @@ class ResultCache:
         return os.path.join(str(self.cache_dir), f"{shard}.jsonl")
 
     def _load_shard(self, shard: str) -> None:
-        """Parse one shard file into the payload index (idempotent)."""
+        """Read one shard file into the payload index (idempotent)."""
         self._loaded_shards.add(shard)
         path = self._shard_path(shard)
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except OSError:
-            return
-        if not data:
-            return
-        scan = store.parse_log(data)
-        health = self.health
-        health.torn_records += scan.torn
-        health.legacy_records += scan.legacy
-        corrupt = list(scan.corrupt)
-        payloads = []
-        if scan.records:
-            try:
-                # One C-level parse of the whole shard; falls back to
-                # per-line parsing when any record's payload is bad.
-                payloads = json.loads(b"[" + b",".join(scan.records) + b"]")
-            except json.JSONDecodeError:
-                payloads = []
-                for line in scan.records:
-                    try:
-                        payloads.append(json.loads(line))
-                    except json.JSONDecodeError:
-                        corrupt.append(line)  # framed but non-JSON payload
-        if corrupt:
-            health.quarantined_records += len(corrupt)
-            store.quarantine_records(path, corrupt, health=health)
         index = self._disk_index
-        for payload in payloads:
+        for payload in store.read_log(path, health=self.health):
             # Positional entry: ``[schema, key, packed_result]``.
             if (
                 type(payload) is list

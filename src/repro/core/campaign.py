@@ -108,26 +108,23 @@ def read_manifest_events(path: str | Path) -> list[dict]:
     path = Path(path)
     if path.suffix != ".jsonl":
         path = path / MANIFEST_FILENAME
-    try:
-        data = path.read_bytes()
-    except OSError:
-        return []
-    scan = store.parse_log(data)
-    events: list[dict] = []
-    for position, line in enumerate(scan.records):
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(payload, dict):
-            continue
-        if position == 0:
-            if "campaign" in payload:
-                events.append({"event": "header", **payload})
-            continue
-        if payload.get("event") in ("done", "failed", "quarantined"):
-            events.append(payload)
+    records = store.read_log(path)
+    header = _header(records)
+    events = [{"event": "header", **header}] if "campaign" in header else []
+    events.extend(
+        record
+        for record in records[1:]
+        if isinstance(record, dict)
+        and record.get("event") in ("done", "failed", "quarantined")
+    )
     return events
+
+
+def _header(records: list) -> dict:
+    """A manifest's header: its first record, or ``{}`` if that is not
+    a JSON object."""
+    header = records[0] if records else None
+    return header if isinstance(header, dict) else {}
 
 
 class CampaignManifest:
@@ -185,34 +182,15 @@ class CampaignManifest:
         self._start_fresh()
 
     def _load_existing(self) -> bool:
-        """Parse a prior manifest; ``True`` iff it matches this campaign."""
-        try:
-            data = self.path.read_bytes()
-        except OSError:
-            return False
-        scan = store.parse_log(data)
-        self.health.torn_records += scan.torn
-        self.health.legacy_records += scan.legacy
-        if scan.corrupt:
-            self.health.quarantined_records += len(scan.corrupt)
-            store.quarantine_records(str(self.path), scan.corrupt)
-        if not scan.records:
-            return False
-        try:
-            header = json.loads(scan.records[0])
-        except json.JSONDecodeError:
-            return False
+        """Read a prior manifest; ``True`` iff it matches this campaign."""
+        records = store.read_log(self.path, health=self.health)
+        header = _header(records)
         if (
-            not isinstance(header, dict)
-            or header.get("schema") != MANIFEST_SCHEMA_VERSION
+            header.get("schema") != MANIFEST_SCHEMA_VERSION
             or header.get("campaign") != self.campaign_id
         ):
             return False
-        for line in scan.records[1:]:
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # unparseable record (should not survive framing)
+        for event in records[1:]:
             if not isinstance(event, dict):
                 continue
             index = event.get("index")
@@ -257,22 +235,14 @@ class CampaignManifest:
         ``--cache-dir`` -- is renamed to ``campaign.jsonl.stale-<id12>``
         and warned about, never destroyed.
         """
+        existing_id = _header(store.read_log(self.path)).get("campaign")
+        if existing_id == self.campaign_id:
+            return
         try:
             data = self.path.read_bytes()
         except OSError:
             return
         if not data.strip():
-            return
-        existing_id = None
-        scan = store.parse_log(data)
-        if scan.records:
-            try:
-                header = json.loads(scan.records[0])
-                if isinstance(header, dict):
-                    existing_id = header.get("campaign")
-            except json.JSONDecodeError:
-                pass
-        if existing_id == self.campaign_id:
             return
         stale_id = store._stale_id(data, existing_id)
         target = self.path.with_name(f"{self.path.name}.stale-{stale_id}")

@@ -1,15 +1,15 @@
 """Crash-consistent, multi-process-safe append-log storage layer.
 
-:class:`repro.core.batch.ResultCache` (disk tier) and
-:class:`repro.core.campaign.CampaignManifest` both persist state as
-append-only JSONL files inside a shared cache directory.  Before this
-module existed they wrote bare ``json.dumps`` lines through buffered
-``open(..., "a")`` handles with no locking and no integrity metadata:
-two processes sharing a directory could interleave torn lines, a
-mid-run kill could leave an undetectably truncated tail, and every
-write error vanished into ``except OSError: pass``.  This module is
-the storage substrate that makes multi-hour, multi-process campaigns
-(ROADMAP item 4, the multi-tenant campaign service) safe:
+:class:`repro.core.batch.ResultCache` (disk tier),
+:class:`repro.core.campaign.CampaignManifest` and the campaign
+service's submission ledger persist state as append-only JSONL files.
+Before this module existed they wrote bare ``json.dumps`` lines
+through buffered ``open(..., "a")`` handles with no locking and no
+integrity metadata: two processes sharing a directory could interleave
+torn lines, a mid-run kill could leave an undetectably truncated tail,
+and every write error vanished into ``except OSError: pass``.  This
+module is the storage substrate that makes multi-hour, multi-process
+campaigns (ROADMAP item 4, the multi-tenant campaign service) safe:
 
 * **Framed records.**  Every record is one line,
   ``=<crc32:8 hex><length:8 hex>:<payload>\\n``, written -- alone or
@@ -18,12 +18,18 @@ the storage substrate that makes multi-hour, multi-process campaigns
   interleave *whole* frames on a local filesystem, and any byte-level
   damage -- torn writes, bit rot, interleaving on exotic mounts -- is
   caught by the length/CRC check on read.
-* **Torn-tail vs corruption.**  A record that fails validation at the
+* **One reader.**  :func:`read_log` is the only code that turns a log
+  into JSON records, for every log above: a record is a frame (or a
+  legacy unframed line) that :func:`parse_log` accepts and that holds
+  exactly one JSON value.  :func:`scan_log` applies the same rule.
+* **Torn-tail vs corruption.**  A line that fails validation at the
   *end* of a file is a torn tail (the expected remains of a kill
-  mid-append): it is skipped and counted, never fatal.  A record that
-  fails validation *mid-file* is corruption: it is appended verbatim
-  to ``<file>.quarantine`` (deduplicated) so nothing is ever silently
-  dropped, and counted in :class:`StorageHealth`.
+  mid-append): it is skipped and counted, never fatal.  Anything else
+  that is not a record -- a line failing validation *mid-file*, or a
+  valid frame whose payload is not one JSON value -- is corruption:
+  it is appended verbatim to ``<file>.quarantine`` (deduplicated) so
+  nothing is ever silently dropped, and counted in
+  :class:`StorageHealth`.
 * **Advisory locking.**  :class:`FileLock` uses ``fcntl.flock`` where
   available (kernel-released on process death, so it can never go
   stale) and falls back to ``O_EXCL`` lock files carrying the owner
@@ -82,10 +88,10 @@ __all__ = [
     "append_record",
     "frame_record",
     "fsync_policy",
-    "iter_json_records",
     "parse_log",
     "quarantine_path",
     "quarantine_records",
+    "read_log",
     "record_degradation",
     "reset_warnings",
     "resolve_fsync",
@@ -319,7 +325,7 @@ def _validate_line(line: bytes) -> tuple[bool, bytes | None, bool]:
         return False, None, True
     try:
         json.loads(line)
-    except ValueError:
+    except (ValueError, RecursionError):
         return False, None, False
     return True, line, False
 
@@ -374,17 +380,57 @@ def parse_log(data: bytes) -> LogScan:
     return scan
 
 
-def iter_json_records(path):
-    """Yield each valid record of an append log parsed as JSON."""
+def _parse_json(data: bytes) -> tuple[LogScan, list]:
+    """:func:`parse_log`, then the decode step: ``(scan, values)``,
+    where each frame that does not hold exactly one JSON value has
+    moved from ``scan.records`` to ``scan.corrupt``.
+
+    One C-level ``json.loads`` over the joined records is taken when it
+    yields one value per record; otherwise each record is decoded alone.
+    """
+    scan = parse_log(data)
+    records = scan.records
     try:
-        data = Path(path).read_bytes()
+        values = json.loads(b"[" + b",".join(records) + b"]")
+    except (ValueError, RecursionError):  # also a payload not in UTF-8
+        values = None
+    if values is None or len(values) != len(records):
+        values, scan.records = [], []
+        for record in records:
+            try:
+                values.append(json.loads(record))
+            except (ValueError, RecursionError):
+                # Legacy lines always decode, so this is a frame, and
+                # framing its payload again gives back its line.
+                scan.corrupt.append(frame_record(record)[:-1])
+            else:
+                scan.records.append(record)
+    return scan, values
+
+
+def read_log(path, *, health: StorageHealth | None = None) -> list:
+    """The JSON value of each record of an append log, in file order.
+
+    A record is a line :func:`parse_log` accepts that holds exactly one
+    JSON value; a missing or unreadable file has none.  A caller that
+    owns the log passes its ``health``: torn and legacy lines are
+    counted, and every other invalid line is counted and quarantined.
+    Without ``health`` the read writes nothing, since another process
+    may be mid-append.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError:
-        return
-    for record in parse_log(data).records:
-        try:
-            yield json.loads(record)
-        except ValueError:
-            continue
+        return []
+    scan, values = _parse_json(data)
+    if health is not None:
+        health.torn_records += scan.torn
+        health.legacy_records += scan.legacy
+        if scan.corrupt:
+            health.quarantined_records += len(scan.corrupt)
+            quarantine_records(path, scan.corrupt, health=health)
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -802,11 +848,12 @@ def scan_log(
 ) -> FileScan:
     """Audit one append log; optionally quarantine + rewrite it.
 
-    With ``repair=True`` every invalid line (mid-file corruption *and*
-    the torn tail -- nothing is discarded) is moved to the quarantine
-    file and the log is atomically rewritten from its valid records,
-    re-framing any legacy lines along the way.  Pure-legacy files with
-    no damage are left untouched.
+    A record is what :func:`read_log` serves.  With ``repair=True``
+    every invalid line (mid-file corruption *and* the torn tail --
+    nothing is discarded) is moved to the quarantine file and the log
+    is atomically rewritten from its valid records, re-framing any
+    legacy lines along the way.  Pure-legacy files with no damage are
+    left untouched.
     """
     path = str(path)
     result = FileScan(path=path)
@@ -815,7 +862,7 @@ def scan_log(
     except OSError as exc:
         result.unreadable = f"{type(exc).__name__}: {exc}"
         return result
-    scan = parse_log(data)
+    scan, _ = _parse_json(data)
     result.records = len(scan.records)
     result.legacy = scan.legacy
     result.torn = scan.torn

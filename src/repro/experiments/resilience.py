@@ -37,7 +37,12 @@ import numpy as np
 from ..baselines.electrical import ElectricalFaultDomain
 from ..baselines.popstar import popstar_simulator
 from ..baselines.simba import simba_simulator
-from ..core.batch import SweepJob, SweepRunner, simulate_model_cached
+from ..core.batch import (
+    SweepJob,
+    SweepJobError,
+    SweepRunner,
+    simulate_model_cached,
+)
 from ..core.faults import InfeasibleFaultError
 from ..core.layer import LayerSet
 from ..errors import ConfigError
@@ -191,7 +196,10 @@ def availability_study(
     process record's for a default runner) bounds the study: when the
     runner stops (deadline, breaker, drain signal) the study returns
     the points of the accelerators whose batch completed and omits
-    the rest, instead of raising.
+    the rest, instead of raising.  A degraded machine is evaluated only
+    through the runner: a job it fails under ``on_error="skip"`` ends
+    the study with :class:`~repro.core.batch.SweepJobError` naming the
+    first failed job.
     """
     # NaN-safe: ``not x >= bound`` also rejects NaN, which ``x < bound``
     # lets through.  Every rate is checked before the first simulation.
@@ -253,15 +261,17 @@ def availability_study(
                 outputs = runner.run(
                     [SweepJob(builder(*config), model) for config in configs]
                 )
-                for config, output in zip(configs, outputs):
-                    if output is not None:
-                        times[config] = output.execution_time_s
-                if getattr(runner, "stopped", False):
+                if runner.stopped:
                     # Budget/drain stop mid-study: return the points of
                     # the accelerators that finished; this machine's
-                    # partially-evaluated cells are dropped rather than
-                    # recomputed inline past the budget.
+                    # partially-evaluated cells are dropped.
                     break
+                if None in outputs:
+                    # A slot failed under on_error="skip": the study
+                    # fails with it, as a failed job fails a sweep.
+                    raise SweepJobError(runner.failures[0])
+                for config, output in zip(configs, outputs):
+                    times[config] = output.execution_time_s
             # Phase 3: per-cell statistics (pure arithmetic).
             for rate, cell in cells:
                 fault_counts: list[int] = []
@@ -275,14 +285,7 @@ def availability_study(
                         dead += 1
                         throughputs.append(0.0)
                         continue
-                    degraded_s = times.get(config)
-                    if degraded_s is None:
-                        # Batch slot skipped under on_error="skip":
-                        # recompute inline (historical behaviour).
-                        degraded_s = simulate_model_cached(
-                            builder(*config), model, cache=runner.cache
-                        ).execution_time_s
-                        times[config] = degraded_s
+                    degraded_s = times[config]
                     slowdown = max(degraded_s, healthy_s) / healthy_s
                     slowdowns.append(slowdown)
                     throughputs.append(1.0 / slowdown)

@@ -23,9 +23,9 @@ survives.  Job-level parallelism stays inside the runner; the service
 only schedules whole campaigns.
 
 **Durability.**  Submissions are appended (framed, fsync'd) to
-``submissions.jsonl`` *before* they are acknowledged; each sweep
-execution checkpoints through its own
-:class:`~repro.core.campaign.CampaignManifest` under
+``submissions.jsonl`` *before* they are acknowledged, and refused
+when that append fails; each sweep execution checkpoints through its
+own :class:`~repro.core.campaign.CampaignManifest` under
 ``campaigns/<exec-id>/``; terminal states append a second ledger
 record; results payloads land via atomic replace.  A killed server
 therefore restores to exactly: acknowledged submissions, terminal
@@ -175,6 +175,11 @@ class CampaignService:
         self.cache_dir = self.data_dir / "cache"
         self.campaigns_dir = self.data_dir / "campaigns"
         self.ledger_path = self.data_dir / LEDGER_FILENAME
+        #: What reading and appending the ledger ran into: torn and
+        #: quarantined records on restore, and a failed append, after
+        #: which the ledger takes no more records until restart.
+        self.ledger_health = store.StorageHealth()
+        self._ledger_lock = threading.Lock()
         for directory in (self.data_dir, self.cache_dir, self.campaigns_dir):
             directory.mkdir(parents=True, exist_ok=True)
         self.runner_slots = runner_slots
@@ -203,12 +208,23 @@ class CampaignService:
     def _campaign_dir(self, exec_id: str) -> Path:
         return self.campaigns_dir / exec_id[:24]
 
-    def _append_ledger(self, record: dict) -> None:
-        store.append_record(
-            self.ledger_path,
-            json.dumps(record, sort_keys=True).encode(),
-            fsync=True,
-        )
+    def _append_ledger(self, record: dict) -> bool:
+        """Append one fsynced ledger record; ``True`` iff it landed.
+
+        After a failed append the ledger is degraded until restart and
+        every later append is skipped, so no record is glued onto the
+        partial frame a short write may have left.  Appends come from
+        submissions and runner slots alike, hence the lock.
+        """
+        with self._ledger_lock:
+            if str(self.ledger_path) in self.ledger_health.degraded:
+                return False
+            return store.append_record(
+                self.ledger_path,
+                json.dumps(record, sort_keys=True).encode(),
+                fsync=True,
+                health=self.ledger_health,
+            )
 
     def _persist_results(self, execution: Execution, data: bytes) -> None:
         """Write ``results.json`` with atomic replace + fsync.
@@ -241,18 +257,18 @@ class CampaignService:
         (results are reloaded lazily from ``results.json``); everything
         else goes back on the queue, where its manifest -- if the
         campaign had started -- makes the re-run an incremental resume.
+        A corrupt ledger record is quarantined with one warning, and so
+        is a torn final one, which the next append would be glued onto.
         """
-        try:
-            data = self.ledger_path.read_bytes()
-        except OSError:
-            return
-        scan = store.parse_log(data)
+        records = store.read_log(self.ledger_path, health=self.ledger_health)
+        if self.ledger_health.torn_records and not store.scan_log(
+            self.ledger_path, repair=True
+        ).repaired:
+            self.ledger_health.degraded[str(self.ledger_path)] = (
+                "torn final record could not be repaired"
+            )
         restored = 0
-        for raw in scan.records:
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError:
-                continue
+        for record in records:
             if not isinstance(record, dict):
                 continue
             if record.get("type") == "submission":
@@ -419,7 +435,8 @@ class CampaignService:
         Returns the submission ticket.  Raises
         :class:`~repro.errors.ConfigError` (HTTP 400) on an invalid
         campaign, :class:`~repro.errors.QuotaExceededError` (429) on
-        quota violations, and ``RuntimeError`` (503) while draining.
+        quota violations, and ``RuntimeError`` (503) while draining or
+        when the ledger cannot take the submission's record.
         """
         spec = CampaignSpec.from_dict(raw)
         n_jobs = spec.n_jobs
@@ -427,10 +444,30 @@ class CampaignService:
             if self._draining:
                 raise RuntimeError("service is draining; not accepting work")
             self.registry.admit(tenant, n_jobs=n_jobs, priority=priority)
-            state = self.registry.state(tenant)
             exec_id = spec.content_id
-            execution = self._executions.get(exec_id)
             now = time.time()
+            sid = f"sub-{self._sub_counter + 1:06d}"
+            # Persisted before any in-memory change: a submission is
+            # acknowledged only once a restart would restore it.
+            if not self._append_ledger(
+                {
+                    "type": "submission",
+                    "submission": sid,
+                    "tenant": tenant,
+                    "priority": priority,
+                    "exec": exec_id,
+                    "spec": spec.params,
+                    "n_jobs": n_jobs,
+                    "created_s": now,
+                }
+            ):
+                raise RuntimeError(
+                    "the submission ledger cannot be written; not "
+                    "accepting work until restart"
+                )
+            self._sub_counter += 1
+            state = self.registry.state(tenant)
+            execution = self._executions.get(exec_id)
             deduplicated = execution is not None
             if execution is None:
                 execution = Execution(
@@ -449,8 +486,6 @@ class CampaignService:
             new_tenant = tenant not in execution.tenants
             if new_tenant:
                 execution.tenants.append(tenant)
-            self._sub_counter += 1
-            sid = f"sub-{self._sub_counter:06d}"
             submission = Submission(
                 submission_id=sid,
                 tenant=tenant,
@@ -476,18 +511,6 @@ class CampaignService:
             # queued executions charge every tenant at dispatch.
             if new_tenant and execution.state in (RUNNING, DONE):
                 self._charge_attached_tenants(execution)
-            self._append_ledger(
-                {
-                    "type": "submission",
-                    "submission": sid,
-                    "tenant": tenant,
-                    "priority": priority,
-                    "exec": exec_id,
-                    "spec": spec.params,
-                    "n_jobs": n_jobs,
-                    "created_s": now,
-                }
-            )
             requeue = execution.state in (FAILED, STOPPED)
             if execution.state == QUEUED and execution.dedupe_hits == 0:
                 self._queue.put(

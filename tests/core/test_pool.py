@@ -442,7 +442,7 @@ def test_pool_campaign_manifest_has_no_lost_or_duplicate_entries(
         runner.run(jobs)
         assert runner.manifest.completed == 5
         assert runner.manifest.failed == 1
-    entries = list(store.iter_json_records(cache_dir / "campaign.jsonl"))
+    entries = store.read_log(cache_dir / "campaign.jsonl")
     done = [e["index"] for e in entries if e.get("event") == "done"]
     assert sorted(done) == [0, 1, 2, 4, 5]  # every success exactly once
     assert len(done) == len(set(done))

@@ -147,6 +147,11 @@ class TestFraming:
         assert scan.records == [b'{"a":1}']
         assert scan.torn == 0 and not scan.corrupt
 
+    def test_deeply_nested_legacy_line_is_corrupt_not_raised(self):
+        deep = b"[" * 100_000 + b"]" * 100_000
+        scan = store.parse_log(deep + b"\n" + store.frame_record(b'{"a":1}'))
+        assert scan.records == [b'{"a":1}'] and scan.corrupt == [deep]
+
     @settings(max_examples=30, deadline=None)
     @given(
         payloads=st.lists(
@@ -176,6 +181,38 @@ class TestFraming:
             assert not scan.corrupt, cut
             consumed = ends[len(expected) - 1] if expected else 0
             assert scan.torn == (1 if cut > consumed else 0), cut
+
+
+# ----------------------------------------------------------------------
+# The one reader
+# ----------------------------------------------------------------------
+class TestReadLog:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"not json",
+            b"\xff\xfe",
+            b'{"a":1},{"b":2}',
+            b"",
+            b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=["not-json", "not-utf8", "two-values", "empty", "too-deep"],
+    )
+    def test_a_frame_not_holding_one_json_value_is_corrupt(
+        self, tmp_path, payload
+    ):
+        path = tmp_path / "a.jsonl"
+        store.append_record(path, b'{"k":0}', payload, b'{"k":1}')
+        quarantine = Path(store.quarantine_path(path))
+        # An observer gets the records and writes nothing.
+        assert store.read_log(path) == [{"k": 0}, {"k": 1}]
+        assert not quarantine.exists()
+        health = store.StorageHealth()
+        with pytest.warns(ReproWarning, match="quarantined"):
+            records = store.read_log(path, health=health)
+        assert records == [{"k": 0}, {"k": 1}]
+        assert health.quarantined_records == 1
+        assert quarantine.read_bytes() == store.frame_record(payload)
 
 
 # ----------------------------------------------------------------------
@@ -835,6 +872,25 @@ class TestManifestPreservation:
         assert resumed.health.quarantined_records == 1
         assert Path(f"{path}{store.QUARANTINE_SUFFIX}").exists()
 
+    def test_non_json_manifest_event_is_quarantined_on_resume(
+        self, tmp_path, simulator
+    ):
+        jobs = [SweepJob(simulator, m) for m in _models(3)]
+        manifest = CampaignManifest(tmp_path)
+        manifest.begin(jobs)
+        path = tmp_path / "campaign.jsonl"
+        assert store.append_record(path, b"not json")
+        manifest.mark_done(1)
+
+        resumed = CampaignManifest(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ReproWarning)
+            resumed.begin(jobs, resume=True)
+        assert resumed.resumed and resumed.is_done(1)
+        assert resumed.health.quarantined_records == 1
+        quarantine = Path(f"{path}{store.QUARANTINE_SUFFIX}")
+        assert quarantine.read_bytes() == store.frame_record(b"not json")
+
 
 # ----------------------------------------------------------------------
 # Concurrency (satellite: 4 writers, no lost/dup/corrupt records)
@@ -1046,8 +1102,23 @@ class TestDoctorCache:
         assert "0 issue(s)" in out
         # Both valid records survived the repair, now re-framed.
         assert [
-            r["k"] for r in store.iter_json_records(cache_dir / "a.jsonl")
+            r["k"] for r in store.read_log(cache_dir / "a.jsonl")
         ] == [1, 2]
+
+    def test_non_json_frame_is_found_and_repaired(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        path = cache_dir / "a.jsonl"
+        store.append_record(path, b"not json")
+        store.append_record(path, b'{"k":1}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ReproWarning)
+            assert main(["doctor", "--cache", str(cache_dir)]) == 1
+        assert "1 corrupt" in capsys.readouterr().out
+        quarantine = cache_dir / f"a.jsonl{store.QUARANTINE_SUFFIX}"
+        assert quarantine.read_bytes() == store.frame_record(b"not json")
+        assert main(["doctor", "--cache", str(cache_dir)]) == 0
+        capsys.readouterr()
+        assert store.read_log(path) == [{"k": 1}]
 
     def test_no_repair_reports_without_touching(self, tmp_path, capsys):
         cache_dir = self._damaged_dir(tmp_path)

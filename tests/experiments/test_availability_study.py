@@ -110,6 +110,68 @@ class TestStudy:
         )
         assert all(p.mean_faults == 0.0 for p in quiet)
 
+    def test_failed_degraded_machine_fails_the_study(
+        self, workload, monkeypatch
+    ):
+        """A degraded machine the runner fails under ``on_error="skip"``
+        ends the study with the runner's failure; it is never simulated
+        again outside the runner."""
+        from repro.core.batch import NullCache, SweepJobError, SweepRunner
+        from repro.experiments import resilience
+        from repro.spacx.architecture import spacx_simulator
+
+        calls: dict = {}
+
+        class Failing:
+            """A degraded SPACX machine whose every simulation raises."""
+
+            def __init__(self, inner, config):
+                self.inner, self.config = inner, config
+
+            def _strike(self, *args, **kwargs):
+                calls[self.config] = calls.get(self.config, 0) + 1
+                raise RuntimeError(f"injected failure on {self.config}")
+
+            simulate_model = simulate_layer = _strike
+
+            def __getattr__(self, name):
+                if name.startswith("_") or name in ("inner", "config"):
+                    raise AttributeError(name)
+                return getattr(self.inner, name)
+
+        def builder(chiplets, pes_per_chiplet):
+            inner = spacx_simulator(chiplets, pes_per_chiplet)
+            if (chiplets, pes_per_chiplet) == (32, 32):
+                return inner
+            return Failing(inner, (chiplets, pes_per_chiplet))
+
+        monkeypatch.setattr(resilience, "spacx_simulator", builder)
+        runner = SweepRunner(
+            max_workers=1,
+            cache=NullCache(),
+            manifest=False,
+            budget=False,
+            on_error="skip",
+            retries=1,
+            backoff_s=0.0,
+        )
+        try:
+            with pytest.raises(SweepJobError) as err:
+                availability_study(
+                    model=workload,
+                    rates=(0.01, 0.05),
+                    samples=16,
+                    seed=3,
+                    accelerators=("SPACX",),
+                    runner=runner,
+                )
+        finally:
+            runner.close()
+        assert err.value.failure is runner.failures[0]
+        assert err.value.failure.index == 0
+        assert len(calls) >= 2
+        assert all(count == 2 for count in calls.values()), calls
+
     def test_validation(self, workload):
         with pytest.raises(ValueError):
             availability_study(model=workload, samples=0)

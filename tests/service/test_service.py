@@ -7,17 +7,23 @@ exercising the real HTTP layer and the real sweep engine.
 
 from __future__ import annotations
 
+import errno
+import itertools
 import json
 import socket
+import sys
 import threading
 import urllib.request
+import warnings
+from pathlib import Path
 from unittest import mock
 from urllib.parse import urlsplit
 
 import pytest
 
+from repro.core import store
 from repro.core.batch import NullCache, SweepRunner
-from repro.errors import QuotaExceededError
+from repro.errors import QuotaExceededError, ReproWarning
 from repro.service import (
     CampaignService,
     ServiceClient,
@@ -449,6 +455,124 @@ class TestTenantAccounting:
         assert state.completed == 0
         assert state.active == 0
         assert restarted.status(ticket["submission"])["state"] == "failed"
+
+
+class TestLedger:
+    def test_unwritten_submission_is_refused(self, tmp_path, monkeypatch):
+        """A submission whose ledger record lands short is refused, and
+        so is every later one: no record is glued onto the partial
+        frame.  A restart finds no submission it never acknowledged and
+        moves the partial frame aside before the ledger takes the next."""
+        real_write = store._os_write
+
+        def half_write(fd, data):
+            return real_write(fd, data[: len(data) // 2])
+
+        svc = CampaignService(tmp_path / "data", runner_slots=1)
+        monkeypatch.setattr(store, "_os_write", half_write)
+        with pytest.warns(ReproWarning, match="storage degraded"):
+            with pytest.raises(RuntimeError, match="ledger"):
+                svc.submit(CAMPAIGN, tenant="alice")
+        partial = svc.ledger_path.read_bytes()
+        with pytest.raises(RuntimeError, match="ledger"):
+            svc.submit(CAMPAIGN, tenant="alice")
+        monkeypatch.undo()
+        assert svc.ledger_path.read_bytes() == partial
+        assert svc.list_submissions() == []
+
+        with pytest.warns(ReproWarning, match="quarantined"):
+            restarted = CampaignService(tmp_path / "data", runner_slots=1)
+        assert restarted.list_submissions() == []
+        assert restarted.ledger_health.torn_records == 1
+        # The torn frame went to the quarantine file, so the next
+        # acknowledged submission is not glued onto it.
+        quarantine = Path(f"{svc.ledger_path}{store.QUARANTINE_SUFFIX}")
+        assert quarantine.read_bytes() == partial + b"\n"
+        ticket = restarted.submit(CAMPAIGN, tenant="alice")
+        again = CampaignService(tmp_path / "data", runner_slots=1)
+        assert [s["submission"] for s in again.list_submissions()] == [
+            ticket["submission"]
+        ]
+
+    def test_unrepaired_torn_ledger_refuses_submissions(
+        self, tmp_path, monkeypatch
+    ):
+        svc = CampaignService(tmp_path / "data", runner_slots=1)
+        svc.submit(CAMPAIGN, tenant="alice")
+        svc.ledger_path.write_bytes(svc.ledger_path.read_bytes()[:-20])
+
+        def read_only_replace(src, dst):
+            raise OSError(errno.EROFS, "read-only file system")
+
+        monkeypatch.setattr(store, "_os_replace", read_only_replace)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ReproWarning)
+            restarted = CampaignService(tmp_path / "data", runner_slots=1)
+            with pytest.raises(RuntimeError, match="ledger"):
+                restarted.submit(CAMPAIGN, tenant="alice")
+        assert not svc.ledger_path.read_bytes().endswith(b"\n")
+
+    def test_no_append_lands_after_a_failed_one(self, tmp_path, monkeypatch):
+        """Runner slots and submissions append from several threads:
+        once one append lands short, none lands after it."""
+        svc = CampaignService(tmp_path / "data", runner_slots=1)
+        real_write = store._os_write
+        writes = itertools.count()
+
+        def fifth_write_short(fd, data):
+            if next(writes) == 4:
+                return real_write(fd, data[: len(data) // 2])
+            return real_write(fd, data)
+
+        landed = []
+
+        def append(worker):
+            for n in range(8):
+                landed.append(
+                    svc._append_ledger({"type": "probe", "w": worker, "n": n})
+                )
+
+        monkeypatch.setattr(store, "_os_write", fifth_write_short)
+        threads = [
+            threading.Thread(target=append, args=(w,)) for w in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ReproWarning)
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(landed) == 64 and landed.count(True) == 4
+        data = svc.ledger_path.read_bytes()
+        assert data.count(b"\n") == 4 and not data.endswith(b"\n")
+
+    def test_restart_quarantines_a_corrupt_ledger_record(self, tmp_path):
+        svc = CampaignService(tmp_path / "data", runner_slots=1)
+        svc.submit(CAMPAIGN, tenant="alice")
+        second = svc.submit(TestTenantAccounting.OTHER, tenant="bob")
+        first_line, second_line = svc.ledger_path.read_bytes().splitlines(
+            keepends=True
+        )
+        damaged = bytearray(first_line)
+        damaged[-3] ^= 0x01  # one corrupted payload byte
+        svc.ledger_path.write_bytes(bytes(damaged) + second_line)
+
+        store.reset_warnings()
+        with pytest.warns(ReproWarning, match="quarantined") as caught:
+            restarted = CampaignService(tmp_path / "data", runner_slots=1)
+        assert len(caught) == 1
+        assert [s["submission"] for s in restarted.list_submissions()] == [
+            second["submission"]
+        ]
+        assert restarted.ledger_health.quarantined_records == 1
+        quarantine = Path(f"{svc.ledger_path}{store.QUARANTINE_SUFFIX}")
+        assert quarantine.read_bytes() == bytes(damaged)
 
 
 class _StopAfterFirstJob(CampaignService):

@@ -226,6 +226,15 @@ class TestBatchFlag:
         out = capsys.readouterr().out
         assert "batch" not in out
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_batch_below_one_exits_2(self, capsys, count):
+        assert main(["run", "--model", "VGG-16", f"--batch={count}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_extension_sections_render(self, capsys):
         assert main(["report", "--section", "motivation"]) == 0
         out = capsys.readouterr().out
@@ -475,6 +484,15 @@ class TestSearchCommand:
             assert key in payload, key
         assert payload["ok"] is True
         assert payload["best"]["config"]["machine"] == "spacx"
+
+    @pytest.mark.parametrize("argv", [["--top", "0", "--json"], ["--top=-1"]])
+    def test_top_below_one_exits_2(self, capsys, argv):
+        assert main(["search", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
     def test_json_space_file(self, capsys, tmp_path):
         import json

@@ -14,7 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: ``except ...: pass`` handlers under ``src/`` today.  Lower it when
 #: one is removed; never raise it.
-MAX_SILENT_HANDLERS = 22
+MAX_SILENT_HANDLERS = 21
 
 
 def _silent_handlers() -> list[str]:
