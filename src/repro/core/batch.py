@@ -43,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import operator
@@ -120,7 +121,8 @@ logger = logging.getLogger(__name__)
 
 #: Bump whenever the simulator's numerical behaviour or the cached
 #: payload layout changes; stale disk entries are then ignored.
-CACHE_SCHEMA_VERSION = 1
+#: Schema 2: block records in one shard per machine.
+CACHE_SCHEMA_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -314,12 +316,15 @@ def layer_cache_key(
     The key text is a flat ``|``-joined string (not JSON): hashing a
     short f-string is several times cheaper than ``json.dumps``.
     :meth:`ResultCache.lookup` memoises the keys per simulator object.
+
+    The key's first hex digit is the fingerprint's, so every key of
+    one machine names the same disk shard (``key[:1]``).
     """
     payload = (
         f"{CACHE_SCHEMA_VERSION}|{fingerprint}"
         f"|{layer.shape_key!r}|{int(bool(layer_by_layer))}"
     )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return fingerprint[:1] + hashlib.sha256(payload.encode()).hexdigest()[1:]
 
 
 # ----------------------------------------------------------------------
@@ -367,25 +372,33 @@ class ResultCache:
     misses, memoising the keys on the simulator object (they die with
     it).  Keys it does not find in memory go through :meth:`get`.
 
-    Disk layout: 16 append-only shard files ``<cache_dir>/<key[0]>.jsonl``
-    managed by :mod:`repro.core.store` -- each entry is one framed
-    (CRC32 + length-prefixed) line holding the positional JSON array
-    ``[schema, key, packed_result]`` with the result in the packed form
-    of :func:`repro.serialization.layer_result_pack`; unframed lines
-    from pre-store caches are still accepted.  A shard is read
-    wholesale (:func:`~repro.core.store.read_log`) on first touch
-    (hundreds of tiny per-entry files would make a warm start
-    open-bound), and duplicate keys resolve last-wins.  Writes are
-    group-committed: :meth:`put_many` lands
-    each shard's new entries with a single ``O_APPEND`` write carrying
-    all their frames, in put order, and the runner calls it once per
-    dispatch, before any job of that dispatch is marked done.  A torn
-    final line (killed writer) is skipped and counted, so a torn group
-    write loses only its incomplete last frame; corrupt mid-file lines
-    are quarantined to ``<shard>.quarantine`` rather than dropped, and
-    a well-framed record that fails to unpack is counted as rejected;
-    either way concurrent writers sharing a directory degrade to extra
-    misses, never to wrong results.  Write errors (full disk,
+    Disk layout: up to 16 append-only shard files
+    ``<cache_dir>/<key[0]>.jsonl`` managed by :mod:`repro.core.store`.
+    A key's first hex digit is its machine fingerprint's
+    (:func:`layer_cache_key`), so one machine's entries share one
+    shard, and a cache reads only the shards of the machines it looks
+    up.  Each record is one framed (CRC32 + length-prefixed) *block*:
+    the JSON array ``[schema, keys, *columns]`` holding every entry one
+    :meth:`put_many` call stored in that shard, in put order, with the
+    results in the columns of :func:`repro.serialization.pack_block`.
+    A shard is read wholesale (:func:`~repro.core.store.read_log`) on
+    first touch and its keys are indexed to ``(block, row)``, later
+    records winning; the first :meth:`get` of a key decodes and checks
+    its whole block once, and a result is built per row when it is
+    asked for.  The index is kept, so an entry the memory tier evicted
+    (or :meth:`clear` dropped) is rebuilt from its block, not
+    recomputed.  Writes are group-committed: :meth:`put_many` lands
+    each shard's new entries as one block with a single ``O_APPEND``
+    write, and the runner calls it once per dispatch, before any job of
+    that dispatch is marked done.  A torn final line (killed writer) is
+    skipped and counted, so a torn write loses only its own block, and
+    the next append starts on a fresh line instead of being glued onto
+    it; corrupt mid-file lines are quarantined to
+    ``<shard>.quarantine`` rather than dropped, and a well-framed block
+    that fails its checks is counted as rejected once, every key of it
+    recomputed as a miss; either way concurrent writers sharing a
+    directory degrade to extra misses, never to wrong results.  Records
+    of another schema are silent misses.  Write errors (full disk,
     read-only mounts, short writes) raise one deduped
     :class:`~repro.errors.ReproWarning` per shard and drop the cache
     to memory-only for that shard, tracked in ``health``.
@@ -409,8 +422,12 @@ class ResultCache:
         self.health = store.StorageHealth()
         self._disk_puts = disk_puts
         self._memory: OrderedDict[str, LayerResult] = OrderedDict()
-        #: Parsed-but-not-yet-reconstructed disk payloads, per key.
-        self._disk_index: dict[str, list] = {}
+        #: Disk entries by key: ``(block number, row)`` into ``_blocks``.
+        self._disk_index: dict[str, tuple[int, int]] = {}
+        #: Each indexed block: its record until first use, then its
+        #: decoded :class:`~repro.serialization.ResultBlock` (``None``
+        #: when it failed its checks).
+        self._blocks: list = []
         self._loaded_shards: set[str] = set()
         # Plain-int counters (the hot path runs once per layer per
         # lookup; attribute arithmetic on a nested dataclass is
@@ -453,19 +470,27 @@ class ResultCache:
         return os.path.join(str(self.cache_dir), f"{shard}.jsonl")
 
     def _load_shard(self, shard: str) -> None:
-        """Read one shard file into the payload index (idempotent)."""
+        """Index one shard file's blocks by key (idempotent)."""
         self._loaded_shards.add(shard)
-        path = self._shard_path(shard)
+        blocks = self._blocks
         index = self._disk_index
+        path = self._shard_path(shard)
         for payload in store.read_log(path, health=self.health):
-            # Positional entry: ``[schema, key, packed_result]``.
+            # Block record: ``[schema, keys, *columns]``.  Records of
+            # another schema are skipped uncounted.
             if (
-                type(payload) is list
-                and len(payload) == 3
-                and payload[0] == CACHE_SCHEMA_VERSION
-                and isinstance(payload[1], str)
+                type(payload) is not list
+                or len(payload) < 2
+                or payload[0] != CACHE_SCHEMA_VERSION
             ):
-                index[payload[1]] = payload[2]
+                continue
+            keys = payload[1]
+            if type(keys) is not list or not set(map(type, keys)) <= {str}:
+                self.health.rejected_records += 1
+                continue
+            number = itertools.repeat(len(blocks))
+            index.update(zip(keys, zip(number, itertools.count())))
+            blocks.append(payload)
 
     def _disk_get(self, key: str) -> LayerResult | None:
         if self.cache_dir is None:
@@ -473,43 +498,43 @@ class ResultCache:
         shard = key[:1]
         if shard not in self._loaded_shards:
             self._load_shard(shard)
-        payload = self._disk_index.pop(key, None)
-        if payload is None:
+        where = self._disk_index.get(key)
+        if where is None:
             return None
-        from ..serialization import layer_result_unpack
+        number, row = where
+        block = self._blocks[number]
+        if type(block) is list:
+            from ..serialization import unpack_block
 
-        try:
-            return layer_result_unpack(payload)
-        except (KeyError, TypeError, ValueError):
-            self.health.rejected_records += 1  # recomputed as a miss
-            return None
+            try:
+                block = unpack_block(block[2:], len(block[1]))
+            except ValueError:
+                block = None  # every key of it is recomputed as a miss
+                self.health.rejected_records += 1
+            self._blocks[number] = block
+        return None if block is None else block.result(row)
 
     def _disk_put(self, shards: dict) -> None:
-        """Append each shard's ``(key, result)`` entries in one write."""
-        from ..serialization import layer_result_pack
+        """Append each shard's ``(key, result)`` entries as one block."""
+        from ..serialization import pack_block
 
-        # Positional entry (schema tag first): arrays parse measurably
-        # faster than objects and drop three field-name strings per
-        # line from every warm start.  The store layer frames every
-        # line (CRC32 + length) and lands the shard's group with one
-        # O_APPEND write.  A failed or short write degrades the shard
-        # to memory-only with one ReproWarning instead of vanishing
-        # silently; later puts skip it, so no frame is ever appended
-        # onto a partial one.  Shards are encoded one at a time.
+        # The store layer frames the record (CRC32 + length) and lands
+        # it with one O_APPEND write.  A failed or short write degrades
+        # the shard to memory-only with one ReproWarning instead of
+        # vanishing silently; later puts skip it, so no frame is ever
+        # appended onto a partial one.
         degraded = self.health.degraded
         for shard, entries in shards.items():
             path = self._shard_path(shard)
             if path in degraded:
                 continue
+            keys, results = zip(*entries)
             store.append_record(
                 path,
-                *[
-                    json.dumps(
-                        [CACHE_SCHEMA_VERSION, key, layer_result_pack(result)],
-                        separators=(",", ":"),
-                    ).encode()
-                    for key, result in entries
-                ],
+                json.dumps(
+                    [CACHE_SCHEMA_VERSION, keys, *pack_block(results)],
+                    separators=(",", ":"),
+                ).encode(),
                 health=self.health,
             )
 
@@ -586,8 +611,8 @@ class ResultCache:
         """Store ``(key, result)`` pairs in both tiers.
 
         The memory tier takes them one by one; the disk tier groups
-        them by shard, keeping their order, and writes each shard once
-        (:meth:`_disk_put`).  Callers pass everything one dispatch
+        them by shard, keeping their order, and writes one block per
+        shard (:meth:`_disk_put`).  Callers pass everything one dispatch
         computed before any of its jobs is marked done.
         """
         memory_put = self._memory_put
@@ -603,7 +628,7 @@ class ResultCache:
             self._disk_put(shards)
 
     def clear(self) -> None:
-        """Drop the memory tier (disk entries are left untouched)."""
+        """Drop the memory tier (disk entries stay indexed and serve)."""
         self._memory.clear()
         self._hits = self._misses = self._disk_hits = self._puts = 0
         self._lru_active = False

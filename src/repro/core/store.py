@@ -195,6 +195,12 @@ class StorageHealth:
     lock_acquires: int = 0
     lock_contention: int = 0
     stale_locks_broken: int = 0
+    #: Logs whose last read through this record ended in a torn line:
+    #: the next append here starts on a fresh line, so its frames are
+    #: not glued onto the torn bytes (and lost with them).
+    torn_tails: set[str] = field(
+        default_factory=set, compare=False, repr=False
+    )
 
     @property
     def storage_degraded(self) -> bool:
@@ -414,9 +420,10 @@ def read_log(path, *, health: StorageHealth | None = None) -> list:
     A record is a line :func:`parse_log` accepts that holds exactly one
     JSON value; a missing or unreadable file has none.  A caller that
     owns the log passes its ``health``: torn and legacy lines are
-    counted, and every other invalid line is counted and quarantined.
-    Without ``health`` the read writes nothing, since another process
-    may be mid-append.
+    counted (and a torn tail noted, see :func:`append_record`), and
+    every other invalid line is counted and quarantined.  Without
+    ``health`` the read writes nothing, since another process may be
+    mid-append.
     """
     try:
         with open(path, "rb") as handle:
@@ -425,6 +432,8 @@ def read_log(path, *, health: StorageHealth | None = None) -> list:
         return []
     scan, values = _parse_json(data)
     if health is not None:
+        if scan.torn:
+            health.torn_tails.add(str(path))
         health.torn_records += scan.torn
         health.legacy_records += scan.legacy
         if scan.corrupt:
@@ -699,14 +708,20 @@ def append_record(
     frames each payload, writes all the frames in one ``os.write`` call
     and optionally fsyncs, honouring the global policy.  Concurrent
     appenders therefore interleave only whole groups of frames, and a
-    write torn by a kill loses only its incomplete last frame.  Any
-    ``OSError`` (ENOSPC, EIO, read-only mounts) or short write is
-    converted into a degradation record plus one deduped warning; the
-    caller keeps running memory-only.  Returns ``True`` iff every
+    write torn by a kill loses only its incomplete last frame.  When
+    the last :func:`read_log` through ``health`` found the log's tail
+    torn, the write starts with a newline, which ends the torn line
+    (readers skip blank lines), so the new frames are not glued onto
+    it.  Any ``OSError`` (ENOSPC, EIO, read-only mounts) or short write
+    is converted into a degradation record plus one deduped warning;
+    the caller keeps running memory-only.  Returns ``True`` iff every
     record hit the file.
     """
     path = str(path)
     frames = b"".join(map(frame_record, payloads))
+    torn = health is not None and path in health.torn_tails
+    if torn:
+        frames = b"\n" + frames
     do_fsync = resolve_fsync(fsync)
     guard = None
     try:
@@ -723,6 +738,8 @@ def append_record(
                 _os_fsync(fd)
         finally:
             os.close(fd)
+        if torn:
+            health.torn_tails.discard(path)
         return True
     except OSError as exc:
         record_degradation(path, exc, health)

@@ -6,13 +6,13 @@ as data, not Python objects.  Two families live here:
 * the *reporting* converters (``layer_result_to_dict`` etc.) flatten
   results into JSON-compatible dictionaries with stable keys and
   derived quantities mixed in;
-* the *packed* encoding (``layer_result_pack`` /
-  ``layer_result_unpack``) losslessly serialises a
-  :class:`LayerResult` as a positional array for the sweep engine's
-  on-disk result cache (:mod:`repro.core.batch`).  Field orders are
-  enumerated via :mod:`dataclasses`, so they stay exhaustive as the
-  dataclasses grow, and the float scalars travel as one IEEE-754
-  blob, so every float round-trips bit-exactly.
+* the *block* encoding (:func:`pack_block` / :func:`unpack_block`)
+  losslessly serialises many :class:`LayerResult` objects as columns
+  for one record of the sweep engine's on-disk result cache
+  (:mod:`repro.core.batch`).  Field orders are enumerated via
+  :mod:`dataclasses`, so they stay exhaustive as the dataclasses grow,
+  and the float scalars of a block travel as one IEEE-754 blob, so
+  every float round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 import operator
 import struct
 from itertools import chain
-from typing import Any
+from typing import Any, Sequence
 
 from .core.dataflow import DataflowKind
 from .core.layer import ConvLayer
@@ -36,8 +36,10 @@ __all__ = [
     "layer_result_to_dict",
     "model_result_to_dict",
     "model_result_to_json",
-    "layer_result_pack",
-    "layer_result_unpack",
+    "BLOCK_COLUMNS",
+    "pack_block",
+    "unpack_block",
+    "ResultBlock",
 ]
 
 
@@ -147,242 +149,284 @@ def model_result_to_json(result: ModelResult, indent: int | None = 2) -> str:
 
 
 # ----------------------------------------------------------------------
-# Packed (positional) disk-cache encoding
+# Block (columnar) disk-cache encoding
 # ----------------------------------------------------------------------
-#: Canonical field order of the packed encoding, per dataclass.
-_PACK_ORDER: dict[type, tuple[str, ...]] = {
-    cls: tuple(f.name for f in dataclasses.fields(cls))
-    for cls in (
-        ConvLayer,
-        Mapping,
-        TrafficSummary,
-        NetworkEnergy,
-        EnergyBreakdown,
-        LayerResult,
-    )
-}
-
-#: The energy breakdown's scalar fields (its ``network`` split is
-#: packed field by field through ``_PACK_ORDER``).
-_ENERGY_SCALAR_FIELDS = tuple(
-    f.name for f in dataclasses.fields(EnergyBreakdown) if f.name != "network"
-)
-
-# The float-typed scalars of a result, in canonical order.  They are
-# packed as one IEEE-754 hex blob per entry: ``bytes.fromhex`` +
-# ``struct.unpack`` run at C speed, whereas JSON float parsing is the
-# single hottest item of a warm cache start -- and the binary image
-# is bit-exact by construction instead of by shortest-repr argument.
-_LR_FLOAT_ORDER = tuple(
-    f.name
-    for f in dataclasses.fields(LayerResult)
-    if f.type in (float, "float")
-)
-_LR_OTHER_ORDER = tuple(
-    f.name
-    for f in dataclasses.fields(LayerResult)
-    if f.name not in _LR_FLOAT_ORDER
-    and f.name not in ("layer", "mapping", "traffic", "energy")
-)
-_FLOAT_ORDER = (
-    _LR_FLOAT_ORDER + _ENERGY_SCALAR_FIELDS + _PACK_ORDER[NetworkEnergy]
-)
-_FLOAT_STRUCT = struct.Struct(f"<{len(_FLOAT_ORDER)}d")
-
-
-#: Slices of the combined float vector, per owning dataclass.
-_N_LR_FLOATS = len(_LR_FLOAT_ORDER)
-_N_EB_FLOATS = len(_ENERGY_SCALAR_FIELDS)
-_N_FLOATS = len(_FLOAT_ORDER)
-
-#: Hot-path aliases of the per-class orders (module-global loads are
-#: cheaper than a dict subscript per unpacked object).
-_LAYER_ORDER = _PACK_ORDER[ConvLayer]
-_MAPPING_ORDER = _PACK_ORDER[Mapping]
-_TRAFFIC_ORDER = _PACK_ORDER[TrafficSummary]
-_NETWORK_ORDER = _PACK_ORDER[NetworkEnergy]
-
-#: Field annotations that name a plain type a packed value must hold
+#: Field annotations that name a plain type a stored value must hold
 #: exactly (so an ``int`` field takes no ``bool``).
-_FIELD_TYPES = {"int": int, "str": str, "bool": bool}
+_PLAIN_TYPES = {"int": int, "str": str, "bool": bool}
 
 
-def _field_types(cls: type, names: tuple[str, ...]) -> list:
-    """The type each of ``names`` must hold, from ``cls``'s annotations
-    (``None`` for a field rebuilt from its own packed form)."""
-    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
-    return [
-        _FIELD_TYPES.get(getattr(annotations[name], "__name__", annotations[name]))
-        for name in names
-    ]
+def _split(cls: type, nested: tuple[str, ...] = ()) -> tuple:
+    """``(plain names, their types, float names)`` of ``cls``'s fields.
+
+    Every other field must be one of ``nested`` (a part rebuilt on its
+    own), so a field added to a result dataclass cannot be dropped from
+    the block silently.
+    """
+    plain: list[str] = []
+    types: list[type] = []
+    floats: list[str] = []
+    for f in dataclasses.fields(cls):
+        kind = getattr(f.type, "__name__", f.type)
+        if kind == "float":
+            floats.append(f.name)
+        elif kind in _PLAIN_TYPES:
+            plain.append(f.name)
+            types.append(_PLAIN_TYPES[kind])
+        elif f.name not in nested:
+            raise TypeError(f"{cls.__name__}.{f.name} has no block column")
+    return tuple(plain), types, tuple(floats)
 
 
-_LAYER_TYPES = _field_types(ConvLayer, _LAYER_ORDER)
-_mapping_types = _field_types(Mapping, _MAPPING_ORDER)
-#: Picks the mapping's plain fields (its layer and dataflow are
-#: rebuilt and looked up instead).
-_MAPPING_PLAIN = operator.itemgetter(
-    *(i for i, expected in enumerate(_mapping_types) if expected)
+_LR_PLAIN, _LR_TYPES, _LR_FLOATS = _split(
+    LayerResult, ("layer", "mapping", "traffic", "energy")
 )
-#: A record's plain fields in the order :func:`layer_result_unpack`
-#: checks them: the result's, the layer's, the mapping's, the traffic's.
-_RECORD_TYPES = (
-    _field_types(LayerResult, _LR_OTHER_ORDER)
-    + _LAYER_TYPES
-    + [expected for expected in _mapping_types if expected]
-    + _field_types(TrafficSummary, _TRAFFIC_ORDER)
+_LAYER_PLAIN, _LAYER_TYPES, _layer_floats = _split(ConvLayer)
+_MAPPING_PLAIN, _MAPPING_TYPES, _mapping_floats = _split(
+    Mapping, ("layer", "dataflow")
 )
+_TRAFFIC_PLAIN, _TRAFFIC_TYPES, _traffic_floats = _split(TrafficSummary)
+_energy_plain, _, _ENERGY_FLOATS = _split(EnergyBreakdown, ("network",))
+_network_plain, _, _NETWORK_FLOATS = _split(NetworkEnergy)
+# Rows are assembled part by part below: a layer, a mapping or a
+# traffic summary holds no float, an energy split nothing else.
+if (
+    _layer_floats + _mapping_floats + _traffic_floats
+    + _energy_plain + _network_plain
+):
+    raise TypeError("a result part mixes plain and float fields")
+
+#: A block's plain columns, in order: the result's, its layer's, its
+#: mapping's (less its layer and dataflow) and its traffic's.
+_PLAIN_PATHS = (
+    *_LR_PLAIN,
+    *(f"layer.{name}" for name in _LAYER_PLAIN),
+    *(f"mapping.{name}" for name in _MAPPING_PLAIN),
+    *(f"traffic.{name}" for name in _TRAFFIC_PLAIN),
+)
+_COLUMN_TYPES = _LR_TYPES + _LAYER_TYPES + _MAPPING_TYPES + _TRAFFIC_TYPES
+_N_PLAIN = len(_COLUMN_TYPES)
+
+#: The name of each column :func:`pack_block` returns, in order.
+BLOCK_COLUMNS = _PLAIN_PATHS + (
+    "mapping.dataflow",
+    "mapping.layer",
+    "floats",
+    "float_exceptions",
+)
+_N_COLUMNS = len(BLOCK_COLUMNS)
+
+#: Each part's slice of a row of plain values.
+_LR_COLUMNS = slice(0, len(_LR_PLAIN))
+_LAYER_COLUMNS = slice(_LR_COLUMNS.stop, _LR_COLUMNS.stop + len(_LAYER_PLAIN))
+_MAPPING_COLUMNS = slice(
+    _LAYER_COLUMNS.stop, _LAYER_COLUMNS.stop + len(_MAPPING_PLAIN)
+)
+_TRAFFIC_COLUMNS = slice(_MAPPING_COLUMNS.stop, _N_PLAIN)
+
+#: A result's float scalars, in blob order: the result's, its energy
+#: breakdown's and its network split's.
+_FLOAT_PATHS = (
+    *_LR_FLOATS,
+    *(f"energy.{name}" for name in _ENERGY_FLOATS),
+    *(f"energy.network.{name}" for name in _NETWORK_FLOATS),
+)
+_floats_of = operator.attrgetter(*_FLOAT_PATHS)
+_N_FLOATS = len(_FLOAT_PATHS)
+_FLOAT_ROW = struct.Struct(f"<{_N_FLOATS}d")
+_LR_FLOAT_SLICE = slice(0, len(_LR_FLOATS))
+_ENERGY_FLOAT_SLICE = slice(
+    _LR_FLOAT_SLICE.stop, _LR_FLOAT_SLICE.stop + len(_ENERGY_FLOATS)
+)
+_NETWORK_FLOAT_SLICE = slice(_ENERGY_FLOAT_SLICE.stop, _N_FLOATS)
+
+#: A row of a block's leading columns: its plain values, then its
+#: dataflow's value (``_value_``: the enum's ``value`` is a property,
+#: several times slower to read).
+_row_of = operator.attrgetter(*_PLAIN_PATHS, "mapping.dataflow._value_")
+_layers_of = operator.attrgetter("layer", "mapping.layer")
+_layer_plain_of = operator.attrgetter(*_LAYER_PLAIN)
 
 #: Enum lookup by value -- ``DataflowKind(value)`` walks the enum
-#: machinery (and an import-system hook for the error message) on
-#: every call; a dict hit is ~10x cheaper and raises ``KeyError`` on
-#: junk, which the disk tier already maps to a cache miss.
+#: machinery on every call; a dict hit is ~10x cheaper and raises
+#: ``KeyError`` on junk.
 _DATAFLOW_BY_VALUE = {kind.value: kind for kind in DataflowKind}
 
 
-def layer_result_pack(result: LayerResult) -> list[Any]:
-    """Pack a :class:`LayerResult` into a positional JSON array.
+def pack_block(results: Sequence[LayerResult]) -> list[Any]:
+    """Encode results as the columns of one disk-cache block.
 
-    Every constructor field of the result and of the dataclasses it
-    holds, laid out for the disk cache's parse speed: field
-    *positions* instead of repeated field-name strings, and all float
-    scalars collapsed into one IEEE-754 little-endian hex blob
-    (canonical ``_FLOAT_ORDER``).
-    ``None`` in the mapping's layer slot means "same object as the
-    result's layer" (the overwhelmingly common case).  Values in
-    float-typed slots that are not actually ``float`` instances (an
-    int-typed zero, say) are recorded in a flat ``[index, value, ...]``
-    exceptions list so even their *type* round-trips exactly.
+    Returns ``[*plain columns, dataflows, mapping layers, float blob,
+    exceptions]``, ready for ``json.dumps``:
+
+    * each plain (int/str/bool) field of the result, its layer, its
+      mapping and its traffic is one column holding that field of
+      every result;
+    * the dataflows go by value;
+    * a mapping's layer is ``None`` when it equals the result's own
+      layer (the common case), else its layer's plain fields;
+    * every float scalar of the block is in one little-endian IEEE-754
+      hex blob, ``len(results)`` rows of the canonical float order, so
+      every float round-trips bit-exactly;
+    * a value in a float slot that is not a ``float`` (an int zero, say)
+      is listed in the flat ``[index, value, ...]`` exceptions over the
+      blob, so its type round-trips too.
     """
-    layer = result.layer
-    packed_layer = [getattr(layer, name) for name in _PACK_ORDER[ConvLayer]]
-    mapping = result.mapping
-    packed_mapping: list[Any] = []
-    for name in _PACK_ORDER[Mapping]:
-        value = getattr(mapping, name)
-        if name == "layer":
-            value = (
-                None
-                if value == layer
-                else [getattr(value, n) for n in _PACK_ORDER[ConvLayer]]
-            )
-        elif name == "dataflow":
-            value = value.value
-        packed_mapping.append(value)
-    packed_traffic = [
-        getattr(result.traffic, name) for name in _PACK_ORDER[TrafficSummary]
-    ]
-    energy = result.energy
-    floats = [getattr(result, name) for name in _LR_FLOAT_ORDER]
-    floats += [getattr(energy, name) for name in _ENERGY_SCALAR_FIELDS]
-    floats += [
-        getattr(energy.network, name) for name in _PACK_ORDER[NetworkEnergy]
-    ]
+    # The plain columns and the dataflows: one C-level transpose.
+    rows = list(map(_row_of, results))
+    columns: list[Any] = list(zip(*rows)) if rows else [()] * (_N_PLAIN + 1)
+    columns.append(
+        [
+            None
+            if mapping_layer is layer or mapping_layer == layer
+            else _layer_plain_of(mapping_layer)
+            for layer, mapping_layer in map(_layers_of, results)
+        ]
+    )
+    floats = list(chain.from_iterable(map(_floats_of, results)))
     exceptions: list[Any] = []
-    for index, value in enumerate(floats):
-        if type(value) is not float:
-            exceptions += (index, value)
-    blob = _FLOAT_STRUCT.pack(*floats).hex()
-    others = [getattr(result, name) for name in _LR_OTHER_ORDER]
-    return [others, packed_layer, packed_mapping, packed_traffic, blob, exceptions]
+    if not set(map(type, floats)) <= {float}:
+        for index, value in enumerate(floats):
+            if type(value) is not float:
+                exceptions += (index, value)
+    columns += (struct.pack(f"<{len(floats)}d", *floats).hex(), exceptions)
+    return columns
 
 
-def layer_result_unpack(data: list[Any]) -> LayerResult:
-    """Exactly rebuild a :class:`LayerResult` from its packed form.
+def unpack_block(columns: Any, rows: int) -> "ResultBlock":
+    """Check one block's columns (from :func:`pack_block`, through JSON)
+    and return its :class:`ResultBlock`.
 
-    This is the disk cache's hot path (hundreds of calls per warm
-    start), so it populates each dataclass ``__dict__`` straight from
-    a ``zip`` over the canonical field order -- no keyword binding, no
-    intermediate dicts, no ``__post_init__`` re-validation (the values
-    already passed it when the entry was written).  Truncated or
-    reordered input still fails loudly: ``zip(strict=True)`` raises
-    :class:`ValueError`, and so does an exceptions list that is not
-    ``[index, value, ...]`` pairs over the float vector with ``int`` or
-    ``float`` values, and a plain field whose value is not exactly the
-    type its dataclass declares (an ``int`` count holding a ``bool``, a
-    ``float`` or a string, say); the dataflow lookup rejects junk with
-    :class:`KeyError`, and the disk tier maps any of these to a cache
-    miss.
+    Every column is checked once, here: a wrong column count or length,
+    a plain value that is not exactly its field's type (an ``int``
+    count holding a ``bool``, a ``float`` or a string, say), an unknown
+    dataflow, a malformed mapping layer, a blob that is not hex of
+    ``rows`` float rows, or exceptions that are not ``[index, value,
+    ...]`` pairs over the blob with ``int`` or ``float`` values all
+    raise :class:`ValueError`, which rejects the whole block.
     """
-    others, packed_layer, packed_mapping, packed_traffic, blob, exceptions = data
+    if type(columns) is not list or len(columns) != _N_COLUMNS:
+        raise ValueError("bad block: wrong column count")
+    plain = columns[:_N_PLAIN]
+    dataflows, mapping_layers, blob, exceptions = columns[_N_PLAIN:]
+    for column, expected in zip(plain, _COLUMN_TYPES):
+        if (
+            type(column) is not list
+            or len(column) != rows
+            or not set(map(type, column)) <= {expected}
+        ):
+            raise ValueError("bad field types in a block column")
+    if type(dataflows) is not list or len(dataflows) != rows:
+        raise ValueError("bad dataflow column")
     try:
-        floats: tuple | list = _FLOAT_STRUCT.unpack(bytes.fromhex(blob))
-    except (struct.error, ValueError, TypeError) as exc:
-        raise ValueError(f"bad float blob: {exc}") from None
+        dataflows = list(map(_DATAFLOW_BY_VALUE.__getitem__, dataflows))
+    except (KeyError, TypeError):
+        raise ValueError("bad dataflow column") from None
+    if (
+        type(mapping_layers) is not list
+        or len(mapping_layers) != rows
+        or not all(
+            layer is None
+            or (type(layer) is list and list(map(type, layer)) == _LAYER_TYPES)
+            for layer in mapping_layers
+        )
+    ):
+        raise ValueError("bad mapping layer column")
+    try:
+        floats = bytes.fromhex(blob)
+    except (TypeError, ValueError):
+        raise ValueError("bad float blob") from None
+    if len(floats) != rows * _FLOAT_ROW.size:
+        raise ValueError("bad float blob: wrong length")
+    if type(exceptions) is not list:
+        raise ValueError(f"bad float exceptions: {exceptions!r}")
+    fixes: dict[int, list] = {}
     if exceptions:
-        # ``[index, value, ...]`` pairs over the float vector: anything
+        # ``[index, value, ...]`` pairs over the blob's floats: anything
         # else (odd length, an index out of range or not an int) would
         # raise IndexError or overwrite the wrong slot.
         indexes = exceptions[::2]
         values = exceptions[1::2]
         if (
             len(exceptions) % 2
-            or not all(type(i) is int and 0 <= i < _N_FLOATS for i in indexes)
+            or not all(
+                type(i) is int and 0 <= i < rows * _N_FLOATS for i in indexes
+            )
             or not all(type(v) is int or type(v) is float for v in values)
         ):
             raise ValueError(f"bad float exceptions: {exceptions!r}")
-        floats = list(floats)
-        for i, value in zip(indexes, values):
-            floats[i] = value
-
-    new = object.__new__
-    layer_order = _LAYER_ORDER
-
-    result = new(LayerResult)
-    state = result.__dict__
-    state.update(zip(_LR_OTHER_ORDER, others, strict=True))
-    state.update(zip(_LR_FLOAT_ORDER, floats[:_N_LR_FLOATS], strict=True))
-
-    layer = new(ConvLayer)
-    layer.__dict__.update(zip(layer_order, packed_layer, strict=True))
-    state["layer"] = layer
-
-    mapping = new(Mapping)
-    mapping_state = mapping.__dict__
-    mapping_state.update(zip(_MAPPING_ORDER, packed_mapping, strict=True))
-    mapping_state["dataflow"] = _DATAFLOW_BY_VALUE[mapping_state["dataflow"]]
-    packed_mapping_layer = mapping_state["layer"]
-    if packed_mapping_layer is None:
-        mapping_state["layer"] = layer
-    else:
-        mapping_layer = new(ConvLayer)
-        mapping_layer.__dict__.update(
-            zip(layer_order, packed_mapping_layer, strict=True)
-        )
-        if [type(value) for value in packed_mapping_layer] != _LAYER_TYPES:
-            raise ValueError(f"bad mapping layer: {packed_mapping_layer!r}")
-        mapping_state["layer"] = mapping_layer
-    state["mapping"] = mapping
-
-    traffic = new(TrafficSummary)
-    traffic.__dict__.update(zip(_TRAFFIC_ORDER, packed_traffic, strict=True))
-    state["traffic"] = traffic
-    # Every part's length is checked above, so one comparison over the
-    # concatenation checks each plain field's type.
-    plain = chain(
-        others, packed_layer, _MAPPING_PLAIN(packed_mapping), packed_traffic
+        for index, value in zip(indexes, values):
+            row, slot = divmod(index, _N_FLOATS)
+            fixes.setdefault(row, []).append((slot, value))
+    return ResultBlock(
+        list(zip(*plain)), dataflows, mapping_layers, floats, fixes
     )
-    if [type(value) for value in plain] != _RECORD_TYPES:
-        raise ValueError("bad field types in a packed result")
 
-    energy = new(EnergyBreakdown)
-    energy_state = energy.__dict__
-    energy_state.update(
-        zip(
-            _ENERGY_SCALAR_FIELDS,
-            floats[_N_LR_FLOATS : _N_LR_FLOATS + _N_EB_FLOATS],
-            strict=True,
-        )
-    )
-    network = new(NetworkEnergy)
-    network.__dict__.update(
-        zip(
-            _NETWORK_ORDER,
-            floats[_N_LR_FLOATS + _N_EB_FLOATS :],
-            strict=True,
-        )
-    )
-    energy_state["network"] = network
-    state["energy"] = energy
 
-    return result
+class ResultBlock:
+    """One checked disk-cache block: :meth:`result` builds a row's
+    :class:`LayerResult` when it is asked for.
+
+    The floats stay in their packed bytes (one ``struct`` unpack per
+    built row), and the plain values as one tuple per row.  Building
+    populates each dataclass ``__dict__`` straight from the checked
+    values -- no keyword binding, no ``__post_init__`` re-validation
+    (the values already passed it when the entry was written).
+    """
+
+    __slots__ = ("_rows", "_dataflows", "_mapping_layers", "_floats", "_fixes")
+
+    def __init__(self, rows, dataflows, mapping_layers, floats, fixes):
+        self._rows = rows
+        self._dataflows = dataflows
+        self._mapping_layers = mapping_layers
+        self._floats = floats
+        self._fixes = fixes
+
+    def result(self, row: int) -> LayerResult:
+        """A new :class:`LayerResult` equal, bit for bit, to the one
+        packed at ``row``."""
+        plain = self._rows[row]
+        floats: tuple | list = _FLOAT_ROW.unpack_from(
+            self._floats, row * _FLOAT_ROW.size
+        )
+        fixes = self._fixes.get(row)
+        if fixes:
+            floats = list(floats)
+            for slot, value in fixes:
+                floats[slot] = value
+        new = object.__new__
+
+        layer = new(ConvLayer)
+        layer.__dict__.update(zip(_LAYER_PLAIN, plain[_LAYER_COLUMNS]))
+        packed_layer = self._mapping_layers[row]
+        if packed_layer is None:
+            mapping_layer = layer
+        else:
+            mapping_layer = new(ConvLayer)
+            mapping_layer.__dict__.update(zip(_LAYER_PLAIN, packed_layer))
+        mapping = new(Mapping)
+        state = mapping.__dict__
+        state["layer"] = mapping_layer
+        state["dataflow"] = self._dataflows[row]
+        state.update(zip(_MAPPING_PLAIN, plain[_MAPPING_COLUMNS]))
+        traffic = new(TrafficSummary)
+        traffic.__dict__.update(zip(_TRAFFIC_PLAIN, plain[_TRAFFIC_COLUMNS]))
+        network = new(NetworkEnergy)
+        network.__dict__.update(
+            zip(_NETWORK_FLOATS, floats[_NETWORK_FLOAT_SLICE])
+        )
+        energy = new(EnergyBreakdown)
+        state = energy.__dict__
+        state.update(zip(_ENERGY_FLOATS, floats[_ENERGY_FLOAT_SLICE]))
+        state["network"] = network
+
+        result = new(LayerResult)
+        state = result.__dict__
+        state.update(zip(_LR_PLAIN, plain[_LR_COLUMNS]))
+        state["layer"] = layer
+        state["mapping"] = mapping
+        state["traffic"] = traffic
+        state.update(zip(_LR_FLOATS, floats[_LR_FLOAT_SLICE]))
+        state["energy"] = energy
+        return result

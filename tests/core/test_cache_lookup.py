@@ -4,15 +4,19 @@
   ``NullCache.lookup``) and keeps the cache accounting it always had;
 * cache keys are memoised on their simulator object and die with it;
   the memo entry follows in-place component swaps;
-* a framed record the unpacker rejects is a counted storage event.
+* a framed block that fails its checks is a counted storage event;
+* a disk entry the memory tier dropped is rebuilt from its block.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import json
+import struct
 import sys
+import warnings
 
 import pytest
 
@@ -28,7 +32,7 @@ from repro.core.batch import (
 )
 from repro.core.layer import ConvLayer, LayerSet
 from repro.core.simulator import Simulator
-from repro.serialization import model_result_to_dict
+from repro.serialization import BLOCK_COLUMNS, model_result_to_dict
 from repro.spacx.architecture import spacx_simulator
 
 
@@ -57,11 +61,13 @@ _ACCOUNTING = {
         ((4, 2, 4, 2), [(0, 0)] * 4),
         ((10, 2, 4, 2), [(0, 0)] * 4),
     ],
-    # Capacity 4 evicts: disk hits the memory tier drops are not
-    # served again, so the second run recomputes them.
+    # Capacity 4 evicts: disk hits the memory tier drops are rebuilt
+    # from their block (4 more disk hits in the second run).  Only the
+    # evicted entries this cache computed itself miss again: a cache
+    # indexes the blocks it read, not the ones it wrote.
     ("grid", "disk-capacity-4"): [
         ((4, 2, 4, 2), [(0, 0)] * 4),
-        ((8, 4, 4, 4), [(0, 0)] * 4),
+        ((9, 3, 8, 3), [(0, 0)] * 4),
     ],
     ("grid", "null"): [
         ((0, 6, 0, 0), [(0, 0)] * 4),
@@ -73,7 +79,7 @@ _ACCOUNTING = {
     ],
     ("serial", "disk-capacity-4"): [
         ((6, 2, 4, 2), [(2, 0), (2, 0), (1, 1), (1, 1)]),
-        ((10, 6, 4, 6), [(1, 1)] * 4),
+        ((12, 4, 8, 4), [(2, 0), (2, 0), (1, 1), (1, 1)]),
     ],
     ("serial", "null"): [
         ((0, 8, 0, 0), [(0, 2)] * 4),
@@ -194,14 +200,16 @@ def test_double_swapped_spec_never_reuses_a_stale_fingerprint():
 @pytest.mark.parametrize(
     "path, value",
     [
-        pytest.param((5,), [99, 1.0], id="float-exception-out-of-range"),
-        pytest.param((1, 1), "x", id="layer-c-str"),
+        pytest.param(
+            ("float_exceptions",), [99, 1.0], id="float-exception-out-of-range"
+        ),
+        pytest.param(("layer.c", 0), "x", id="layer-c-str"),
     ],
 )
 def test_rejected_record_is_counted(tmp_path, path, value):
-    """A framed record of this schema that fails to unpack is counted
-    as rejected -- in the cache stats, the storage health and the
-    campaign report -- and recomputed."""
+    """A framed block of this schema that fails its checks is counted
+    once as rejected -- in the cache stats, the storage health and the
+    campaign report -- and every key of it is recomputed."""
     simulator = spacx_simulator()
     net_a, _ = _models()
     job = SweepJob(simulator, net_a)
@@ -209,14 +217,14 @@ def test_rejected_record_is_counted(tmp_path, path, value):
         max_workers=1, cache=ResultCache(cache_dir=tmp_path), manifest=False
     ).run([job])
     shard = sorted(tmp_path.glob("*.jsonl"))[0]
-    entries = [
-        json.loads(r) for r in store.parse_log(shard.read_bytes()).records
-    ]
-    target = entries[0][2]
-    for step in path[:-1]:
-        target = target[step]
-    target[path[-1]] = value
-    assert store.rewrite_log(shard, [json.dumps(e).encode() for e in entries])
+    (record,) = store.read_log(shard)
+    rows = len(record[1])
+    column = 2 + BLOCK_COLUMNS.index(path[0])
+    if len(path) == 1:
+        record[column] = value
+    else:
+        record[column][path[1]] = value
+    assert store.rewrite_log(shard, [json.dumps(record).encode()])
 
     cache = ResultCache(cache_dir=tmp_path)
     runner = SweepRunner(max_workers=1, cache=cache, manifest=False)
@@ -225,7 +233,7 @@ def test_rejected_record_is_counted(tmp_path, path, value):
         simulator.simulate_model(net_a)
     )
     stats = cache.stats
-    assert (stats.misses, stats.puts) == (1, 1)
+    assert (stats.misses, stats.puts) == (rows, rows) == (2, 2)
     assert stats.rejected_records == stats.skipped_records == 1
     health = cache.health
     assert health.rejected_records == 1 and health.noteworthy
@@ -241,3 +249,117 @@ def test_rejected_record_is_counted(tmp_path, path, value):
     again = ResultCache(cache_dir=tmp_path)
     SweepRunner(max_workers=1, cache=again, manifest=False).run([job])
     assert again.stats.misses == 0 and again.health.rejected_records == 0
+
+
+# ----------------------------------------------------------------------
+# Evicted disk entries and older schemas
+# ----------------------------------------------------------------------
+def _shard_bytes(directory) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.glob("*.jsonl"))}
+
+
+def test_evicted_disk_hits_are_rebuilt_from_their_block(tmp_path):
+    """ResNet-50 on SPACX over a filled disk tier with room for 4
+    results in memory: the memory tier evicts disk hits, and a second
+    pass -- and a pass after ``clear()`` -- rebuilds them from their
+    block: no miss, no put, not a byte appended."""
+    from repro.models.zoo import get_model
+
+    simulator = spacx_simulator()
+    job = SweepJob(simulator, get_model("ResNet-50"))
+    SweepRunner(
+        max_workers=1, cache=ResultCache(cache_dir=tmp_path), manifest=False
+    ).run([job])
+    before = _shard_bytes(tmp_path)
+    expected = model_result_to_dict(simulator.simulate_model(job.model))
+    unique = len(batch._model_structure(job.model)[0])
+    cache = ResultCache(capacity=4, cache_dir=tmp_path)
+    with SweepRunner(max_workers=1, cache=cache, manifest=False) as runner:
+        for _ in range(2):
+            (result,) = runner.run([job])
+            assert model_result_to_dict(result) == expected
+        stats = cache.stats
+        assert (stats.misses, stats.puts) == (0, 0)
+        assert stats.disk_hits > unique  # the second pass rebuilt some
+        cache.clear()
+        (result,) = runner.run([job])
+    assert model_result_to_dict(result) == expected
+    stats = cache.stats
+    assert (stats.misses, stats.puts, stats.disk_hits) == (0, 0, unique)
+    assert _shard_bytes(tmp_path) == before
+
+
+def _schema_1_packed(result) -> list:
+    """A result in the schema-1 per-entry positional form."""
+
+    def fields(obj, skip=()) -> list:
+        return [
+            getattr(obj, f.name)
+            for f in dataclasses.fields(obj)
+            if f.name not in skip
+        ]
+
+    mapping = fields(result.mapping, ("layer", "dataflow"))
+    energy = result.energy
+    floats = [
+        result.computation_time_s,
+        result.communication_time_s,
+        result.exposed_communication_s,
+        result.packet_latency_s,
+        *fields(energy, ("network",)),
+        *fields(energy.network),
+    ]
+    return [
+        [result.accelerator, result.delivered_bytes],
+        fields(result.layer),
+        [None, result.mapping.dataflow.value, *mapping],
+        fields(result.traffic),
+        struct.pack(f"<{len(floats)}d", *floats).hex(),
+        [],
+    ]
+
+
+def test_schema_1_directory_reads_as_misses(tmp_path, monkeypatch):
+    """16 key-prefix shards of schema-1 per-entry records: a sweep over
+    them misses every shape, raises and warns nothing, counts no
+    rejection or quarantine, and leaves every file as it was."""
+    simulator = spacx_simulator()
+    with monkeypatch.context() as patch:
+        patch.setattr(batch, "CACHE_SCHEMA_VERSION", 1)
+        old_fingerprint = simulator_fingerprint(spacx_simulator())
+    layers: list = []
+    shards: dict = {}
+    for c in range(1, 400):
+        layer = _layer(f"s{c}", c=c)
+        key = hashlib.sha256(
+            f"1|{old_fingerprint}|{layer.shape_key!r}|0".encode()
+        ).hexdigest()
+        result = simulator.simulate_layer(layer, layer_by_layer=False)
+        shards.setdefault(key[:1], []).append(
+            json.dumps([1, key, _schema_1_packed(result)]).encode()
+        )
+        layers.append(layer)
+        if len(shards) == 16 and len(layers) >= 48:
+            break
+    for shard, payloads in shards.items():
+        assert store.append_record(tmp_path / f"{shard}.jsonl", *payloads)
+    before = _shard_bytes(tmp_path)
+    assert len(before) == 16
+
+    model = LayerSet("schema-1", layers)
+    cache = ResultCache(cache_dir=tmp_path, disk_puts=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runner = SweepRunner(max_workers=1, cache=cache, manifest=False)
+        (result,) = runner.run([SweepJob(simulator, model)])
+        old_keys = [json.loads(p)[1] for ps in shards.values() for p in ps]
+        assert [cache.get(key) for key in old_keys] == [None] * len(old_keys)
+    assert model_result_to_dict(result) == model_result_to_dict(
+        simulator.simulate_model(model)
+    )
+    stats = cache.stats
+    assert stats.misses == len(layers) + len(old_keys)
+    assert stats.disk_hits == stats.skipped_records == 0
+    assert not cache.health.noteworthy
+    assert not list(tmp_path.glob("*.quarantine"))
+    assert _shard_bytes(tmp_path) == before

@@ -72,7 +72,7 @@ from repro.core.layer import ConvLayer, LayerSet
 from repro.core.metrics import LayerResult
 from repro.core.simulator import Simulator
 from repro.models.zoo import get_model
-from repro.serialization import layer_result_pack, layer_result_unpack
+from repro.serialization import pack_block, unpack_block
 from repro.spacx.architecture import spacx_simulator
 
 #: Granularity settings shared with the ablation figures (divisors
@@ -494,13 +494,15 @@ def test_corrupt_disk_hit_fails_its_job_alone(tmp_path):
     )
     key = layer_cache_key(simulator_fingerprint(victim), layer, False)
     shard = tmp_path / f"{key[0]}.jsonl"
-    entries = [json.loads(r) for r in store.parse_log(shard.read_bytes()).records]
-    (entry,) = [e for e in entries if e[1] == key]
-    good = layer_result_unpack(entry[2])
-    bad = replace(good, communication_time_s=-1e-3)
-    entry[2] = layer_result_pack(bad)
+    records = store.read_log(shard)
+    (record,) = [r for r in records if key in r[1]]
+    block = unpack_block(record[2:], len(record[1]))
+    results = [block.result(row) for row in range(len(record[1]))]
+    row = record[1].index(key)
+    bad = results[row] = replace(results[row], communication_time_s=-1e-3)
+    record[2:] = pack_block(results)
     assert store.rewrite_log(
-        shard, [json.dumps(e, separators=(",", ":")).encode() for e in entries]
+        shard, [json.dumps(r, separators=(",", ":")).encode() for r in records]
     )
     expected = {v.code for v in audit_layer_result(bad, victim.spec)}
     assert "INV-TIME-NEG" in expected

@@ -49,6 +49,7 @@ from repro.core.batch import NullCache, ResultCache, SweepJob, SweepRunner
 from repro.core.campaign import CampaignManifest
 from repro.core.layer import ConvLayer, LayerSet
 from repro.errors import ConfigError, ReproWarning
+from repro.serialization import unpack_block
 from repro.spacx.architecture import spacx_simulator
 
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
@@ -400,6 +401,9 @@ class TestWriteDegradation:
         layers = _layers_in_one_shard(simulator, 4)
         keys, results = _keyed_results(simulator, layers)
         cache = ResultCache(cache_dir=tmp_path)
+        cache.put(keys[0], results[0])  # one complete block
+        [shard] = tmp_path.glob("*.jsonl")
+        landed = shard.stat().st_size
         real_write = store._os_write
         calls = []
 
@@ -409,25 +413,23 @@ class TestWriteDegradation:
 
         monkeypatch.setattr(store, "_os_write", short_write)
         with pytest.warns(ReproWarning, match="short write") as caught:
-            cache.put_many(zip(keys[:3], results[:3]))
+            cache.put_many(zip(keys[1:3], results[1:3]))
         assert len(caught) == 1 and len(calls) == 1
-        [shard] = tmp_path.glob("*.jsonl")
-        assert shard.stat().st_size == calls[0] // 2
+        assert shard.stat().st_size == landed + calls[0] // 2
         assert str(shard) in cache.health.degraded
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cache.put(keys[3], results[3])  # memory-only: no write
-        assert len(calls) == 1 and shard.stat().st_size == calls[0] // 2
+        assert len(calls) == 1
+        assert shard.stat().st_size == landed + calls[0] // 2
         assert [cache.get(key) for key in keys] == results
-        # The partial group reads as its complete frames plus one torn
-        # tail; nothing is quarantined.
+        # The partial block reads as one torn tail after the complete
+        # one; nothing is quarantined.
         monkeypatch.setattr(store, "_os_write", real_write)
         reader = ResultCache(cache_dir=tmp_path, disk_puts=False)
         served = [reader.get(key) for key in keys]
-        landed = len(store.parse_log(shard.read_bytes()).records)
-        assert 1 <= landed < 3
-        assert served[:landed] == results[:landed]
-        assert served[landed:] == [None] * (4 - landed)
+        assert len(store.parse_log(shard.read_bytes()).records) == 1
+        assert served == [results[0], None, None, None]
         assert reader.stats.torn_records == 1
         assert not list(tmp_path.glob("*.quarantine"))
 
@@ -545,13 +547,39 @@ def _frames(directory: Path) -> dict:
     }
 
 
+def _stored_keys(directory: Path) -> list:
+    """Every cache key in the block records of a directory's shards."""
+    return [
+        key
+        for name, records in _frames(directory).items()
+        if name != "campaign.jsonl"
+        for record in records
+        for key in json.loads(record)[1]
+    ]
+
+
+def _machine_in_another_shard(simulator):
+    """A machine whose cache keys name another shard than
+    ``simulator``'s."""
+    shard = batch.simulator_fingerprint(simulator)[:1]
+    for candidate in (
+        simba_simulator(),
+        *(spacx_simulator(ef_granularity=g) for g in (2, 4, 8, 16)),
+    ):
+        if batch.simulator_fingerprint(candidate)[:1] != shard:
+            return candidate
+    raise AssertionError("no candidate machine in another shard")
+
+
 class TestGroupCommit:
     def test_cold_trio_sweep_writes_each_shard_once_per_dispatch(
         self, tmp_path, monkeypatch
     ):
-        """The paper trio over the paper suite with a manifest: 544
-        frames (531 cache entries, 13 manifest events), which took 544
-        writes when every entry landed on its own."""
+        """The paper trio over the paper suite with a manifest: 531
+        cache entries and 13 manifest events, which took 544 writes
+        when every entry landed on its own and 16 + 13 when each
+        key-prefix shard took one write per dispatch.  A machine's
+        entries now land as one block in its own shard."""
         from repro.experiments.harness import default_trio, run_models
 
         counter = _WriteCounter(monkeypatch)
@@ -563,15 +591,16 @@ class TestGroupCommit:
         cold = run_models(default_trio(), runner=runner)
         frames = _frames(tmp_path)
         events = len(frames.pop("campaign.jsonl"))
-        entries = sum(map(len, frames.values()))
+        entries = len(_stored_keys(tmp_path))
         assert len(runner.plan_decisions) == 2  # two grid groups
         assert _plan_of(runner) == ["grid"]
         assert (entries, events) == (runner.cache.stats.puts, 1 + 12)
         assert entries + events == 544
-        # Manifest events stay one write each; the cache writes each
-        # shard at most once per dispatch, whatever the group count.
-        assert counter.calls - events <= 16
-        assert counter.calls <= 29
+        # Manifest events stay one write each; the cache writes at
+        # most one block per trio machine, whatever the group count.
+        assert sum(map(len, frames.values())) <= 3
+        assert counter.calls - events <= 3
+        assert counter.calls <= 16
         # A warm rerun serves the same results from disk.
         reader = ResultCache(cache_dir=tmp_path)
         warm = run_models(
@@ -584,25 +613,39 @@ class TestGroupCommit:
     def test_put_many_keeps_item_order_within_each_shard(
         self, tmp_path, simulator, monkeypatch
     ):
-        layers = [_layer(f"o{c}", c=c) for c in range(1, 41)]
-        keys, results = _keyed_results(simulator, layers)
-        assert len({key[:1] for key in keys}) > 1  # spans shards
+        """Two machines' entries, interleaved: each shard takes one
+        write holding one block, whose keys and rebuilt results keep
+        the put order; single puts land the same entries one block
+        each, in the same order."""
+        other = _machine_in_another_shard(simulator)
+        items = [
+            (keys[0], results[0])
+            for c in range(1, 21)
+            for sim in (simulator, other)
+            for keys, results in [_keyed_results(sim, [_layer(f"o{c}", c=c)])]
+        ]
+        assert len({key[:1] for key, _ in items}) == 2  # spans shards
         counter = _WriteCounter(monkeypatch)
         cache = ResultCache(cache_dir=tmp_path)
-        cache.put_many(zip(keys, results))
+        cache.put_many(items)
         frames = _frames(tmp_path)
-        assert counter.calls == len(frames)  # one write per shard
+        assert counter.calls == len(frames) == 2  # one write per shard
         for name, records in frames.items():
-            stored = [json.loads(record)[1] for record in records]
-            assert stored == [k for k in keys if f"{k[:1]}.jsonl" == name]
-        # Entries land exactly as single puts would have framed them.
+            in_shard = [(k, r) for k, r in items if f"{k[:1]}.jsonl" == name]
+            (record,) = map(json.loads, records)  # one block
+            assert record[1] == [key for key, _ in in_shard]
+            block = unpack_block(record[2:], len(record[1]))
+            assert [block.result(row) for row in range(len(in_shard))] == [
+                result for _, result in in_shard
+            ]
         single = tmp_path / "single"
         one_by_one = ResultCache(cache_dir=single)
-        for key, result in zip(keys, results):
+        for key, result in items:
             one_by_one.put(key, result)
-        for name in frames:
-            grouped = (tmp_path / name).read_bytes()
-            assert (single / name).read_bytes() == grouped
+        for name, records in _frames(single).items():
+            assert [json.loads(record)[1] for record in records] == [
+                [key] for key in json.loads(frames[name][0])[1]
+            ]
 
     @pytest.mark.parametrize(
         "route",
@@ -637,12 +680,7 @@ class TestGroupCommit:
         def checked_mark_done(index: int) -> None:
             job = jobs[index]
             fingerprint = batch.simulator_fingerprint(job.simulator)
-            on_disk = {
-                json.loads(record)[1]
-                for name, records in _frames(tmp_path).items()
-                if name != "campaign.jsonl"
-                for record in records
-            }
+            on_disk = set(_stored_keys(tmp_path))
             missing.extend(
                 key
                 for layer in job.model.unique_layers
@@ -708,13 +746,7 @@ class TestGroupCommit:
         assert runner.outcome.stop_reason == "signal"
         assert runner.outcome.skipped == 12
         assert runner.manifest.completed == 0
-        frames = _frames(tmp_path)
-        frames.pop("campaign.jsonl")
-        on_disk = {
-            json.loads(record)[1]
-            for records in frames.values()
-            for record in records
-        }
+        on_disk = set(_stored_keys(tmp_path))
         assert len(computed) == 531  # every entry of the sweep
         assert on_disk == computed
 
@@ -736,10 +768,11 @@ class TestGroupCommit:
     def test_torn_group_write_loses_only_its_incomplete_frame(
         self, tmp_path, simulator
     ):
-        """Truncate a shard at every offset inside its last group write:
-        a fresh reader serves every complete frame, counts one torn
-        record (none at a frame boundary) and recomputes the rest equal
-        to the scalar oracle."""
+        """Truncate a shard at every offset inside its last block: a
+        fresh reader serves the complete block before it, counts one
+        torn record (none once only the newline is missing) and
+        recomputes the torn block's entries equal to the scalar
+        oracle."""
         from repro.core.batch import simulate_model_cached
 
         layers = _layers_in_one_shard(simulator, 3)
@@ -748,9 +781,9 @@ class TestGroupCommit:
         writer.put(keys[0], results[0])
         [shard] = tmp_path.glob("*.jsonl")
         start = shard.stat().st_size
-        writer.put_many(zip(keys[1:], results[1:]))  # the last group
+        writer.put_many(zip(keys[1:], results[1:]))  # the last block
         data = shard.read_bytes()
-        end_first = start + data[start:].index(b"\n") + 1
+        assert data.count(b"\n") == 2  # one frame per block
         model = LayerSet("torn", layers)
         oracle = simulator.simulate_model(model, layer_by_layer=True)
         for cut in range(start + 1, len(data)):
@@ -759,11 +792,10 @@ class TestGroupCommit:
             served = simulate_model_cached(
                 simulator, model, layer_by_layer=True, cache=reader
             )
-            complete = 1 + (cut >= end_first - 1) + (cut == len(data) - 1)
-            boundary = cut in (end_first - 1, end_first, len(data) - 1)
+            whole = cut == len(data) - 1
             assert served == oracle, cut
-            assert reader.stats.disk_hits == complete, cut
-            assert reader.stats.torn_records == (0 if boundary else 1), cut
+            assert reader.stats.disk_hits == (3 if whole else 1), cut
+            assert reader.stats.torn_records == (0 if whole else 1), cut
             assert reader.stats.quarantined_records == 0, cut
 
 
@@ -814,6 +846,68 @@ class TestShardRecovery:
             assert reader.stats.quarantined_records == 1
         quarantine = Path(f"{shard}{store.QUARANTINE_SUFFIX}")
         assert quarantine.read_bytes() == b"}}corrupted{{\n"
+
+
+    def test_append_after_a_torn_tail_starts_on_a_fresh_line(
+        self, tmp_path, simulator
+    ):
+        """Cut the last frame of every shard by 10 bytes: the next run
+        recomputes the torn entries and lands them on a fresh line, so
+        the run after it serves every entry.  Glued onto the torn bytes,
+        the recomputed block was lost with them and missed again."""
+        from repro.models.zoo import get_model
+
+        job = SweepJob(simulator, get_model("VGG-16"))
+
+        def run():
+            cache = ResultCache(cache_dir=tmp_path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ReproWarning)
+                SweepRunner(max_workers=1, cache=cache, manifest=False).run(
+                    [job]
+                )
+            return cache.stats
+
+        cold = run()
+        assert cold.misses == cold.puts > 1
+        for shard in tmp_path.glob("*.jsonl"):
+            shard.write_bytes(shard.read_bytes()[:-10])
+        after_cut = run()
+        assert after_cut.misses == after_cut.puts == cold.misses
+        assert after_cut.torn_records == 1
+        healed = run()
+        assert healed.misses == healed.puts == 0
+        assert healed.disk_hits == cold.misses
+        # The torn bytes now end mid-file: preserved, not dropped.
+        assert (healed.torn_records, healed.quarantined_records) == (0, 1)
+
+    def test_resume_after_a_torn_manifest_tail_keeps_its_marks(
+        self, tmp_path, simulator
+    ):
+        """Jobs 0 and 1 done, the last frame cut: a resume finds job 0
+        done and marks 1 and 2, and the next resume finds all three."""
+        jobs = [SweepJob(simulator, m) for m in _models(3)]
+        first = CampaignManifest(tmp_path)
+        first.begin(jobs)
+        first.mark_done(0)
+        first.mark_done(1)
+        path = tmp_path / "campaign.jsonl"
+        path.write_bytes(path.read_bytes()[:-10])
+
+        resumed = CampaignManifest(tmp_path)
+        resumed.begin(jobs, resume=True)
+        assert resumed.resumed and resumed.health.torn_records == 1
+        assert [resumed.is_done(i) for i in range(3)] == [True, False, False]
+        resumed.mark_done(1)
+        resumed.mark_done(2)
+
+        again = CampaignManifest(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ReproWarning)
+            again.begin(jobs, resume=True)
+        assert again.resumed
+        assert [again.is_done(i) for i in range(3)] == [True, True, True]
+        assert again.health.quarantined_records == 1  # the torn bytes
 
 
 # ----------------------------------------------------------------------

@@ -7,13 +7,15 @@ Property-based (hypothesis) and example-based checks of the contracts
 * cache keys are shape-addressed, mode-sensitive and spec-sensitive;
 * the parallel runner reproduces serial results exactly and falls
   back to the serial path when the pool cannot be used;
-* the disk tier round-trips bit-exactly and shrugs off torn or
-  corrupt lines.
+* the disk tier's blocks round-trip bit-exactly, and the tier shrugs
+  off torn or corrupt lines and rejects a malformed block whole.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import struct
 import sys
 import threading
 
@@ -35,9 +37,10 @@ from repro.core.batch import (
 from repro.core.layer import ConvLayer, LayerSet
 from repro.errors import ReproWarning
 from repro.serialization import (
-    layer_result_pack,
+    BLOCK_COLUMNS,
     layer_result_to_dict,
-    layer_result_unpack,
+    pack_block,
+    unpack_block,
 )
 from repro.spacx.architecture import spacx_simulator
 
@@ -88,15 +91,106 @@ def test_cache_hit_is_identical_to_fresh_simulation(simulator, shape):
     assert cache.stats.hits == 1 and cache.stats.misses == 1
 
 
+def _through_json(results) -> list:
+    """Results packed as a block, through JSON as the disk tier stores
+    it, and rebuilt row by row."""
+    columns = json.loads(json.dumps(pack_block(results)))
+    block = unpack_block(columns, len(results))
+    return [block.result(row) for row in range(len(results))]
+
+
 @settings(max_examples=25, deadline=None)
 @given(shape=layer_shapes())
 def test_packed_disk_encoding_round_trips_exactly(simulator, shape):
     result = simulator.simulate_layer(_layer(**shape), layer_by_layer=True)
-    # Through JSON, as the disk tier stores it.
-    packed = json.loads(json.dumps(layer_result_pack(result)))
-    restored = layer_result_unpack(packed)
+    (restored,) = _through_json([result])
     assert restored == result
     assert layer_result_to_dict(restored) == layer_result_to_dict(result)
+
+
+def _same_bits(a, b) -> bool:
+    """``a`` and ``b`` are equal value for value, type for type, and
+    bit for bit in every float (NaN payloads and signed zeros too)."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if dataclasses.is_dataclass(a):
+        return all(
+            _same_bits(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a)
+        )
+    return a == b
+
+
+def _rebuilt(obj, **values):
+    """A copy of a dataclass with ``values`` set as they are, bypassing
+    ``__init__`` checks (the codec must carry any value faithfully)."""
+    copy = object.__new__(type(obj))
+    copy.__dict__.update(obj.__dict__, **values)
+    return copy
+
+
+_float_slot = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.just(0),
+    st.integers(-(2**53), 2**53),
+)
+
+
+@st.composite
+def generated_results(draw, simulator):
+    """Simulated results with their float slots overwritten by any
+    float (NaN, infinities, signed zeros) or an int, and sometimes a
+    mapping whose layer differs from the result's."""
+    layer = _layer(name=draw(st.text(max_size=8)), **draw(layer_shapes()))
+    result = simulator.simulate_layer(layer, layer_by_layer=True)
+    network = result.energy.network
+    network = _rebuilt(
+        network,
+        **{f.name: draw(_float_slot) for f in dataclasses.fields(network)},
+    )
+    energy = _rebuilt(
+        result.energy,
+        network=network,
+        **{
+            f.name: draw(_float_slot)
+            for f in dataclasses.fields(result.energy)
+            if f.name != "network"
+        },
+    )
+    mapping = result.mapping
+    if draw(st.booleans()):
+        other = _layer(name="other", c=draw(st.integers(1, 9)))
+        mapping = _rebuilt(mapping, layer=other)
+    return _rebuilt(
+        result,
+        mapping=mapping,
+        energy=energy,
+        computation_time_s=draw(_float_slot),
+        communication_time_s=draw(_float_slot),
+        exposed_communication_s=draw(_float_slot),
+        packet_latency_s=draw(_float_slot),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_block_codec_round_trips_generated_results_bit_exactly(
+    simulator, data
+):
+    results = data.draw(
+        st.lists(generated_results(simulator), min_size=1, max_size=6)
+    )
+    restored = _through_json(results)
+    assert len(restored) == len(results)
+    for before, after in zip(results, restored):
+        assert _same_bits(before, after)
+        # The mapping shares the result's layer exactly when it held
+        # an equal one.
+        assert (after.mapping.layer is after.layer) == (
+            before.mapping.layer == before.layer
+        )
 
 
 # ----------------------------------------------------------------------
@@ -265,16 +359,13 @@ def test_disk_tier_survives_torn_and_corrupt_lines(tmp_path, simulator):
     written = simulate_layer_cached(simulator, layer, cache=writer)
 
     # Mangle every shard file: prepend garbage, a truncated line and a
-    # well-framed entry with a corrupt float blob, then keep the good
+    # well-framed block with a corrupt float blob, then keep the good
     # framed record last.
     for shard in tmp_path.glob("*.jsonl"):
         good = shard.read_bytes()
-        key = json.loads(store.parse_log(good).records[0])[1]
-        corrupt = store.frame_record(
-            json.dumps(
-                [batch.CACHE_SCHEMA_VERSION, key, [[], [], [], [], "zz", []]]
-            ).encode()
-        )
+        record = json.loads(store.parse_log(good).records[0])
+        record[2 + BLOCK_COLUMNS.index("floats")] = "zz"
+        corrupt = store.frame_record(json.dumps(record).encode())
         shard.write_bytes(b'not json\n{"torn": \n' + corrupt + good)
 
     reader = ResultCache(cache_dir=tmp_path)
@@ -296,14 +387,30 @@ def test_corrupt_only_entry_is_a_miss(tmp_path, simulator, fingerprint):
     simulate_layer_cached(simulator, layer, cache=writer)
     key = layer_cache_key(fingerprint, layer, True)
     for shard in tmp_path.glob("*.jsonl"):
-        entry = json.loads(store.parse_log(shard.read_bytes()).records[0])
-        entry[2] = entry[2][:3]  # truncate the packed payload
+        record = json.loads(store.parse_log(shard.read_bytes()).records[0])
+        del record[5:]  # truncate the block's columns
         shard.write_bytes(
-            store.frame_record(json.dumps(entry).encode())
+            store.frame_record(json.dumps(record).encode())
         )
     reader = ResultCache(cache_dir=tmp_path)
     assert reader.get(key) is None
     assert reader.stats.misses == 1 and reader.stats.disk_hits == 0
+    assert reader.stats.rejected_records == 1
+
+
+def test_block_with_a_non_string_key_is_rejected(
+    tmp_path, simulator, fingerprint
+):
+    layer = _layer()
+    simulate_layer_cached(simulator, layer, cache=ResultCache(cache_dir=tmp_path))
+    key = layer_cache_key(fingerprint, layer, True)
+    [shard] = tmp_path.glob("*.jsonl")
+    (record,) = store.read_log(shard)
+    record[1] = [key, ["not", "a", "key"]]
+    shard.write_bytes(store.frame_record(json.dumps(record).encode()))
+    reader = ResultCache(cache_dir=tmp_path)
+    assert reader.get(key) is None
+    assert reader.stats.rejected_records == 1
 
 
 @pytest.mark.parametrize(
@@ -312,49 +419,72 @@ def test_corrupt_only_entry_is_a_miss(tmp_path, simulator, fingerprint):
 def test_malformed_float_exceptions_are_a_miss(
     tmp_path, simulator, exceptions
 ):
-    """A record whose float exceptions are not in-range ``[index,
-    value]`` pairs -- under a valid frame -- is a miss: the runner
-    recomputes it instead of raising or serving an overwritten slot."""
+    """A block whose float exceptions are not in-range ``[index,
+    value]`` pairs -- under a valid frame -- is a miss for every key
+    it holds: the runner recomputes them instead of raising or serving
+    an overwritten slot."""
     jobs = [SweepJob(simulator, model) for model in _tiny_models()]
     SweepRunner(
         max_workers=1, cache=ResultCache(cache_dir=tmp_path), manifest=False
     ).run(jobs)
-    shard = sorted(tmp_path.glob("*.jsonl"))[0]
-    entries = [
-        json.loads(r) for r in store.parse_log(shard.read_bytes()).records
-    ]
-    entries[0][2][5] = exceptions
-    assert store.rewrite_log(shard, [json.dumps(e).encode() for e in entries])
+    record = _tamper_block(tmp_path, ("float_exceptions",), exceptions)
 
     cache = ResultCache(cache_dir=tmp_path)
     results = SweepRunner(max_workers=1, cache=cache, manifest=False).run(jobs)
     assert [r.layers for r in results] == [
         simulator.simulate_model(job.model).layers for job in jobs
     ]
-    assert cache.stats.misses == 1
+    assert cache.stats.misses == len(record[1])
+    assert cache.stats.rejected_records == 1
     with pytest.raises(ValueError, match="float exceptions"):
-        layer_result_unpack(entries[0][2])
+        unpack_block(record[2:], len(record[1]))
+
+
+def _tamper_block(directory, path, value) -> list:
+    """Rewrite the only block of the first shard with ``value`` in
+    place of its column ``path[0]`` (or of that column's row
+    ``path[1]``); returns the tampered record."""
+    shard = sorted(directory.glob("*.jsonl"))[0]
+    (record,) = store.read_log(shard)
+    column = 2 + BLOCK_COLUMNS.index(path[0])
+    if len(path) == 1:
+        record[column] = value
+    else:
+        record[column][path[1]] = value
+    assert store.rewrite_log(shard, [json.dumps(record).encode()])
+    return record
 
 
 @pytest.mark.parametrize(
     "path, value",
     [
-        pytest.param((1, 1), "x", id="layer-c-str"),
-        pytest.param((1, 1), 64.0, id="layer-c-float"),
-        pytest.param((1, 1), True, id="layer-c-bool"),
-        pytest.param((2, 2), "x", id="mapping-compute-cycles-str"),
-        pytest.param((3, 0), "x", id="traffic-count-str"),
-        pytest.param((3, 0), None, id="traffic-count-null"),
-        pytest.param((0, 1), "x", id="delivered-bytes-str"),
-        pytest.param((5,), [0, "x"], id="exception-value-str"),
-        pytest.param((5,), [0, None], id="exception-value-null"),
+        pytest.param(("layer.c", 0), "x", id="layer-c-str"),
+        pytest.param(("layer.c", 0), 64.0, id="layer-c-float"),
+        pytest.param(("layer.c", 0), True, id="layer-c-bool"),
+        pytest.param(
+            ("mapping.compute_cycles", 0), "x", id="mapping-compute-cycles-str"
+        ),
+        pytest.param(
+            ("traffic.gb_weight_send_bytes", 0), "x", id="traffic-count-str"
+        ),
+        pytest.param(
+            ("traffic.gb_weight_send_bytes", 0), None, id="traffic-count-null"
+        ),
+        pytest.param(("delivered_bytes", 0), "x", id="delivered-bytes-str"),
+        pytest.param(
+            ("float_exceptions",), [0, "x"], id="exception-value-str"
+        ),
+        pytest.param(
+            ("float_exceptions",), [0, None], id="exception-value-null"
+        ),
     ],
 )
 def test_wrong_typed_record_is_recomputed(tmp_path, simulator, path, value):
-    """A record holding a value of the wrong type for its field --
-    under a valid frame -- is a miss: the runner recomputes it and
-    returns what an uncached run returns, instead of raising out of
-    ``run``, failing the job or serving the wrong value."""
+    """A block holding one value of the wrong type for its field --
+    under a valid frame -- is rejected whole: the runner recomputes
+    every key of it and returns what an uncached run returns, instead
+    of raising out of ``run``, failing the job or serving the wrong
+    value."""
     from repro.models.zoo import get_model
     from repro.serialization import model_result_to_dict
 
@@ -362,15 +492,7 @@ def test_wrong_typed_record_is_recomputed(tmp_path, simulator, path, value):
     SweepRunner(
         max_workers=1, cache=ResultCache(cache_dir=tmp_path), manifest=False
     ).run([job])
-    shard = sorted(tmp_path.glob("*.jsonl"))[0]
-    entries = [
-        json.loads(r) for r in store.parse_log(shard.read_bytes()).records
-    ]
-    target = entries[0][2]
-    for step in path[:-1]:
-        target = target[step]
-    target[path[-1]] = value
-    assert store.rewrite_log(shard, [json.dumps(e).encode() for e in entries])
+    record = _tamper_block(tmp_path, path, value)
 
     cache = ResultCache(cache_dir=tmp_path)
     (result,) = SweepRunner(
@@ -380,9 +502,10 @@ def test_wrong_typed_record_is_recomputed(tmp_path, simulator, path, value):
     assert model_result_to_dict(result) == model_result_to_dict(
         simulator.simulate_model(job.model)
     )
-    assert cache.stats.misses == 1
+    assert cache.stats.misses == len(record[1])
+    assert cache.stats.rejected_records == 1
     with pytest.raises(ValueError):
-        layer_result_unpack(entries[0][2])
+        unpack_block(record[2:], len(record[1]))
 
 
 def test_legacy_unframed_shards_still_readable(tmp_path, simulator):

@@ -21,6 +21,7 @@ _PRIVATE = frozenset(
         "_misses",
         "_lru_active",
         "_disk_index",
+        "_blocks",
         "_loaded_shards",
     }
 )

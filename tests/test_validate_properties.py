@@ -20,6 +20,7 @@ Four guarantees, each exercised with Hypothesis:
 
 import dataclasses
 import functools
+import json
 import math
 import types
 
@@ -39,7 +40,7 @@ from repro.core.invariants import (
 from repro.core.layer import ConvLayer
 from repro.core.metrics import EnergyBreakdown
 from repro.models.zoo import EXTENDED_MODELS, get_model
-from repro.serialization import layer_result_pack, layer_result_unpack
+from repro.serialization import pack_block, unpack_block
 from repro.spacx.architecture import spacx_simulator
 from repro.photonics.crosstalk import CrosstalkModel
 from repro.validate import (
@@ -390,7 +391,7 @@ def test_unreadable_hit_leaves_its_group_to_the_scalar_audit():
 
 def test_array_audit_marks_every_clean_zoo_lane():
     # Non-vacuity: every lane of the zoo machines x the extended zoo,
-    # read back from its packed cache record, is judged -- marked
+    # read back from its cache block, is judged -- marked
     # exactly when the scalar audit passes it (all of them).
     layers = list(
         {
@@ -401,12 +402,9 @@ def test_array_audit_marks_every_clean_zoo_lane():
     )
     for name in _MACHINE_NAMES:
         simulator = _machine(name)
-        hits = [
-            layer_result_unpack(
-                layer_result_pack(simulator.simulate_layer(layer))
-            )
-            for layer in layers
-        ]
+        packed = pack_block([simulator.simulate_layer(lay) for lay in layers])
+        block = unpack_block(json.loads(json.dumps(packed)), len(layers))
+        hits = [block.result(row) for row in range(len(layers))]
         grid.preaudit_hits([simulator.spec], [hits], [layers])
         for hit in hits:
             clean = audit_layer_result(hit, simulator.spec) == []
